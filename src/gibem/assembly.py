@@ -13,6 +13,14 @@ weakens the singularity enough for the triangle-fan scheme; the subtracted
 part is restored through the free-term closure, which fixes each diagonal
 block from the requirement that a rigid translation of the (mirror
 completed) closed surface produces no traction.
+
+Most (node, region) pairs are far: the quad-tree keeps the region whole,
+and its Gauss data is the same for every node. Per patch and mirror image
+those pairs are integrated as a batch: one masked kernel block over nodes
+and points, contracted with the basis values in one matrix product. A
+block holds at most BLOCK_PAIRS (point, node) pairs, so its memory does
+not grow with the model. Fans and refined regions are integrated node by
+node.
 """
 from __future__ import annotations
 
@@ -29,8 +37,8 @@ from .errors import (
 )
 from .kernels import kelvin_T_many, kelvin_U_many
 from .model import symmetry_group
-from .quadrature import gauss_rule, quadtree_refine, region_partition, \
-    singular_quadrature_points
+from .quadrature import far_mask, gauss_rule, quadtree_refine, \
+    region_partition, region_samples, singular_quadrature_points
 
 __all__ = [
     "CollocationNode",
@@ -43,6 +51,10 @@ __all__ = [
     "free_term_rigid_body",
     "neumann_rhs",
 ]
+
+# Far-field kernel blocks hold at most this many (point, node) pairs, 9
+# doubles each; a patch with more Gauss points is taken one node at a time.
+BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +217,12 @@ def collocation_points(model, config=None):
 
 
 class _PatchContext:
-    """Per-patch scratch data shared across matrix rows."""
+    """Per-patch scratch data shared across matrix rows.
+
+    ``far`` holds the base regions' Gauss data (positions, normals, weights,
+    basis values) concatenated, as the points of the far-field batch; point
+    p lies in base region far_region[p].
+    """
 
     def __init__(self, patch, pair, cfg):
         self.patch = patch
@@ -214,7 +231,6 @@ class _PatchContext:
         self.rule = gauss_rule(cfg.gauss_order)
         self.singular_rule = gauss_rule(cfg.singular_gauss_order)
         self._region_data = {}
-        self._fan_data = {}
         self._sample_memo = {}
 
         side = 17
@@ -228,6 +244,13 @@ class _PatchContext:
             np.linalg.norm(np.diff(cells, axis=1), axis=2).max(),
         )
         self.reject_radius = 3.0 * spacing + 1e-30
+
+        self.samples = region_samples(self.regions, self.sampler)
+        base = [self.region_data(region) for region in self.regions]
+        self.far = [np.concatenate(column) for column in zip(*base)]
+        self.far_region = np.repeat(
+            np.arange(len(base)), self.rule.order**2
+        )
 
     def sampler(self, params):
         key = params.tobytes()
@@ -248,9 +271,10 @@ class _PatchContext:
             self._region_data[key] = hit
         return hit
 
-    def fan_data(self, region, param):
+    def fan_data(self, region, param, memo):
+        """Fan quadrature around ``param``, cached in the caller's ``memo``."""
         key = (region.u0, region.u1, region.v0, region.v1, param[0], param[1])
-        hit = self._fan_data.get(key)
+        hit = memo.get(key)
         if hit is None:
             pts, wts = singular_quadrature_points(
                 region, param, self.singular_rule
@@ -258,7 +282,7 @@ class _PatchContext:
             frames = self.patch.frames_at(pts)
             basis = self.pair.values(pts) - self.pair.value_at(*param)
             hit = (frames.positions, frames.normals, wts * frames.areas, basis)
-            self._fan_data[key] = hit
+            memo[key] = hit
         return hit
 
     def project(self, target):
@@ -295,8 +319,8 @@ class _PatchContext:
         return param, dist
 
 
-def _singular_params(node, patch_index, ctx, target, on_self, tol):
-    if on_self:
+def _singular_params(node, patch_index, ctx, target, tol):
+    if np.linalg.norm(target - node.position) < tol:
         hits = [p for pk, p in node.aliases if pk == patch_index]
         if hits:
             return hits
@@ -327,87 +351,111 @@ def _split_singular(regions, params, depth=0):
     return singular, regular
 
 
-def _engine(model, colloc, cfg, want_matrix, want_rhs, load):
+class _Rows:
+    """Kernel integrals accumulated into the rows of the system."""
+
+    def __init__(self, positions, material, load, sign):
+        n_nodes = len(positions)
+        self.positions = positions
+        self.material = material
+        self.load = load
+        self.sign = sign
+        self.t_blocks = np.zeros((3 * n_nodes, 3 * n_nodes))
+        self.row_sums = np.zeros((n_nodes, 3, 3))
+        self.rhs = np.zeros((n_nodes, 3))
+
+    def add(self, nodes, points, normals, weights, basis, mirror, ids,
+            used=None):
+        """Integrate the kernels of ``nodes`` over one patch image.
+
+        ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``basis``
+        (m, f), the values of the patch fields ``ids``, are the quadrature
+        data of the patch before ``mirror`` maps it. ``used`` (m, len(nodes))
+        marks the pairs to integrate, all by default; the others get a dummy
+        point one unit off the source in each coordinate and a zero normal,
+        so that their kernel and traction are finite and exactly zero.
+        """
+        sources = self.positions[nodes]
+        points = (points @ mirror.T)[:, None, :]
+        normals = (normals @ mirror.T)[:, None, :]
+        if used is not None:
+            points = np.where(used[..., None], points, sources[None] + 1.0)
+            normals = np.where(used[..., None], normals, 0.0)
+        kernel = kelvin_T_many(sources[None], points, normals, self.material)
+        contrib = kernel.reshape(len(basis), -1).T @ (weights[:, None] * basis)
+        contrib = contrib.reshape(len(nodes), 3, 3, -1)
+        self.row_sums[nodes] += contrib.sum(axis=3)
+        view = self.t_blocks.reshape(len(self.positions), 3, -1, 3)
+        view[nodes[:, None], :, ids, :] += np.einsum(
+            "nijf,jl->nfil", contrib, mirror
+        )
+        if self.load is not None:
+            tractions = self.load.traction(normals, self.sign)
+            u_t = kelvin_U_many(sources[None], points, self.material,
+                                tractions)
+            self.rhs[nodes] += np.einsum("m,mni->ni", weights, u_t)
+
+
+def _near_parts(ctx, target, far, sing, fans, cfg):
+    """Quadrature data of one node's base regions outside the far batch:
+    fans around its singular parameters, quad-tree refined regions."""
+    regular = [region for region, skip in zip(ctx.regions, far) if not skip]
+    parts = []
+    if sing:
+        fan_pairs, regular = _split_singular(regular, sing)
+        parts = [ctx.fan_data(region, param, fans)
+                 for region, param in fan_pairs]
+    regular = quadtree_refine(regular, target, ctx.sampler,
+                              cfg.quadtree_threshold, cfg.quadtree_max_depth)
+    parts.extend(ctx.region_data(region) for region in regular)
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _engine(model, colloc, cfg, load):
+    """Kernel blocks and right-hand side (zero without a load) of every row,
+    before the closure; far pairs in blocks of nodes, the rest per node."""
     group = symmetry_group(model.symmetry_planes)
     contexts = [
         _PatchContext(patch, pair, cfg)
         for patch, pair in zip(model.patches, model.field_pairs)
     ]
+    rows = _Rows(colloc.positions, model.material, load, cfg.excavation_sign)
     n_nodes = len(colloc.nodes)
-    n_dof = 3 * n_nodes
-    material = model.material
 
-    t_blocks = np.zeros((n_dof, n_dof)) if want_matrix else None
-    row_sums = np.zeros((n_nodes, 3, 3)) if want_matrix else None
-    node_values = np.zeros((n_nodes, n_nodes)) if want_matrix else None
-    rhs = np.zeros(n_dof) if want_rhs else None
-    blocks_view = (
-        t_blocks.reshape(n_nodes, 3, n_nodes, 3) if want_matrix else None
-    )
+    for k, ctx in enumerate(contexts):
+        ids = colloc.dof_map.grids[k].ravel()
+        step = max(1, BLOCK_PAIRS // len(ctx.far_region))
+        for start in range(0, n_nodes, step):
+            block = np.arange(start, min(start + step, n_nodes))
+            fans = [{} for _ in block]
+            for mirror in group:
+                targets = rows.positions[block] @ mirror.T
+                far = far_mask(ctx.samples, targets, cfg.quadtree_threshold)
+                for i, node in enumerate(colloc.nodes[n] for n in block):
+                    sing = _singular_params(node, k, ctx, targets[i],
+                                            colloc.merge_tol)
+                    if sing:
+                        far[i] &= [
+                            not any(r.contains(p, tol=1e-9) for p in sing)
+                            for r in ctx.regions
+                        ]
+                    if not far[i].all():
+                        near = _near_parts(ctx, targets[i], far[i], sing,
+                                           fans[i], cfg)
+                        rows.add(block[i:i + 1], *near, mirror, ids)
+                if far.any():
+                    rows.add(block, *ctx.far, mirror, ids,
+                             used=far[:, ctx.far_region].T)
 
+    node_values = np.zeros((n_nodes, n_nodes))
     for node in colloc.nodes:
-        n = node.index
-        for g_index, mirror in enumerate(group):
-            target = mirror @ node.position
-            on_self = g_index == 0 or np.linalg.norm(
-                target - node.position
-            ) < colloc.merge_tol
-            for k, ctx in enumerate(contexts):
-                sing = _singular_params(
-                    node, k, ctx, target, on_self, colloc.merge_tol
-                )
-                parts = []
-                if sing:
-                    fan_pairs, regular = _split_singular(ctx.regions, sing)
-                    for region, param in fan_pairs:
-                        parts.append(ctx.fan_data(region, param))
-                else:
-                    regular = ctx.regions
-                regular = quadtree_refine(
-                    regular,
-                    target,
-                    ctx.sampler,
-                    threshold=cfg.quadtree_threshold,
-                    max_depth=cfg.quadtree_max_depth,
-                )
-                parts.extend(ctx.region_data(region) for region in regular)
+        owner_patch, owner_param = node.aliases[0]
+        values = contexts[owner_patch].pair.value_at(*owner_param)
+        ids = colloc.dof_map.grids[owner_patch].ravel()
+        node_values[node.index, ids] += values
 
-                positions = np.concatenate([p[0] for p in parts])
-                normals = np.concatenate([p[1] for p in parts])
-                weights = np.concatenate([p[2] for p in parts])
-                basis = np.concatenate([p[3] for p in parts])
-                if g_index:
-                    positions = positions @ mirror.T
-                    normals = normals @ mirror.T
-
-                if want_matrix:
-                    kernel = kelvin_T_many(
-                        node.position, positions, normals, material
-                    )
-                    contrib = np.einsum(
-                        "m,mij,mf->ijf", weights, kernel, basis
-                    )
-                    row_sums[n] += contrib.sum(axis=2)
-                    if g_index:
-                        contrib = np.einsum("ijf,jl->ilf", contrib, mirror)
-                    ids = colloc.dof_map.grids[k].ravel()
-                    blocks_view[n][:, ids, :] += contrib.transpose(0, 2, 1)
-                if want_rhs:
-                    tractions = load.traction(normals, cfg.excavation_sign)
-                    u_kernel = kelvin_U_many(node.position, positions, material)
-                    rhs[3 * n:3 * n + 3] += np.einsum(
-                        "m,mij,mj->i", weights, u_kernel, tractions
-                    )
-        if want_matrix:
-            owner_patch, owner_param = node.aliases[0]
-            values = contexts[owner_patch].pair.value_at(*owner_param)
-            ids = colloc.dof_map.grids[owner_patch].ravel()
-            node_values[n, ids] += values
-
-    partial = (
-        PartialSystem(t_blocks, row_sums, node_values) if want_matrix else None
-    )
-    return partial, rhs
+    partial = PartialSystem(rows.t_blocks, rows.row_sums, node_values)
+    return partial, rows.rhs.reshape(-1)
 
 
 def free_term_rigid_body(partial, exterior=False):
@@ -443,22 +491,13 @@ def assemble(model, colloc=None, config=None):
             "only supported when mirror images close them (set closed=True "
             "in that case)"
         )
-    partial, rhs = _engine(
-        model,
-        colloc,
-        cfg,
-        want_matrix=True,
-        want_rhs=model.load is not None,
-        load=model.load,
-    )
+    partial, rhs = _engine(model, colloc, cfg, model.load)
     matrix = free_term_rigid_body(partial, model.exterior)
-    if rhs is None:
-        rhs = np.zeros(matrix.shape[0])
     return DenseSystem(matrix, rhs)
 
 
 def neumann_rhs(model, colloc=None, load=None, config=None):
-    """Right-hand side from a virgin stress state, without the matrix."""
+    """Right-hand side from a virgin stress state, as ``assemble`` builds it."""
     cfg = config if config is not None else model.config
     if colloc is None:
         colloc = collocation_points(model, cfg)
@@ -466,7 +505,4 @@ def neumann_rhs(model, colloc=None, load=None, config=None):
         load = model.load
     if load is None:
         raise ModelError("no load state given and the model carries none")
-    _, rhs = _engine(
-        model, colloc, cfg, want_matrix=False, want_rhs=True, load=load
-    )
-    return rhs
+    return _engine(model, colloc, cfg, load)[1]

@@ -45,38 +45,53 @@ def _radii(source: np.ndarray, points: np.ndarray):
     return diff / r[..., None], r
 
 
-def kelvin_U_many(source, points, material: Material) -> np.ndarray:
-    """Displacement kernel at many field points; shape (m, 3, 3)."""
+def kelvin_U_many(source, points, material: Material,
+                  tractions=None) -> np.ndarray:
+    """Displacement kernel at many field points; shape (..., 3, 3).
+
+    ``source`` and ``points`` broadcast: (1, n, 3) sources against (m, 1, 3)
+    points give every pair. With ``tractions`` the product U t, shape
+    (..., 3), is returned instead, without forming the 3x3 blocks.
+    """
     source = np.asarray(source, dtype=float)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = np.asarray(points, dtype=float)
     rdir, r = _radii(source, points)
     nu = material.poisson_ratio
     g = material.shear_modulus
     c = 1.0 / (16.0 * np.pi * g * (1.0 - nu))
-    out = (3.0 - 4.0 * nu) * np.eye(3)[None, :, :] + \
-        rdir[:, :, None] * rdir[:, None, :]
-    return c * out / r[:, None, None]
+    if tractions is not None:
+        tractions = np.asarray(tractions, dtype=float)
+        rdt = np.einsum("...i,...i->...", rdir, tractions)
+        out = (3.0 - 4.0 * nu) * tractions + rdir * rdt[..., None]
+        return c * out / r[..., None]
+    out = (3.0 - 4.0 * nu) * np.eye(3) + \
+        rdir[..., :, None] * rdir[..., None, :]
+    return c * out / r[..., None, None]
 
 
 def kelvin_T_many(source, points, normals, material: Material) -> np.ndarray:
-    """Traction kernel at many field points; shape (m, 3, 3).
+    """Traction kernel at many field points; shape (..., 3, 3).
 
     ``normals`` are unit normals at the field points, pointing out of the
-    domain the identity is written for.
+    domain the identity is written for. ``source``, ``points`` and
+    ``normals`` broadcast against each other as in ``kelvin_U_many``.
     """
     source = np.asarray(source, dtype=float)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
+    points = np.asarray(points, dtype=float)
+    normals = np.asarray(normals, dtype=float)
     rdir, r = _radii(source, points)
     nu = material.poisson_ratio
-    k = 1.0 / (8.0 * np.pi * (1.0 - nu))
     two_nu = 1.0 - 2.0 * nu
-    drdn = np.einsum("mi,mi->m", rdir, normals)
-    sym = two_nu * np.eye(3)[None, :, :] + \
-        3.0 * rdir[:, :, None] * rdir[:, None, :]
-    rot = normals[:, :, None] * rdir[:, None, :] - \
-        rdir[:, :, None] * normals[:, None, :]
-    return -k / r[:, None, None] ** 2 * (drdn[:, None, None] * sym + two_nu * rot)
+    scale = -1.0 / (8.0 * np.pi * (1.0 - nu)) / r**2
+    drdn = np.einsum("...i,...i->...", rdir, normals)
+    # scale * (drdn * (two_nu I + 3 r r^T) + two_nu * (n r^T - r n^T))
+    radial = (3.0 * scale * drdn)[..., None] * rdir
+    turn = (two_nu * scale)[..., None] * normals
+    out = (radial + turn)[..., :, None] * rdir[..., None, :]
+    out -= rdir[..., :, None] * turn[..., None, :]
+    out.reshape(*out.shape[:-2], 9)[..., ::4] += \
+        (two_nu * scale * drdn)[..., None]
+    return out
 
 
 def kelvin_U(source, field, material: Material) -> np.ndarray:

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
-from .kernels import Material, kelvin_T_many, kelvin_U_many
 from .splines import BasisSpace, greville_abscissae
 
 __all__ = [
@@ -24,10 +23,10 @@ __all__ = [
     "IntegrationRegion",
     "gauss_rule",
     "region_partition",
+    "region_samples",
+    "far_mask",
     "quadtree_refine",
     "singular_quadrature_points",
-    "integrate_block",
-    "integrate_singular",
 ]
 
 log = logging.getLogger(__name__)
@@ -159,10 +158,29 @@ _SAMPLE_GRID = np.stack(
 ).reshape(-1, 2)
 
 
-def _region_samples(region: IntegrationRegion) -> np.ndarray:
+def _sample_params(region: IntegrationRegion) -> np.ndarray:
     lo = np.array([region.u0, region.v0])
     size = np.array([region.u1 - region.u0, region.v1 - region.v0])
     return lo + _SAMPLE_GRID * size
+
+
+def region_samples(regions, point_fn) -> np.ndarray:
+    """Mapped 3x3 sample grids, (r, 9, 3); one ``point_fn`` call a region."""
+    return np.stack([point_fn(_sample_params(region)) for region in regions])
+
+
+def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
+    """The quad-tree's keep test for (n, 3) sources against region samples.
+
+    Entry (i, j) is True when region j's longest mapped edge is at most
+    ``threshold`` times the distance from source i to its nearest sample.
+    ``quadtree_refine`` decides through this function, so the two agree.
+    """
+    edges = samples[:, [0, 2, 8, 6]] - samples[:, [2, 8, 6, 0]]
+    size = np.sqrt((edges * edges).sum(axis=-1)).max(axis=-1)
+    diff = samples[None] - sources[:, None, None]
+    dist = np.sqrt((diff * diff).sum(axis=-1)).min(axis=-1)
+    return size <= threshold * dist
 
 
 def quadtree_refine(regions, source_point, point_fn, threshold: float = 1.0,
@@ -172,32 +190,28 @@ def quadtree_refine(regions, source_point, point_fn, threshold: float = 1.0,
 
     ``point_fn`` maps an (m, 2) parameter array to (m, 3) surface points.
     Regions already containing the source must not be passed here; they are
-    the singular integration's job.  Hitting the depth cap logs a warning and
-    keeps the region.
+    the singular integration's job.  Regions that pass ``far_mask`` come
+    back unsplit, as the same objects.  Hitting the depth cap logs a
+    warning and keeps the region.
     """
-    source_point = np.asarray(source_point, dtype=float)
+    source = np.asarray(source_point, dtype=float).reshape(1, 3)
     out: list[IntegrationRegion] = []
-    stack = list(regions)
+    level = list(regions)
     capped = 0
-    while stack:
-        region = stack.pop()
-        mapped = point_fn(_region_samples(region))
-        corners = mapped[[0, 2, 8, 6]]
-        edges = np.linalg.norm(corners - np.roll(corners, -1, axis=0), axis=1)
-        size = float(edges.max())
-        dist = float(np.linalg.norm(mapped - source_point, axis=1).min())
-        if size > threshold * dist:
-            if region.depth >= max_depth:
-                capped += 1
+    while level:
+        far = far_mask(region_samples(level, point_fn), source, threshold)[0]
+        deeper = []
+        for region, keep in zip(level, far):
+            if keep or region.depth >= max_depth:
+                capped += not keep
                 out.append(region)
             else:
-                stack.extend(region.split())
-        else:
-            out.append(region)
+                deeper.extend(region.split())
+        level = deeper
     if capped:
         log.warning(
             "quad-tree depth cap %d reached for %d region(s) near source %s",
-            max_depth, capped, np.array2string(source_point, precision=4),
+            max_depth, capped, np.array2string(source[0], precision=4),
         )
     return out
 
@@ -242,69 +256,3 @@ def singular_quadrature_points(region: IntegrationRegion, source_param,
     if not params:
         raise QuadratureError("all fan triangles degenerate; region is empty")
     return np.concatenate(params), np.concatenate(weights)
-
-
-def _mapped_frames(surface, params, wts, transform):
-    frames = surface.frames_at(params)
-    pts = frames.positions
-    normals = frames.normals
-    if transform is not None:
-        pts = pts @ transform.T
-        normals = normals @ transform.T
-    scaled = wts * frames.areas
-    return pts, normals, scaled
-
-
-def integrate_block(region: IntegrationRegion, source_point, surface,
-                    basis_fn, material: Material, rule: GaussRule,
-                    traction_fn=None, transform=None, want_matrix=True):
-    """Regular Gauss integration of the kernel blocks over one region.
-
-    Returns ``(blocks, rhs)`` where ``blocks`` is (n_fields, 3, 3) holding
-    the traction-kernel integral against each displacement basis function
-    (or None when ``want_matrix`` is false), and ``rhs`` is the 3-vector of
-    the displacement kernel integrated against the supplied traction (zero
-    when no traction is given).  ``transform`` reflects the patch through a
-    symmetry plane: geometry is mapped by it and the blocks are multiplied
-    by it on the right, which is the mirrored displacement transform.
-    """
-    params, wts = region.gauss_points(rule)
-    return _accumulate(source_point, surface, params, wts, basis_fn, material,
-                       traction_fn, transform, want_matrix)
-
-
-def integrate_singular(region: IntegrationRegion, source_param, source_point,
-                       surface, basis_fn, material: Material, rule: GaussRule,
-                       traction_fn=None, subtract=None, transform=None,
-                       want_matrix=True):
-    """Integration over the region containing the source point.
-
-    The displacement-kernel side is weakly singular and the fan mapping
-    integrates it directly.  For the traction kernel the basis values at the
-    source parameter (``subtract``) are subtracted, leaving a weakly
-    singular remainder; the subtracted rank-one part is not computed here.
-    It is recovered later from the rigid-body identity in assembly.
-    """
-    params, wts = singular_quadrature_points(region, source_param, rule)
-    return _accumulate(source_point, surface, params, wts, basis_fn, material,
-                       traction_fn, transform, want_matrix, subtract=subtract)
-
-
-def _accumulate(source_point, surface, params, wts, basis_fn, material,
-                traction_fn, transform, want_matrix, subtract=None):
-    pts, normals, scaled = _mapped_frames(surface, params, wts, transform)
-    blocks = None
-    if want_matrix:
-        tk = kelvin_T_many(source_point, pts, normals, material)
-        basis = basis_fn(params)
-        if subtract is not None:
-            basis = basis - subtract[None, :]
-        blocks = np.einsum("m,mij,mf->fij", scaled, tk, basis)
-        if transform is not None:
-            blocks = blocks @ transform
-    rhs = np.zeros(3)
-    if traction_fn is not None:
-        uk = kelvin_U_many(source_point, pts, material)
-        trac = traction_fn(pts, normals)
-        rhs = np.einsum("m,mij,mj->i", scaled, uk, trac)
-    return blocks, rhs

@@ -19,14 +19,17 @@ from gibem.errors import (
     UnsupportedModelError,
 )
 from gibem.geometry import NurbsPatch, TrimmedPatch, straight_trim_pair
-from gibem.kernels import Material
+from gibem.kernels import Material, kelvin_T_many
 from gibem.model import (
     BoundaryModel,
     FieldSpacePair,
     LoadState,
     SolverConfig,
     build_cube_model,
+    build_trimmed_cube_model,
+    symmetry_group,
 )
+from gibem.quadrature import gauss_rule, region_partition
 from gibem.splines import unit_interval_space
 
 
@@ -157,7 +160,7 @@ class TestCubeAssembly:
 
     def test_face_center_free_term_is_half(self, cube_system):
         model, colloc, _ = cube_system
-        partial, _ = _engine(model, colloc, model.config, True, False, None)
+        partial, _ = _engine(model, colloc, model.config, None)
         matrix = free_term_rigid_body(partial)
         for node in colloc.nodes:
             if len(node.aliases) == 1:
@@ -170,7 +173,7 @@ class TestCubeAssembly:
 
     def test_corner_free_term_differs_from_half(self, cube_system):
         model, colloc, _ = cube_system
-        partial, _ = _engine(model, colloc, model.config, True, False, None)
+        partial, _ = _engine(model, colloc, model.config, None)
         corner = next(
             n for n in colloc.nodes
             if len(n.aliases) == 3
@@ -237,3 +240,81 @@ def test_exterior_closure_maps_constants_to_themselves():
         const = np.zeros(3 * n)
         const[direction::3] = 1.0
         assert_allclose(system.matrix @ const, const, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def octant_system():
+    """Order-2 mirror octant of [-1, 1]^3 whose top face is split at 0.4."""
+    load = LoadState(np.array([1.0, -0.5, 0.8, 0.0, 0.0, 0.0]))
+    cube = build_trimmed_cube_model(2, 0.4, Material(1000.0, 0.3), load)
+    keep = (1, 2, 3, 5)  # both top-face halves, x = 1 and y = 1
+    model = BoundaryModel(
+        tuple(cube.patches[k] for k in keep),
+        tuple(cube.field_pairs[k] for k in keep),
+        cube.material,
+        load=load,
+        symmetry_planes=("xy", "xz", "yz"),
+    )
+    colloc = collocation_points(model)
+    return model, colloc, assemble(model, colloc)
+
+
+class TestOctantAssembly:
+    def test_far_rows_match_plain_gauss_sum(self, octant_system):
+        """Rows of x = 1 face nodes against the trimmed top patch 0.
+
+        Every image of patch 0 is far from those nodes, so each base region
+        is integrated with the plain tensor Gauss rule. Columns of nodes
+        that only patch 0 holds get no other patch's integral and no
+        free-term closure.
+        """
+        model, colloc, system = octant_system
+        k = 0
+        patch, pair = model.patches[k], model.field_pairs[k]
+        grid = colloc.dof_map.grids[k].ravel()
+        others = np.concatenate(
+            [g.ravel() for j, g in enumerate(colloc.dof_map.grids) if j != k]
+        )
+        columns = [f for f, c in enumerate(grid) if c not in others]
+        rows = [n.index for n in colloc.nodes
+                if {pk for pk, _ in n.aliases} == {2}]
+        assert len(columns) == 5 and len(rows) == 4
+
+        regions = region_partition(pair.space_u, pair.space_v)
+        corners = [patch.points_at(r.corners()) for r in regions]
+        longest = max(np.linalg.norm(c - np.roll(c, 1, axis=0), axis=1).max()
+                      for c in corners)
+        side = np.linspace(0.0, 1.0, 33)
+        dense = patch.points_at(
+            np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+        )
+        rule = gauss_rule(model.config.gauss_order)
+        for n in rows:
+            source = colloc.nodes[n].position
+            expected = np.zeros((len(grid), 3, 3))
+            for mirror in symmetry_group(model.symmetry_planes):
+                gap = np.linalg.norm(dense @ mirror.T - source, axis=1).min()
+                assert gap > 1.5 * longest
+                for region in regions:
+                    params, wts = region.gauss_points(rule)
+                    frames = patch.frames_at(params)
+                    kernel = kelvin_T_many(
+                        source, frames.positions @ mirror.T,
+                        frames.normals @ mirror.T, model.material,
+                    )
+                    expected += np.einsum(
+                        "m,mij,mf->fij", wts * frames.areas, kernel,
+                        pair.values(params),
+                    ) @ mirror
+            got = np.array([
+                system.matrix[3 * n:3 * n + 3, 3 * c:3 * c + 3]
+                for c in grid[columns]
+            ])
+            scale = np.abs(expected[columns]).max()
+            assert np.abs(got - expected[columns]).max() <= 1e-12 * scale
+
+    def test_assembly_is_deterministic(self, octant_system):
+        model, colloc, system = octant_system
+        again = assemble(model, colloc)
+        assert np.array_equal(system.matrix, again.matrix)
+        assert np.array_equal(system.rhs, again.rhs)

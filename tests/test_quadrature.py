@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gibem.errors import QuadratureError
@@ -10,9 +11,11 @@ from gibem.geometry import NurbsPatch
 from gibem.kernels import Material, kelvin_T_many
 from gibem.quadrature import (
     IntegrationRegion,
+    far_mask,
     gauss_rule,
     quadtree_refine,
     region_partition,
+    region_samples,
     singular_quadrature_points,
 )
 from gibem.splines import unit_interval_space
@@ -200,3 +203,51 @@ class TestQuadtree:
         refined_err = np.abs(integrate(refined, 8) - reference).max()
         assert refined_err < coarse_err / 10.0
         assert refined_err < 1e-4
+
+
+def _curved_patch():
+    """Biquadratic patch over the unit square with a bulge and a twist."""
+    grid = np.linspace(0.0, 1.0, 3)
+    controls = np.array(
+        [[[u, v, 0.4 * (u == 0.5) * (v == 0.5) + 0.2 * u * v] for v in grid]
+         for u in grid]
+    )
+    space = unit_interval_space(2)
+    return NurbsPatch(space, space, controls, np.ones((3, 3)))
+
+
+_CURVED = _curved_patch()
+_cuts = st.lists(
+    st.floats(0.02, 0.98), max_size=3, unique=True
+).map(lambda c: np.unique(np.round([0.0, *c, 1.0], 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cuts_u=_cuts,
+    cuts_v=_cuts,
+    target=st.tuples(*[st.floats(-1.0, 2.0)] * 3),
+    threshold=st.floats(0.25, 4.0),
+)
+def test_quadtree_keeps_exactly_the_far_regions(cuts_u, cuts_v, target,
+                                                threshold):
+    regions = [
+        IntegrationRegion(u0, u1, v0, v1)
+        for u0, u1 in zip(cuts_u[:-1], cuts_u[1:])
+        for v0, v1 in zip(cuts_v[:-1], cuts_v[1:])
+    ]
+    target = np.array(target)
+    far = far_mask(
+        region_samples(regions, _CURVED.points_at), target[None], threshold
+    )[0]
+    out = quadtree_refine(regions, target, _CURVED.points_at,
+                          threshold=threshold, max_depth=2)
+    kept = {id(region) for region in out}
+    for region, is_far in zip(regions, far):
+        assert (id(region) in kept) == bool(is_far)
+        inside = [r for r in out
+                  if region.u0 <= r.u0 and r.u1 <= region.u1
+                  and region.v0 <= r.v0 and r.v1 <= region.v1]
+        if not is_far:
+            assert all(r.depth > region.depth for r in inside)
+        assert_allclose(sum(r.area for r in inside), region.area, rtol=1e-12)
