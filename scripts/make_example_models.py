@@ -1,9 +1,9 @@
 """Regenerate the example model files in models/.
 
 Three fixtures: the closed unit cube under uniaxial far-field stress, the
-same cube with its bottom face split into two trimmed patches, and a single
-open quarter-cylinder surface (a geometry fixture; the solver refuses open
-models, so this one is for inspection and IO testing only).
+same cube with its top (z = 1) face split into two trimmed patches, and a
+single open quarter-cylinder surface (a geometry fixture; the solver refuses
+open models, so this one is for inspection and IO testing only).
 """
 
 import argparse

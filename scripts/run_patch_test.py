@@ -3,8 +3,8 @@
 The analytic solution is the linear field u = (x - c) sigma / E, which lies
 inside every field space, so the numerical error measures pure solver
 noise.  Prints the relative error at the collocation points and the wall
-time.  Use --trimmed to run the variant whose bottom face is split into two
-trimmed patches.
+time.  Use --trimmed to run the variant whose top (z = 1) face is split into
+two trimmed patches.
 """
 
 import argparse

@@ -4,11 +4,7 @@ can be refined independently of the geometry."""
 
 from .splines import (
     BasisSpace,
-    GrevilleSet,
     KnotVector,
-    bspline_basis,
-    bspline_basis_derivs,
-    bspline_curve_point,
     degree_elevate,
     greville_abscissae,
     knot_insert,
@@ -53,7 +49,6 @@ __all__ = [
     "BasisSpace",
     "BoundaryModel",
     "FieldSpacePair",
-    "GrevilleSet",
     "KnotVector",
     "LoadState",
     "Material",
@@ -64,9 +59,6 @@ __all__ = [
     "TrimmedPatch",
     "TrimmingCurve",
     "assemble",
-    "bspline_basis",
-    "bspline_basis_derivs",
-    "bspline_curve_point",
     "build_cube_model",
     "build_quarter_cylinder",
     "build_trimmed_cube_model",

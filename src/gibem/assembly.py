@@ -280,7 +280,7 @@ class _PatchContext:
                 region, param, self.singular_rule
             )
             frames = self.patch.frames_at(pts)
-            basis = self.pair.values(pts) - self.pair.value_at(*param)
+            basis = self.pair.values(pts) - self.pair.values(param[None])[0]
             hit = (frames.positions, frames.normals, wts * frames.areas, basis)
             memo[key] = hit
         return hit
@@ -293,17 +293,14 @@ class _PatchContext:
             return None, np.sqrt(d2[best])
         param = self.seed_params[best].copy()
         for _ in range(50):
-            frame = self.patch.frame(param[0], param[1])
-            res = frame.position - target
-            grad = np.array(
-                [res @ frame.tangent_u, res @ frame.tangent_v]
-            )
+            frame = self.patch.frames_at(param[None])
+            tan_u, tan_v = frame.tangents_u[0], frame.tangents_v[0]
+            res = frame.positions[0] - target
+            grad = np.array([res @ tan_u, res @ tan_v])
             hess = np.array(
                 [
-                    [frame.tangent_u @ frame.tangent_u,
-                     frame.tangent_u @ frame.tangent_v],
-                    [frame.tangent_u @ frame.tangent_v,
-                     frame.tangent_v @ frame.tangent_v],
+                    [tan_u @ tan_u, tan_u @ tan_v],
+                    [tan_u @ tan_v, tan_v @ tan_v],
                 ]
             )
             try:
@@ -315,7 +312,7 @@ class _PatchContext:
             param = new_param
             if moved < 1e-14:
                 break
-        dist = np.linalg.norm(self.patch.point(param[0], param[1]) - target)
+        dist = np.linalg.norm(self.patch.points_at(param[None])[0] - target)
         return param, dist
 
 
@@ -450,7 +447,7 @@ def _engine(model, colloc, cfg, load):
     node_values = np.zeros((n_nodes, n_nodes))
     for node in colloc.nodes:
         owner_patch, owner_param = node.aliases[0]
-        values = contexts[owner_patch].pair.value_at(*owner_param)
+        values = contexts[owner_patch].pair.values(owner_param[None])[0]
         ids = colloc.dof_map.grids[owner_patch].ravel()
         node_values[node.index, ids] += values
 

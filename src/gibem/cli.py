@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .modelio import parse_model, parse_trace_selector, write_trace, write_vtk
-from .solve import solve_model
+from .solve import elevate_model_order, solve_model
 
 log = logging.getLogger("gibem.cli")
 
@@ -110,16 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_order(model, order: int):
-    if order < 1:
-        raise ModelError("--order must be at least 1")
-    pairs = [
-        pair if max(pair.orders) >= order else pair.elevated(order)
-        for pair in model.field_pairs
-    ]
-    return model.with_field_pairs(pairs)
-
-
 def _write_coefficients(solution, path: Path):
     coeffs = solution.coefficients.reshape(-1, 3)
     lines = ["node,x,y,z,ux,uy,uz"]
@@ -135,7 +125,9 @@ def _cmd_solve(args) -> int:
     requests = [parse_trace_selector(text) for text in args.trace]
     model = parse_model(args.model)
     if args.order is not None:
-        model = _apply_order(model, args.order)
+        if args.order < 1:
+            raise ModelError("--order must be at least 1")
+        model = elevate_model_order(model, args.order)
     if args.gauss is not None:
         model = model.with_config(
             dataclasses.replace(model.config, gauss_order=args.gauss)

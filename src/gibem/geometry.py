@@ -8,7 +8,7 @@ integrates over the unit square regardless of trimming.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,41 +23,26 @@ from .splines import (
 )
 
 __all__ = [
-    "SurfaceFrame",
     "FrameBatch",
     "NurbsPatch",
     "TrimmingCurve",
     "TrimmedPatch",
-    "surface_point",
-    "surface_frame",
-    "trim_map",
-    "trim_jacobian",
-    "trimmed_frame",
     "build_quarter_cylinder",
 ]
 
 _PARALLEL_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceFrame:
-    """Local geometry at one parameter point.
-
-    ``area_element`` is the norm of the tangent cross product, in the
-    coordinates the frame was requested in; for trimmed patches it already
-    includes the plane-map Jacobian determinant.
-    """
-
-    position: np.ndarray
-    tangent_u: np.ndarray
-    tangent_v: np.ndarray
-    unit_normal: np.ndarray
-    area_element: float
+# side of the parameter grid on which a trim map is checked at construction
+_TRIM_VALIDATION_SAMPLES = 17
 
 
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
-    """Frames at many parameter points, stored as arrays (rows align)."""
+    """Frames at many parameter points, stored as arrays (rows align).
+
+    ``areas`` holds the norm of the tangent cross product, in the
+    coordinates the frames were requested in; for trimmed patches it already
+    includes the plane-map Jacobian determinant.
+    """
 
     positions: np.ndarray
     tangents_u: np.ndarray
@@ -67,15 +52,6 @@ class FrameBatch:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def frame(self, i: int) -> SurfaceFrame:
-        return SurfaceFrame(
-            self.positions[i],
-            self.tangents_u[i],
-            self.tangents_v[i],
-            self.normals[i],
-            float(self.areas[i]),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +103,6 @@ class NurbsPatch:
                         self.weights[:, :, None] * self.control_points)
         return num / wgt[:, None]
 
-    def point(self, u: float, v: float) -> np.ndarray:
-        return self.points_at(np.array([[u, v]]))[0]
-
     def frames_at(self, params: np.ndarray) -> FrameBatch:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
         du = bspline_basis_derivs_many(self.space_u, params[:, 0], 1)
@@ -145,9 +118,6 @@ class NurbsPatch:
         tan_u = (num_u - pos * den_u[:, None]) / den[:, None]
         tan_v = (num_v - pos * den_v[:, None]) / den[:, None]
         return _finish_frames(params, pos, tan_u, tan_v, self.flip_normal)
-
-    def frame(self, u: float, v: float) -> SurfaceFrame:
-        return self.frames_at(np.array([[u, v]])).frame(0)
 
 
 def _finish_frames(params, pos, tan_u, tan_v, flip: bool) -> FrameBatch:
@@ -209,7 +179,11 @@ class TrimmingCurve:
 
 def _plane_map(curve_a: TrimmingCurve, curve_b: TrimmingCurve,
                params: np.ndarray):
-    """Blend the curves: positions (m, 2), Jacobians (m, 2, 2), determinants."""
+    """Blend the curves: positions (m, 2), Jacobians (m, 2, 2), determinants.
+
+    Raises DegenerateTrimError where the determinant is not positive, that
+    is where the map folds over.
+    """
     s = params[:, 0]
     t = params[:, 1]
     ca = curve_a.evaluate(t, 1)
@@ -219,6 +193,12 @@ def _plane_map(curve_a: TrimmingCurve, curve_b: TrimmingCurve,
     jac[:, :, 0] = cb[:, 0] - ca[:, 0]
     jac[:, :, 1] = (1.0 - s)[:, None] * ca[:, 1] + s[:, None] * cb[:, 1]
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    if np.any(det <= 0.0):
+        i = int(np.argmin(det))
+        raise DegenerateTrimError(
+            f"trim map folds over: Jacobian determinant {det[i]:.3e} at "
+            f"parameter {tuple(params[i].tolist())}"
+        )
     return pos, jac, det
 
 
@@ -235,7 +215,6 @@ class TrimmedPatch:
     base: NurbsPatch
     curve_a: TrimmingCurve
     curve_b: TrimmingCurve
-    validation_samples: int = field(default=17, repr=False)
 
     def __post_init__(self):
         a0, a1 = self.curve_a.evaluate([0.0, 1.0], 0)[:, 0]
@@ -244,18 +223,9 @@ class TrimmedPatch:
         swap = np.linalg.norm(a0 - b1) + np.linalg.norm(a1 - b0)
         if swap < keep:
             object.__setattr__(self, "curve_b", self.curve_b.reversed())
-        m = self.validation_samples
-        grid = np.stack(
-            np.meshgrid(np.linspace(0, 1, m), np.linspace(0, 1, m), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, 2)
-        _, _, det = _plane_map(self.curve_a, self.curve_b, grid)
-        if np.any(det <= 0.0):
-            i = int(np.argmin(det))
-            raise DegenerateTrimError(
-                f"trim map folds over: Jacobian determinant {det[i]:.3e} at "
-                f"parameter {tuple(grid[i])}"
-            )
+        axis = np.linspace(0, 1, _TRIM_VALIDATION_SAMPLES)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        _plane_map(self.curve_a, self.curve_b, grid.reshape(-1, 2))
 
     @property
     def flip_normal(self) -> bool:
@@ -264,26 +234,14 @@ class TrimmedPatch:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.base.bbox()
 
-    def plane_points(self, params: np.ndarray) -> np.ndarray:
+    def points_at(self, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
         pos, _, _ = _plane_map(self.curve_a, self.curve_b, params)
-        return pos
-
-    def points_at(self, params: np.ndarray) -> np.ndarray:
-        return self.base.points_at(self.plane_points(params))
-
-    def point(self, s: float, t: float) -> np.ndarray:
-        return self.points_at(np.array([[s, t]]))[0]
+        return self.base.points_at(pos)
 
     def frames_at(self, params: np.ndarray) -> FrameBatch:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
         pos, jac, det = _plane_map(self.curve_a, self.curve_b, params)
-        if np.any(det <= 0.0):
-            i = int(np.argmin(det))
-            raise DegenerateTrimError(
-                f"trim map folds over: Jacobian determinant {det[i]:.3e} at "
-                f"parameter {tuple(params[i])}"
-            )
         inner = self.base.frames_at(pos)
         tan_s = inner.tangents_u * jac[:, 0, 0, None] + \
             inner.tangents_v * jac[:, 1, 0, None]
@@ -293,41 +251,6 @@ class TrimmedPatch:
         # base normal, so the area element just picks up the factor det
         return FrameBatch(inner.positions, tan_s, tan_t,
                           inner.normals, inner.areas * det)
-
-    def frame(self, s: float, t: float) -> SurfaceFrame:
-        return self.frames_at(np.array([[s, t]])).frame(0)
-
-
-def surface_point(patch: NurbsPatch, u: float, v: float) -> np.ndarray:
-    """Point on the surface at (u, v)."""
-    return patch.point(u, v)
-
-
-def surface_frame(patch: NurbsPatch, u: float, v: float) -> SurfaceFrame:
-    """Position, tangents, unit normal, and area element at (u, v)."""
-    return patch.frame(u, v)
-
-
-def trim_map(patch: TrimmedPatch, s: float, t: float) -> np.ndarray:
-    """Patch parameter pair corresponding to unit-square coordinates (s, t)."""
-    return patch.plane_points(np.array([[s, t]]))[0]
-
-
-def trim_jacobian(patch: TrimmedPatch, s: float, t: float) -> np.ndarray:
-    """2x2 Jacobian of the plane map at (s, t); its determinant is positive."""
-    params = np.array([[s, t]])
-    _, jac, det = _plane_map(patch.curve_a, patch.curve_b, params)
-    if det[0] <= 0.0:
-        raise DegenerateTrimError(
-            f"trim map folds over: Jacobian determinant {det[0]:.3e} at "
-            f"parameter {(s, t)}"
-        )
-    return jac[0]
-
-
-def trimmed_frame(patch: TrimmedPatch, s: float, t: float) -> SurfaceFrame:
-    """Frame of the composite map; the area element includes both Jacobians."""
-    return patch.frame(s, t)
 
 
 def straight_trim_pair(u_start: float, u_end: float) -> tuple[TrimmingCurve, TrimmingCurve]:

@@ -1,7 +1,8 @@
 """Point-force (Kelvin) fundamental solutions for 3D linear elastostatics.
 
-``kelvin_U`` is the displacement influence matrix and ``kelvin_T`` the
-traction influence matrix, oriented so that the boundary identity reads
+``kelvin_U_many`` gives the displacement influence matrices and
+``kelvin_T_many`` the traction influence matrices, oriented so that the
+boundary identity reads
 
     c(P) u(P) + int T(P, Q) u(Q) dS = int U(P, Q) t(Q) dS
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import KernelSingularityError, ModelError
 
-__all__ = ["Material", "kelvin_U", "kelvin_T", "kelvin_U_many", "kelvin_T_many"]
+__all__ = ["Material", "kelvin_U_many", "kelvin_T_many"]
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,3 @@ def kelvin_T_many(source, points, normals, material: Material) -> np.ndarray:
     out.reshape(*out.shape[:-2], 9)[..., ::4] += \
         (two_nu * scale * drdn)[..., None]
     return out
-
-
-def kelvin_U(source, field, material: Material) -> np.ndarray:
-    """Displacement at ``field`` per unit point force at ``source``; 3x3."""
-    return kelvin_U_many(source, np.asarray(field, dtype=float)[None, :], material)[0]
-
-
-def kelvin_T(source, field, normal, material: Material) -> np.ndarray:
-    """Traction influence matrix at ``field`` with surface normal ``normal``."""
-    return kelvin_T_many(
-        source,
-        np.asarray(field, dtype=float)[None, :],
-        np.asarray(normal, dtype=float)[None, :],
-        material,
-    )[0]

@@ -118,8 +118,8 @@ class FieldSpacePair:
 
     def greville_params(self):
         """Collocation parameters, one per basis function, flat ordering."""
-        gu = greville_abscissae(self.space_u).abscissae
-        gv = greville_abscissae(self.space_v).abscissae
+        gu = greville_abscissae(self.space_u)
+        gv = greville_abscissae(self.space_v)
         uu, vv = np.meshgrid(gu, gv, indexing="ij")
         return np.column_stack([uu.ravel(), vv.ravel()])
 
@@ -129,9 +129,6 @@ class FieldSpacePair:
         bu = bspline_basis_many(self.space_u, params[:, 0])
         bv = bspline_basis_many(self.space_v, params[:, 1])
         return np.einsum("ma,mb->mab", bu, bv).reshape(len(params), -1)
-
-    def value_at(self, u, v):
-        return self.values(np.array([[u, v]]))[0]
 
     def elevated(self, new_degree):
         """Same breakpoints, higher order in both directions."""

@@ -123,7 +123,7 @@ class IntegrationRegion:
 
 def _cut_lines(space: BasisSpace, extra) -> np.ndarray:
     cuts = [0.0, 1.0]
-    interior = greville_abscissae(space).abscissae[1:-1]
+    interior = greville_abscissae(space)[1:-1]
     cuts.extend(float(g) for g in interior)
     cuts.extend(float(e) for e in extra)
     cuts = sorted(set(cuts))

@@ -185,8 +185,12 @@ def evaluate_displacement_many(model, solution, patch_index, params):
 
 
 def elevate_model_order(model, new_order):
-    """Raise every patch's field order; geometry stays untouched."""
-    pairs = [pair.elevated(new_order) for pair in model.field_pairs]
+    """Raise every patch's field order to ``new_order``; geometry stays
+    untouched, and pairs already at that order or above are kept."""
+    pairs = [
+        pair if max(pair.orders) >= new_order else pair.elevated(new_order)
+        for pair in model.field_pairs
+    ]
     return model.with_field_pairs(pairs)
 
 

@@ -18,17 +18,13 @@ from .errors import ParameterDomainError, SplineError
 __all__ = [
     "KnotVector",
     "BasisSpace",
-    "GrevilleSet",
     "unit_interval_space",
-    "bspline_basis",
     "bspline_basis_many",
-    "bspline_basis_derivs",
     "bspline_basis_derivs_many",
     "greville_abscissae",
     "knot_insert",
     "degree_elevate",
     "elevate_space",
-    "bspline_curve_point",
     "bspline_curve_derivs",
 ]
 
@@ -116,25 +112,6 @@ class BasisSpace:
                 uniques.append(t)
                 counts.append(1)
         return np.asarray(uniques), np.asarray(counts, dtype=int)
-
-
-@dataclass(frozen=True, eq=False)
-class GrevilleSet:
-    """Greville abscissae of a basis, one per basis function, in order."""
-
-    abscissae: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "abscissae", _readonly(self.abscissae))
-
-    def __len__(self) -> int:
-        return self.abscissae.size
-
-    def __iter__(self):
-        return iter(self.abscissae)
-
-    def __getitem__(self, i):
-        return self.abscissae[i]
 
 
 def unit_interval_space(degree: int, interior=()) -> BasisSpace:
@@ -247,34 +224,25 @@ def _nonzero_basis_derivs(knots: np.ndarray, p: int, us: np.ndarray,
 
 
 def _scatter(local: np.ndarray, spans: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Expand per-span values (..., m, p+1) to full vectors (..., m, n)."""
+    """Expand per-span values (m, p+1) to full basis rows (m, n)."""
     m = spans.size
-    out = np.zeros(local.shape[:-1] + (n,))
+    out = np.zeros((m, n))
     cols = spans[:, None] - p + np.arange(p + 1)[None, :]
-    idx = (np.arange(m)[:, None], cols)
-    if local.ndim == 2:
-        out[idx] = local
-    else:
-        out[:, idx[0], idx[1]] = local
+    out[np.arange(m)[:, None], cols] = local
     return out
 
 
 def bspline_basis_many(space: BasisSpace, us) -> np.ndarray:
-    """All basis values at each parameter; shape (len(us), n_basis)."""
+    """All basis values at each parameter; shape (len(us), n_basis).
+
+    Each parameter must lie inside the knot domain (a relative slack of
+    1e-12 is forgiven and clipped).  Each row is non-negative and sums to 1.
+    """
     us = _prepare_params(space, us)
     kv = space.knots.values
     spans = _find_spans(kv, space.degree, us)
     local = _nonzero_basis(kv, space.degree, us, spans)
     return _scatter(local, spans, space.degree, space.n_basis)
-
-
-def bspline_basis(space: BasisSpace, u: float) -> np.ndarray:
-    """Values of every basis function at ``u``; shape (n_basis,).
-
-    ``u`` must lie inside the knot domain (a relative slack of 1e-12 is
-    forgiven and clipped).  The values are non-negative and sum to 1.
-    """
-    return bspline_basis_many(space, [u])[0]
 
 
 def bspline_basis_derivs_many(space: BasisSpace, us, max_order: int) -> np.ndarray:
@@ -298,16 +266,12 @@ def bspline_basis_derivs_many(space: BasisSpace, us, max_order: int) -> np.ndarr
     return out
 
 
-def bspline_basis_derivs(space: BasisSpace, u: float, max_order: int) -> np.ndarray:
-    """Derivative table at a single parameter; shape (max_order + 1, n_basis)."""
-    return bspline_basis_derivs_many(space, [u], max_order)[0]
-
-
-def greville_abscissae(space: BasisSpace) -> GrevilleSet:
+def greville_abscissae(space: BasisSpace) -> np.ndarray:
     """Greville abscissae: the mean of ``degree`` consecutive interior knots.
 
-    One abscissa per basis function; for open knot vectors the first and last
-    coincide exactly with the domain ends.  Degree 0 has no Greville points.
+    One abscissa per basis function, in order, as a read-only array; for
+    open knot vectors the first and last coincide exactly with the domain
+    ends.  Degree 0 has no Greville points.
     """
     p = space.degree
     if p == 0:
@@ -315,7 +279,7 @@ def greville_abscissae(space: BasisSpace) -> GrevilleSet:
     kv = space.knots.values
     n = space.n_basis
     windows = np.lib.stride_tricks.sliding_window_view(kv[1:n + p], p)
-    return GrevilleSet(windows.mean(axis=1))
+    return _readonly(windows.mean(axis=1))
 
 
 def _coeff_array(space: BasisSpace, coefficients) -> np.ndarray:
@@ -381,17 +345,11 @@ def degree_elevate(space: BasisSpace, coefficients, new_degree: int):
     """
     coeffs = _coeff_array(space, coefficients)
     elevated = elevate_space(space, new_degree)
-    grev = greville_abscissae(elevated).abscissae
+    grev = greville_abscissae(elevated)
     interp = bspline_basis_many(elevated, grev)
     samples = bspline_basis_many(space, grev) @ coeffs
     new_coeffs = np.linalg.solve(interp, samples)
     return elevated, new_coeffs
-
-
-def bspline_curve_point(space: BasisSpace, control_points, t: float) -> np.ndarray:
-    """Point on a B-spline curve with the given control points."""
-    controls = _coeff_array(space, control_points)
-    return bspline_basis(space, t) @ controls
 
 
 def bspline_curve_derivs(space: BasisSpace, control_points, ts,

@@ -23,7 +23,7 @@ from gibem.geometry import (
     build_quarter_cylinder,
     straight_trim_pair,
 )
-from gibem.kernels import Material, kelvin_T_many, kelvin_U
+from gibem.kernels import Material, kelvin_T_many, kelvin_U_many
 from gibem.model import (
     BoundaryModel,
     build_cube_model,
@@ -31,7 +31,7 @@ from gibem.model import (
 )
 from gibem.quadrature import IntegrationRegion, gauss_rule, quadtree_refine
 from gibem.solve import elevate_model_order, remove_rigid_motion, solve_model
-from gibem.splines import BasisSpace, KnotVector, bspline_basis, unit_interval_space
+from gibem.splines import BasisSpace, KnotVector, bspline_basis_many, unit_interval_space
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,7 +86,7 @@ def test_criterion_1_spline_basics():
         ])
         space = BasisSpace(KnotVector(kv), degree)
         u = float(rng.uniform(lo, hi))
-        row = bspline_basis(space, u)
+        row = bspline_basis_many(space, [u])[0]
         worst = max(worst, abs(row.sum() - 1.0), float(-row.min()))
         knots = space.knots.values
         support_ok = all(
@@ -241,8 +241,8 @@ def test_criterion_4_kernel_identities():
     for _ in range(50):
         d = rng.normal(size=3)
         c = float(rng.uniform(1.5, 4.0))
-        u_near = kelvin_U(source, source + d, material)
-        u_far = kelvin_U(source, source + c * d, material)
+        u_near = kelvin_U_many(source, (source + d)[None], material)[0]
+        u_far = kelvin_U_many(source, (source + c * d)[None], material)[0]
         u_err = max(
             u_err,
             float(np.abs(u_far - u_near / c).max() / np.abs(u_near).max()),

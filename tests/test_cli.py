@@ -52,6 +52,11 @@ def test_order_below_current_keeps_model(cube_path, tmp_path):
     assert report["dof_count"] == 78
 
 
+def test_order_below_one_fails_cleanly(cube_path, tmp_path, capsys):
+    assert run_solve(cube_path, tmp_path / "run", "--order", "0") == 1
+    assert "--order must be at least 1" in capsys.readouterr().err
+
+
 def test_gauss_override(cube_path, tmp_path):
     out = tmp_path / "run"
     assert run_solve(cube_path, out, "--gauss", "6") == 0

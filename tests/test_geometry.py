@@ -8,15 +8,21 @@ from gibem.geometry import (
     NurbsPatch,
     TrimmedPatch,
     TrimmingCurve,
+    _plane_map,
     build_quarter_cylinder,
     straight_trim_pair,
-    surface_frame,
-    surface_point,
-    trim_jacobian,
-    trim_map,
-    trimmed_frame,
 )
 from gibem.splines import BasisSpace, KnotVector, unit_interval_space
+
+
+def point(patch, u, v):
+    return patch.points_at(np.array([[u, v]]))[0]
+
+
+def plane_map(tp, s, t):
+    """Plane position and 2x2 Jacobian of a trimmed patch at (s, t)."""
+    pos, jac, _ = _plane_map(tp.curve_a, tp.curve_b, np.array([[s, t]]))
+    return pos[0], jac[0]
 
 
 @pytest.fixture
@@ -63,23 +69,23 @@ class TestQuarterCylinder:
         assert_allclose(qc.weights, [[1, 1], [0.7, 0.7], [1, 1]], atol=0)
 
     def test_rounded_weight_deviates_from_circle(self, quarter_cylinder):
-        p = quarter_cylinder.point(0.5, 0.5)
+        p = point(quarter_cylinder, 0.5, 0.5)
         assert abs(np.hypot(p[0], p[1]) - 1.0) > 1e-4
 
     def test_exact_weight_hits_circle(self):
         qc = build_quarter_cylinder(radius=2.0, length=1.0, exact_arc=True)
         for u in np.linspace(0, 1, 13):
-            p = qc.point(float(u), 0.25)
+            p = point(qc, float(u), 0.25)
             assert abs(np.hypot(p[0], p[1]) - 2.0) < 1e-12
 
     def test_ends_and_sweep(self, quarter_cylinder):
-        assert_allclose(quarter_cylinder.point(0, 0), [1, 0, 0], atol=1e-15)
-        assert_allclose(quarter_cylinder.point(1, 0), [0, 1, 0], atol=1e-15)
-        assert_allclose(quarter_cylinder.point(0, 1), [1, 0, 2], atol=1e-15)
+        assert_allclose(point(quarter_cylinder, 0, 0), [1, 0, 0], atol=1e-15)
+        assert_allclose(point(quarter_cylinder, 1, 0), [0, 1, 0], atol=1e-15)
+        assert_allclose(point(quarter_cylinder, 0, 1), [1, 0, 2], atol=1e-15)
 
 
 def test_surface_point_matches_direct_sum(flat_patch):
-    assert_allclose(surface_point(flat_patch, 0.3, 0.8), [0.3, 0.8, 0.0], atol=1e-15)
+    assert_allclose(point(flat_patch, 0.3, 0.8), [0.3, 0.8, 0.0], atol=1e-15)
 
 
 def test_frame_tangents_match_finite_differences(quarter_cylinder):
@@ -87,17 +93,17 @@ def test_frame_tangents_match_finite_differences(quarter_cylinder):
     h = 1e-6
     for _ in range(20):
         u, v = rng.uniform(0.05, 0.95, 2)
-        fr = surface_frame(quarter_cylinder, u, v)
-        fd_u = (quarter_cylinder.point(u + h, v) - quarter_cylinder.point(u - h, v)) / (2 * h)
-        fd_v = (quarter_cylinder.point(u, v + h) - quarter_cylinder.point(u, v - h)) / (2 * h)
-        assert_allclose(fr.tangent_u, fd_u, atol=1e-5)
-        assert_allclose(fr.tangent_v, fd_v, atol=1e-5)
-        assert_allclose(fr.area_element, np.linalg.norm(np.cross(fr.tangent_u, fr.tangent_v)), rtol=1e-14)
+        fr = quarter_cylinder.frames_at(np.array([[u, v]]))
+        fd_u = (point(quarter_cylinder, u + h, v) - point(quarter_cylinder, u - h, v)) / (2 * h)
+        fd_v = (point(quarter_cylinder, u, v + h) - point(quarter_cylinder, u, v - h)) / (2 * h)
+        assert_allclose(fr.tangents_u[0], fd_u, atol=1e-5)
+        assert_allclose(fr.tangents_v[0], fd_v, atol=1e-5)
+        assert_allclose(fr.areas[0], np.linalg.norm(np.cross(fr.tangents_u[0], fr.tangents_v[0])), rtol=1e-14)
 
 
 def test_unit_normal_orientation(flat_patch):
-    fr = flat_patch.frame(0.4, 0.6)
-    assert_allclose(fr.unit_normal, [0, 0, 1], atol=1e-15)
+    fr = flat_patch.frames_at(np.array([[0.4, 0.6]]))
+    assert_allclose(fr.normals[0], [0, 0, 1], atol=1e-15)
     flipped = NurbsPatch(
         flat_patch.space_u,
         flat_patch.space_v,
@@ -105,7 +111,7 @@ def test_unit_normal_orientation(flat_patch):
         flat_patch.weights,
         flip_normal=True,
     )
-    assert_allclose(flipped.frame(0.4, 0.6).unit_normal, [0, 0, -1], atol=1e-15)
+    assert_allclose(flipped.frames_at(np.array([[0.4, 0.6]])).normals[0], [0, 0, -1], atol=1e-15)
 
 
 def test_degenerate_frame_raises():
@@ -114,7 +120,7 @@ def test_degenerate_frame_raises():
     cps[:, :, 0] = [[0, 1], [0, 1]]
     patch = NurbsPatch(unit_interval_space(1), unit_interval_space(1), cps, np.ones((2, 2)))
     with pytest.raises(SingularFrameError):
-        patch.frame(0.5, 0.5)
+        patch.frames_at(np.array([[0.5, 0.5]]))
 
 
 class TestTrimmingCurve:
@@ -138,8 +144,8 @@ class TestTrimMap:
     def test_straight_line_example(self, flat_patch):
         ca, cb = straight_trim_pair(0.25, 0.75)
         tp = TrimmedPatch(flat_patch, ca, cb)
-        assert_allclose(trim_map(tp, 0.5, 0.3), [0.5, 0.3], atol=1e-15)
-        jac = trim_jacobian(tp, 0.5, 0.3)
+        pos, jac = plane_map(tp, 0.5, 0.3)
+        assert_allclose(pos, [0.5, 0.3], atol=1e-15)
         assert_allclose(jac, [[0.5, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_jacobian_against_finite_differences(self, flat_patch):
@@ -151,9 +157,9 @@ class TestTrimMap:
         h = 1e-6
         for _ in range(30):
             s, t = rng.uniform(0.05, 0.95, 2)
-            jac = trim_jacobian(tp, s, t)
-            fd_s = (trim_map(tp, s + h, t) - trim_map(tp, s - h, t)) / (2 * h)
-            fd_t = (trim_map(tp, s, t + h) - trim_map(tp, s, t - h)) / (2 * h)
+            jac = plane_map(tp, s, t)[1]
+            fd_s = (plane_map(tp, s + h, t)[0] - plane_map(tp, s - h, t)[0]) / (2 * h)
+            fd_t = (plane_map(tp, s, t + h)[0] - plane_map(tp, s, t - h)[0]) / (2 * h)
             assert_allclose(jac[:, 0], fd_s, atol=1e-8)
             assert_allclose(jac[:, 1], fd_t, atol=1e-8)
 
@@ -161,8 +167,8 @@ class TestTrimMap:
         ca = TrimmingCurve(unit_interval_space(1), np.array([[0.25, 0.0], [0.25, 1.0]]))
         cb = TrimmingCurve(unit_interval_space(1), np.array([[0.75, 1.0], [0.75, 0.0]]))
         tp = TrimmedPatch(flat_patch, ca, cb)
-        assert_allclose(trim_map(tp, 1.0, 0.0), [0.75, 0.0], atol=0)
-        assert_allclose(trim_map(tp, 1.0, 1.0), [0.75, 1.0], atol=0)
+        assert_allclose(plane_map(tp, 1.0, 0.0)[0], [0.75, 0.0], atol=0)
+        assert_allclose(plane_map(tp, 1.0, 1.0)[0], [0.75, 1.0], atol=0)
 
     def test_crossing_curves_rejected(self, flat_patch):
         ca = TrimmingCurve(unit_interval_space(1), np.array([[0.8, 0.0], [0.2, 1.0]]))
@@ -170,12 +176,28 @@ class TestTrimMap:
         with pytest.raises(DegenerateTrimError):
             TrimmedPatch(flat_patch, ca, cb)
 
+    def test_fold_between_validation_samples_raises_on_every_evaluation(self, flat_patch):
+        # curve b doubles back in a narrow band of t that the construction
+        # grid of 17 samples per side steps over
+        ca = TrimmingCurve(unit_interval_space(1), np.array([[0.5, 0.0], [0.5, 1.0]]))
+        bend = BasisSpace(KnotVector([0, 0, 0.52, 0.53, 0.54, 1, 1]), 1)
+        cb = TrimmingCurve(bend, np.array(
+            [[0.9, 0.0], [0.9, 0.52], [0.49, 0.53], [0.9, 0.54], [0.9, 1.0]]
+        ))
+        tp = TrimmedPatch(flat_patch, ca, cb)
+        fold = np.array([[0.5, 0.53]])
+        message = r"parameter \(0\.5, 0\.53\)"
+        with pytest.raises(DegenerateTrimError, match=message):
+            tp.points_at(fold)
+        with pytest.raises(DegenerateTrimError, match=message):
+            tp.frames_at(fold)
+
     def test_touching_endpoints_accepted_when_jacobian_positive(self, flat_patch):
         # the curves meet at (0.5, 1): a wedge, still positively oriented below
         ca = TrimmingCurve(unit_interval_space(1), np.array([[0.2, 0.0], [0.499, 1.0]]))
         cb = TrimmingCurve(unit_interval_space(1), np.array([[0.8, 0.0], [0.501, 1.0]]))
         tp = TrimmedPatch(flat_patch, ca, cb)
-        assert trim_jacobian(tp, 0.5, 0.5)[0, 0] > 0
+        assert plane_map(tp, 0.5, 0.5)[1][0, 0] > 0
 
 
 class TestTrimmedFrames:
@@ -193,10 +215,10 @@ class TestTrimmedFrames:
     def test_area_element_chains_both_jacobians(self, flat_patch):
         ca, cb = straight_trim_pair(0.25, 0.75)
         tp = TrimmedPatch(flat_patch, ca, cb)
-        fr = trimmed_frame(tp, 0.5, 0.5)
+        fr = tp.frames_at(np.array([[0.5, 0.5]]))
         # flat unit patch has area element 1; the trim squeezes u by 0.5
-        assert_allclose(fr.area_element, 0.5, atol=1e-15)
-        assert_allclose(fr.unit_normal, [0, 0, 1], atol=1e-15)
+        assert_allclose(fr.areas[0], 0.5, atol=1e-15)
+        assert_allclose(fr.normals[0], [0, 0, 1], atol=1e-15)
 
     def test_trimmed_band_area_quadrature(self, flat_patch):
         ca = TrimmingCurve(unit_interval_space(1), np.array([[0.2, 0.0], [0.4, 1.0]]))
@@ -212,3 +234,20 @@ class TestTrimmedFrames:
         area = float(tp.frames_at(grid).areas @ wts)
         exact = 0.5 * ((0.9 - 0.2) + (0.7 - 0.4))
         assert abs(area - exact) < 1e-10
+
+
+@pytest.mark.parametrize("trimmed", [False, True])
+def test_frame_rows_do_not_depend_on_batch(quarter_cylinder, trimmed):
+    patch = quarter_cylinder
+    if trimmed:
+        quad = unit_interval_space(2)
+        ca = TrimmingCurve(quad, np.array([[0.1, 0.0], [0.3, 0.5], [0.15, 1.0]]))
+        cb = TrimmingCurve(quad, np.array([[0.8, 0.0], [0.7, 0.5], [0.9, 1.0]]))
+        patch = TrimmedPatch(quarter_cylinder, ca, cb)
+    pts = np.random.default_rng(8).uniform(0, 1, (25, 2))
+    batch = patch.frames_at(pts)
+    for i in range(len(pts)):
+        one = patch.frames_at(pts[i:i + 1])
+        for name in ("positions", "tangents_u", "tangents_v", "normals", "areas"):
+            assert_allclose(getattr(batch, name)[i], getattr(one, name)[0],
+                            rtol=0, atol=0)

@@ -4,7 +4,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gibem.errors import KernelSingularityError, ModelError
-from gibem.kernels import Material, kelvin_T, kelvin_T_many, kelvin_U, kelvin_U_many
+from gibem.kernels import Material, kelvin_T_many, kelvin_U_many
+
+
+def U_at(source, point, mat):
+    """Displacement kernel at one field point, as a one-row batch."""
+    return kelvin_U_many(source, np.asarray(point, dtype=float)[None], mat)[0]
+
+
+def T_at(source, point, normal, mat):
+    """Traction kernel at one field point, as a one-row batch."""
+    return kelvin_T_many(source, np.asarray(point, dtype=float)[None],
+                         np.asarray(normal, dtype=float)[None], mat)[0]
 
 
 @pytest.fixture
@@ -28,7 +39,7 @@ class TestMaterial:
 
 class TestDisplacementKernel:
     def test_unit_offset_value(self, mat):
-        U = kelvin_U([0, 0, 0], [1, 0, 0], mat)
+        U = U_at([0, 0, 0], [1, 0, 0], mat)
         assert_allclose(U[0, 0], 1.0 / (2000.0 * np.pi), rtol=1e-15)
         # off-axis diagonal entries carry only the (3 - 4 nu) term
         assert_allclose(U[1, 1], 3.0 / (16.0 * np.pi * 500.0), rtol=1e-15)
@@ -37,19 +48,19 @@ class TestDisplacementKernel:
     def test_symmetry(self, mat):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            U = kelvin_U(rng.normal(size=3), rng.normal(size=3) * 3, mat)
+            U = U_at(rng.normal(size=3), rng.normal(size=3) * 3, mat)
             assert_allclose(U, U.T, atol=1e-18)
 
     def test_inverse_distance_scaling(self, mat):
         src = np.zeros(3)
         d = np.array([0.3, -0.5, 0.81])
-        U1 = kelvin_U(src, d, mat)
-        U2 = kelvin_U(src, 7.5 * d, mat)
+        U1 = U_at(src, d, mat)
+        U2 = U_at(src, 7.5 * d, mat)
         assert_allclose(U2 * 7.5, U1, rtol=1e-13)
 
     def test_coincident_points_raise(self, mat):
         with pytest.raises(KernelSingularityError):
-            kelvin_U([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], mat)
+            U_at([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], mat)
 
 
 class TestTractionKernel:
@@ -57,8 +68,8 @@ class TestTractionKernel:
         src = np.zeros(3)
         d = np.array([1.1, 0.2, -0.4])
         n = np.array([0.0, 0.6, 0.8])
-        T1 = kelvin_T(src, d, n, mat)
-        T2 = kelvin_T(src, 4.0 * d, n, mat)
+        T1 = T_at(src, d, n, mat)
+        T2 = T_at(src, 4.0 * d, n, mat)
         assert_allclose(T2 * 16.0, T1, rtol=1e-13)
 
     def test_linear_in_normal(self, mat):
@@ -66,8 +77,8 @@ class TestTractionKernel:
         q = np.array([0.4, 0.9, -0.3])
         n1 = np.array([1.0, 0.0, 0.0])
         n2 = np.array([0.0, 0.0, 1.0])
-        combo = kelvin_T(src, q, 0.25 * n1 + 0.75 * n2, mat)
-        parts = 0.25 * kelvin_T(src, q, n1, mat) + 0.75 * kelvin_T(src, q, n2, mat)
+        combo = T_at(src, q, 0.25 * n1 + 0.75 * n2, mat)
+        parts = 0.25 * T_at(src, q, n1, mat) + 0.75 * T_at(src, q, n2, mat)
         assert_allclose(combo, parts, atol=1e-18)
 
     def test_sign_flips_with_normal(self, mat):
@@ -75,7 +86,7 @@ class TestTractionKernel:
         q = np.array([0.4, 0.9, -0.3])
         n = np.array([0.0, 1.0, 0.0])
         assert_allclose(
-            kelvin_T(src, q, -n, mat), -kelvin_T(src, q, n, mat), atol=0
+            T_at(src, q, -n, mat), -T_at(src, q, n, mat), atol=0
         )
 
     def test_perpendicular_normal_leaves_rotation_part(self):
@@ -85,7 +96,7 @@ class TestTractionKernel:
         src = np.zeros(3)
         q = np.array([2.0, 0.0, 0.0])
         n = np.array([0.0, 1.0, 0.0])
-        T = kelvin_T(src, q, n, mat)
+        T = T_at(src, q, n, mat)
         assert_allclose(T + T.T, 0.0, atol=1e-18)
         rdir = np.array([1.0, 0.0, 0.0])
         pattern = np.outer(n, rdir) - np.outer(rdir, n)
@@ -111,13 +122,13 @@ class TestTractionKernel:
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
-                grad[:, :, k] = (kelvin_U(src, q + e, mat) - kelvin_U(src, q - e, mat)) / (2 * h)
+                grad[:, :, k] = (U_at(src, q + e, mat) - U_at(src, q - e, mat)) / (2 * h)
             T_ref = np.zeros((3, 3))
             for j in range(3):
                 eps = 0.5 * (grad[:, j, :] + grad[:, j, :].T)
                 sig = lam * np.trace(eps) * np.eye(3) + 2.0 * g * eps
                 T_ref[:, j] = sig @ n
-            T = kelvin_T(src, q, n, mat)
+            T = T_at(src, q, n, mat)
             assert_allclose(T, T_ref.T, rtol=0, atol=5e-7 * np.abs(T_ref).max())
 
     def test_rotation_invariance(self):
@@ -131,11 +142,11 @@ class TestTractionKernel:
             q = src + rng.normal(size=3)
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            U = kelvin_U(src, q, mat)
-            U_rot = kelvin_U(rot @ src, rot @ q, mat)
+            U = U_at(src, q, mat)
+            U_rot = U_at(rot @ src, rot @ q, mat)
             assert_allclose(U_rot, rot @ U @ rot.T, atol=1e-12 * np.abs(U).max())
-            T = kelvin_T(src, q, n, mat)
-            T_rot = kelvin_T(rot @ src, rot @ q, rot @ n, mat)
+            T = T_at(src, q, n, mat)
+            T_rot = T_at(rot @ src, rot @ q, rot @ n, mat)
             assert_allclose(T_rot, rot @ T @ rot.T, atol=1e-12 * np.abs(T).max())
 
 
@@ -164,7 +175,7 @@ def test_closed_surface_traction_identity():
     assert_allclose(total, -np.eye(3), atol=1e-6)
 
 
-def test_batched_matches_scalar(mat):
+def test_batch_rows_match_one_row_batches(mat):
     rng = np.random.default_rng(12)
     src = np.array([0.1, 0.2, 0.3])
     pts = src + rng.normal(size=(25, 3))
@@ -173,5 +184,5 @@ def test_batched_matches_scalar(mat):
     U = kelvin_U_many(src, pts, mat)
     T = kelvin_T_many(src, pts, nrm, mat)
     for i in range(25):
-        assert_allclose(U[i], kelvin_U(src, pts[i], mat), atol=0)
-        assert_allclose(T[i], kelvin_T(src, pts[i], nrm[i], mat), atol=0)
+        assert_allclose(U[i], U_at(src, pts[i], mat), atol=0)
+        assert_allclose(T[i], T_at(src, pts[i], nrm[i], mat), atol=0)

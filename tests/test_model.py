@@ -41,12 +41,12 @@ class TestFieldSpacePair:
         assert_allclose(vals.sum(axis=1), 1.0, atol=1e-12)
 
     def test_flat_ordering_matches_outer_product(self):
-        from gibem.splines import bspline_basis
+        from gibem.splines import bspline_basis_many
 
         pair = FieldSpacePair.from_orders(2, 1)
-        vals = pair.value_at(0.3, 0.8)
-        bu = bspline_basis(pair.space_u, 0.3)
-        bv = bspline_basis(pair.space_v, 0.8)
+        vals = pair.values(np.array([[0.3, 0.8]]))[0]
+        bu = bspline_basis_many(pair.space_u, [0.3])[0]
+        bv = bspline_basis_many(pair.space_v, [0.8])[0]
         assert_allclose(vals, np.outer(bu, bv).ravel(), atol=1e-15)
 
     def test_elevated(self):
@@ -147,18 +147,19 @@ class TestBoundaryModel:
         assert model.bbox_diagonal() == pytest.approx(np.sqrt(3.0))
         # every face normal points away from the cube center
         for patch in model.patches:
-            frame = patch.frame(0.5, 0.5)
-            outward = frame.position - np.array([0.5, 0.5, 0.5])
-            assert frame.unit_normal @ outward > 0.4
+            frame = patch.frames_at(np.array([[0.5, 0.5]]))
+            outward = frame.positions[0] - np.array([0.5, 0.5, 0.5])
+            assert frame.normals[0] @ outward > 0.4
 
     def test_trimmed_cube_builder(self):
         model = build_trimmed_cube_model(order=2, split=0.5)
         assert model.n_patches == 7
         left, right = model.patches[1], model.patches[2]
-        assert_allclose(left.point(1.0, 0.25), right.point(0.0, 0.25),
+        assert_allclose(left.points_at(np.array([[1.0, 0.25]])),
+                        right.points_at(np.array([[0.0, 0.25]])), atol=1e-14)
+        assert_allclose(left.points_at(np.array([[1.0, 0.3]]))[0, 0], 0.5,
                         atol=1e-14)
-        assert_allclose(left.point(1.0, 0.3)[0], 0.5, atol=1e-14)
-        assert left.frame(0.5, 0.5).unit_normal @ [0, 0, 1] > 0.99
+        assert left.frames_at(np.array([[0.5, 0.5]])).normals[0] @ [0, 0, 1] > 0.99
         with pytest.raises(ModelError):
             build_trimmed_cube_model(split=1.0)
 

@@ -72,7 +72,7 @@ class TestRegionPartition:
 
         space = unit_interval_space(3, [0.5])
         regions = region_partition(space, space)
-        grev = greville_abscissae(space).abscissae
+        grev = greville_abscissae(space)
         corners = {
             (round(c[0], 12), round(c[1], 12))
             for r in regions

@@ -168,7 +168,7 @@ class TestEvaluate:
             assert_allclose(u, [0.3, -0.1, 0.7], atol=1e-13)
 
     def test_brute_force_oracle(self):
-        from gibem.splines import bspline_basis
+        from gibem.splines import bspline_basis_many
 
         model = build_cube_model(order=3)
         colloc = collocation_points(model)
@@ -179,8 +179,8 @@ class TestEvaluate:
         pair = model.field_pairs[2]
         grid = colloc.dof_map.grids[2]
         u, v = 0.42, 0.17
-        bu = bspline_basis(pair.space_u, u)
-        bv = bspline_basis(pair.space_v, v)
+        bu = bspline_basis_many(pair.space_u, [u])[0]
+        bv = bspline_basis_many(pair.space_v, [v])[0]
         expected = np.zeros(3)
         for a in range(pair.n_u):
             for b in range(pair.n_v):
@@ -249,6 +249,16 @@ class TestRefinement:
             pos, 1.0, atol=1e-12
         )
         assert np.all(on_face.any(axis=1))
+
+    def test_elevation_keeps_pairs_at_or_above_the_order(self):
+        model = build_cube_model(order=2)
+        pairs = list(model.field_pairs)
+        pairs[0] = FieldSpacePair.from_orders(4)
+        pairs[1] = FieldSpacePair.from_orders(3, 2)
+        raised = elevate_model_order(model.with_field_pairs(pairs), 3)
+        assert raised.field_pairs[0] is pairs[0]
+        assert raised.field_pairs[1] is pairs[1]
+        assert all(pair.orders == (3, 3) for pair in raised.field_pairs[2:])
 
     def test_study_reports_expected_dofs(self, tmp_path):
         model = build_cube_model(order=2)

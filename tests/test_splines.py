@@ -8,18 +8,25 @@ from gibem.errors import ParameterDomainError, SplineError
 from gibem.splines import (
     BasisSpace,
     KnotVector,
-    bspline_basis,
-    bspline_basis_derivs,
     bspline_basis_derivs_many,
     bspline_basis_many,
     bspline_curve_derivs,
-    bspline_curve_point,
     degree_elevate,
     elevate_space,
     greville_abscissae,
     knot_insert,
     unit_interval_space,
 )
+
+
+def basis_at(space, u):
+    """All basis values at one parameter, as a one-row batch."""
+    return bspline_basis_many(space, [u])[0]
+
+
+def derivs_at(space, u, max_order):
+    """Derivative table at one parameter, as a one-row batch."""
+    return bspline_basis_derivs_many(space, [u], max_order)[0]
 
 
 @st.composite
@@ -63,30 +70,30 @@ class TestKnotVectorValidation:
 
 def test_quadratic_single_span_values():
     space = unit_interval_space(2)
-    assert_allclose(bspline_basis(space, 0.5), [0.25, 0.5, 0.25], atol=1e-15)
-    assert_allclose(bspline_basis(space, 0.0), [1.0, 0.0, 0.0], atol=0)
+    assert_allclose(basis_at(space, 0.5), [0.25, 0.5, 0.25], atol=1e-15)
+    assert_allclose(basis_at(space, 0.0), [1.0, 0.0, 0.0], atol=0)
     # evaluation at the right end takes the limit from the left
-    assert_allclose(bspline_basis(space, 1.0), [0.0, 0.0, 1.0], atol=0)
+    assert_allclose(basis_at(space, 1.0), [0.0, 0.0, 1.0], atol=0)
 
 
 def test_domain_violation_raises():
     space = unit_interval_space(2)
     with pytest.raises(ParameterDomainError):
-        bspline_basis(space, 1.5)
+        basis_at(space, 1.5)
     with pytest.raises(ParameterDomainError):
-        bspline_basis(space, -0.2)
+        basis_at(space, -0.2)
 
 
 def test_tiny_roundoff_overshoot_is_clipped():
     space = unit_interval_space(3)
-    vals = bspline_basis(space, 1.0 + 1e-15)
-    assert_allclose(vals, bspline_basis(space, 1.0), atol=0)
+    vals = basis_at(space, 1.0 + 1e-15)
+    assert_allclose(vals, basis_at(space, 1.0), atol=0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(basis_spaces(), st.floats(0.0, 1.0))
 def test_partition_of_unity_and_positivity(space, u):
-    vals = bspline_basis(space, u)
+    vals = basis_at(space, u)
     assert abs(vals.sum() - 1.0) < 1e-12
     assert np.all(vals >= -1e-14)
 
@@ -95,14 +102,14 @@ def test_partition_of_unity_and_positivity(space, u):
 @given(basis_spaces(), st.floats(0.001, 0.999))
 def test_local_support(space, u):
     """At most degree + 1 basis functions are nonzero at any parameter."""
-    vals = bspline_basis(space, u)
+    vals = basis_at(space, u)
     assert np.count_nonzero(vals) <= space.degree + 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(basis_spaces(max_degree=4), st.floats(0.01, 0.99))
 def test_derivative_rows_sum_to_zero(space, u):
-    ders = bspline_basis_derivs(space, u, 2)
+    ders = derivs_at(space, u, 2)
     assert abs(ders[0].sum() - 1.0) < 1e-12
     assert abs(ders[1].sum()) < 1e-11
     assert abs(ders[2].sum()) < 1e-9
@@ -116,43 +123,48 @@ def test_derivatives_match_finite_differences():
         space = unit_interval_space(degree, interior)
         u = float(rng.uniform(0.02, 0.98))
         h = 1e-6
-        ders = bspline_basis_derivs(space, u, 1)
-        fd = (bspline_basis(space, u + h) - bspline_basis(space, u - h)) / (2 * h)
+        ders = derivs_at(space, u, 1)
+        fd = (basis_at(space, u + h) - basis_at(space, u - h)) / (2 * h)
         assert_allclose(ders[1], fd, atol=5e-7 * max(1.0, np.abs(ders[1]).max()))
 
 
 def test_derivatives_above_degree_are_zero():
     space = unit_interval_space(2)
-    ders = bspline_basis_derivs(space, 0.3, 4)
+    ders = derivs_at(space, 0.3, 4)
     assert_allclose(ders[3], 0.0, atol=0)
     assert_allclose(ders[4], 0.0, atol=0)
 
 
-def test_many_point_evaluation_matches_scalar():
+def test_batch_rows_match_one_row_batches():
     space = unit_interval_space(3, [0.3, 0.3, 0.7])
     us = np.linspace(0, 1, 23)
     table = bspline_basis_many(space, us)
     ders = bspline_basis_derivs_many(space, us, 2)
     for i, u in enumerate(us):
-        assert_allclose(table[i], bspline_basis(space, float(u)), atol=0)
-        assert_allclose(ders[i], bspline_basis_derivs(space, float(u), 2), atol=0)
+        assert_allclose(table[i], basis_at(space, float(u)), atol=0)
+        assert_allclose(ders[i], derivs_at(space, float(u), 2), atol=0)
 
 
 class TestGreville:
     def test_interior_knot_example(self):
         space = unit_interval_space(2, [0.5])
         assert_allclose(
-            greville_abscissae(space).abscissae, [0.0, 0.25, 0.75, 1.0], atol=0
+            greville_abscissae(space), [0.0, 0.25, 0.75, 1.0], atol=0
         )
 
     def test_endpoints_exact(self):
         space = unit_interval_space(4, [0.21, 0.47, 0.92])
-        pts = greville_abscissae(space).abscissae
+        pts = greville_abscissae(space)
         assert pts[0] == 0.0 and pts[-1] == 1.0
 
     def test_count_matches_basis(self):
         space = unit_interval_space(3, [0.2, 0.4, 0.6, 0.8])
         assert len(greville_abscissae(space)) == space.n_basis
+
+    def test_read_only(self):
+        pts = greville_abscissae(unit_interval_space(2, [0.5]))
+        with pytest.raises(ValueError):
+            pts[1] = 0.5
 
     def test_degree_zero_unsupported(self):
         space = unit_interval_space(0, [0.5])
@@ -162,7 +174,7 @@ class TestGreville:
     @settings(max_examples=100, deadline=None)
     @given(basis_spaces())
     def test_sorted_within_domain(self, space):
-        pts = greville_abscissae(space).abscissae
+        pts = greville_abscissae(space)
         assert np.all(np.diff(pts) >= 0)
         assert pts[0] >= 0.0 and pts[-1] <= 1.0
 
@@ -234,7 +246,8 @@ class TestDegreeElevate:
 def test_curve_point_and_derivs():
     space = unit_interval_space(1)
     controls = np.array([[0.25, 0.0], [0.25, 1.0]])
-    assert_allclose(bspline_curve_point(space, controls, 0.5), [0.25, 0.5], atol=0)
+    point = bspline_curve_derivs(space, controls, [0.5], 0)[:, 0]
+    assert_allclose(point, [[0.25, 0.5]], atol=0)
     ders = bspline_curve_derivs(space, controls, [0.2, 0.8], 1)
     assert ders.shape == (2, 2, 2)
     assert_allclose(ders[:, 1, :], [[0.0, 1.0], [0.0, 1.0]], atol=1e-14)
@@ -250,4 +263,4 @@ def test_curve_point_scalar_controls():
 def test_coefficient_count_mismatch():
     space = unit_interval_space(2)
     with pytest.raises(SplineError, match="coefficient"):
-        bspline_curve_point(space, np.zeros((5, 2)), 0.5)
+        bspline_curve_derivs(space, np.zeros((5, 2)), [0.5], 0)
