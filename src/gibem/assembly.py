@@ -19,8 +19,10 @@ and its Gauss data is the same for every node. Per patch and mirror image
 those pairs are integrated as a batch: one masked kernel block over nodes
 and points, contracted with the basis values in one matrix product. A
 block holds at most BLOCK_PAIRS (point, node) pairs, so its memory does
-not grow with the model. Fans and refined regions are integrated node by
-node.
+not grow with the model. The other pairs need triangle fans or quad-tree
+refined regions. Those of a whole block, over all mirror images, are
+planned first, then evaluated together in one frame and one basis call,
+and then integrated node by node.
 """
 from __future__ import annotations
 
@@ -246,52 +248,82 @@ class _PatchContext:
         self.reject_radius = 3.0 * spacing + 1e-30
 
         self.samples = region_samples(self.regions, self.sampler)
-        base = [self.region_data(region) for region in self.regions]
+        data = self.evaluate(self.regions, [])
+        base = [data[_key(region)] for region in self.regions]
         self.far = [np.concatenate(column) for column in zip(*base)]
         self.far_region = np.repeat(
             np.arange(len(base)), self.rule.order**2
         )
 
     def sampler(self, params):
-        key = params.tobytes()
-        hit = self._sample_memo.get(key)
-        if hit is None:
-            hit = self.patch.points_at(params)
-            self._sample_memo[key] = hit
-        return hit
-
-    def region_data(self, region):
-        key = (region.u0, region.u1, region.v0, region.v1)
-        hit = self._region_data.get(key)
-        if hit is None:
-            params, wts = region.gauss_points(self.rule)
-            frames = self.patch.frames_at(params)
-            basis = self.pair.values(params)
-            hit = (frames.positions, frames.normals, wts * frames.areas, basis)
-            self._region_data[key] = hit
-        return hit
-
-    def fan_data(self, region, param, memo):
-        """Fan quadrature around ``param``, cached in the caller's ``memo``."""
-        key = (region.u0, region.u1, region.v0, region.v1, param[0], param[1])
-        hit = memo.get(key)
-        if hit is None:
-            pts, wts = singular_quadrature_points(
-                region, param, self.singular_rule
+        """``points_at`` for ``region_samples``: (r * 9, 2) parameters, one
+        region's sample grid per 9 rows, memoized per region; the misses are
+        mapped in one call."""
+        grids = params.reshape(-1, 9, 2)
+        keys = [grid.tobytes() for grid in grids]
+        missing = {key: grid for key, grid in zip(keys, grids)
+                   if key not in self._sample_memo}
+        if missing:
+            mapped = self.patch.points_at(
+                np.concatenate(list(missing.values()))
             )
-            frames = self.patch.frames_at(pts)
-            basis = self.pair.values(pts) - self.pair.values(param[None])[0]
-            hit = (frames.positions, frames.normals, wts * frames.areas, basis)
-            memo[key] = hit
-        return hit
+            self._sample_memo.update(zip(missing, mapped.reshape(-1, 9, 3)))
+        return np.concatenate([self._sample_memo[key] for key in keys])
 
-    def project(self, target):
-        """Closest point on the patch, Gauss-Newton from the best seed."""
-        d2 = ((self.seed_positions - target) ** 2).sum(axis=1)
-        best = int(np.argmin(d2))
-        if d2[best] > self.reject_radius**2:
-            return None, np.sqrt(d2[best])
-        param = self.seed_params[best].copy()
+    def evaluate(self, regions, fans):
+        """Quadrature data (positions, normals, weights, basis values) of
+        ``regions`` and of ``fans``, (region, singular parameter) pairs, in
+        a dict keyed by ``_key``.
+
+        Everything not evaluated before is evaluated in one ``frames_at``
+        and one ``values`` call; fan rows subtract the basis values at their
+        singular parameters, from one more ``values`` call. Regions are
+        cached for the life of the context, fans are not.
+        """
+        new_regions = {_key(region): region for region in regions
+                       if _key(region) not in self._region_data}
+        new_fans = {_key(*fan): fan for fan in fans}
+        data = {}
+        if new_regions or new_fans:
+            quad = [region.gauss_points(self.rule)
+                    for region in new_regions.values()]
+            quad += [
+                singular_quadrature_points(region, param, self.singular_rule)
+                for region, param in new_fans.values()
+            ]
+            params, weights = (np.concatenate(column) for column in zip(*quad))
+            frames = self.patch.frames_at(params)
+            columns = [frames.positions, frames.normals,
+                       weights * frames.areas]
+            del frames  # free the tangents before the basis batch is built
+            columns.append(self.pair.values(params))
+            cuts = np.cumsum([len(w) for _, w in quad])[:-1]
+            entries = list(zip(*(np.split(c, cuts) for c in columns)))
+            # cached regions are copies: a view would keep the batch alive
+            for key, entry in zip(new_regions, entries):
+                self._region_data[key] = tuple(c.copy() for c in entry)
+            fan_entries = entries[len(new_regions):]
+            if new_fans:
+                at = self.pair.values(
+                    np.array([param for _, param in new_fans.values()])
+                )
+                for (_, _, _, basis), row in zip(fan_entries, at):
+                    basis -= row
+            data.update(zip(new_fans, fan_entries))
+        data.update((_key(r), self._region_data[_key(r)]) for r in regions)
+        return data
+
+    def nearest_seeds(self, targets):
+        """Index of each target's nearest seed point, -1 where that seed is
+        beyond ``reject_radius``."""
+        d2 = ((self.seed_positions[None] - targets[:, None]) ** 2).sum(axis=2)
+        best = d2.argmin(axis=1)
+        rejected = d2[np.arange(len(targets)), best] > self.reject_radius**2
+        return np.where(rejected, -1, best)
+
+    def project(self, target, seed):
+        """Closest point on the patch, Gauss-Newton from seed ``seed``."""
+        param = self.seed_params[seed].copy()
         for _ in range(50):
             frame = self.patch.frames_at(param[None])
             tan_u, tan_v = frame.tangents_u[0], frame.tangents_v[0]
@@ -316,15 +348,20 @@ class _PatchContext:
         return param, dist
 
 
-def _singular_params(node, patch_index, ctx, target, tol):
+def _key(region, param=()):
+    """Cache key of a region, or of a fan around ``param`` in it."""
+    return (region.u0, region.u1, region.v0, region.v1, *param)
+
+
+def _singular_params(node, patch_index, ctx, target, seed, tol):
     if np.linalg.norm(target - node.position) < tol:
         hits = [p for pk, p in node.aliases if pk == patch_index]
         if hits:
             return hits
-    param, dist = ctx.project(target)
-    if param is not None and dist < tol:
-        return [param]
-    return []
+    if seed < 0:
+        return []
+    param, dist = ctx.project(target, seed)
+    return [param] if dist < tol else []
 
 
 def _split_singular(regions, params, depth=0):
@@ -393,19 +430,36 @@ class _Rows:
             self.rhs[nodes] += np.einsum("m,mni->ni", weights, u_t)
 
 
-def _near_parts(ctx, target, far, sing, fans, cfg):
-    """Quadrature data of one node's base regions outside the far batch:
-    fans around its singular parameters, quad-tree refined regions."""
-    regular = [region for region, skip in zip(ctx.regions, far) if not skip]
-    parts = []
-    if sing:
-        fan_pairs, regular = _split_singular(regular, sing)
-        parts = [ctx.fan_data(region, param, fans)
-                 for region, param in fan_pairs]
-    regular = quadtree_refine(regular, target, ctx.sampler,
-                              cfg.quadtree_threshold, cfg.quadtree_max_depth)
-    parts.extend(ctx.region_data(region) for region in regular)
-    return [np.concatenate(column) for column in zip(*parts)]
+def _plan(ctx, patch_index, nodes, targets, cfg, tol):
+    """What one node block needs from one patch image before integrating.
+
+    Returns the far mask of (node, base region) pairs, and for each node
+    not wholly far its index in the block, its fans as (region, singular
+    parameter) pairs and its quad-tree refined regions.
+    """
+    far = far_mask(ctx.samples, targets, cfg.quadtree_threshold)
+    seeds = ctx.nearest_seeds(targets)
+    near = []
+    for i, node in enumerate(nodes):
+        sing = _singular_params(node, patch_index, ctx, targets[i], seeds[i],
+                                tol)
+        if sing:
+            far[i] &= [
+                not any(r.contains(p, tol=1e-9) for p in sing)
+                for r in ctx.regions
+            ]
+        if far[i].all():
+            continue
+        regular = [region for region, skip in zip(ctx.regions, far[i])
+                   if not skip]
+        fans = []
+        if sing:
+            fans, regular = _split_singular(regular, sing)
+        regular = quadtree_refine(regular, targets[i], ctx.sampler,
+                                  cfg.quadtree_threshold,
+                                  cfg.quadtree_max_depth)
+        near.append((i, fans, regular))
+    return far, near
 
 
 def _engine(model, colloc, cfg, load):
@@ -424,22 +478,24 @@ def _engine(model, colloc, cfg, load):
         step = max(1, BLOCK_PAIRS // len(ctx.far_region))
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
-            fans = [{} for _ in block]
-            for mirror in group:
-                targets = rows.positions[block] @ mirror.T
-                far = far_mask(ctx.samples, targets, cfg.quadtree_threshold)
-                for i, node in enumerate(colloc.nodes[n] for n in block):
-                    sing = _singular_params(node, k, ctx, targets[i],
-                                            colloc.merge_tol)
-                    if sing:
-                        far[i] &= [
-                            not any(r.contains(p, tol=1e-9) for p in sing)
-                            for r in ctx.regions
-                        ]
-                    if not far[i].all():
-                        near = _near_parts(ctx, targets[i], far[i], sing,
-                                           fans[i], cfg)
-                        rows.add(block[i:i + 1], *near, mirror, ids)
+            nodes = [colloc.nodes[n] for n in block]
+            plans = [
+                (mirror, *_plan(ctx, k, nodes,
+                                rows.positions[block] @ mirror.T, cfg,
+                                colloc.merge_tol))
+                for mirror in group
+            ]
+            pending = [entry for _, _, near in plans for entry in near]
+            data = ctx.evaluate(
+                [region for _, _, regular in pending for region in regular],
+                [fan for _, fans, _ in pending for fan in fans],
+            )
+            for mirror, far, near in plans:
+                for i, fans, regular in near:
+                    parts = [data[_key(*fan)] for fan in fans]
+                    parts += [data[_key(region)] for region in regular]
+                    columns = (np.concatenate(c) for c in zip(*parts))
+                    rows.add(block[i:i + 1], *columns, mirror, ids)
                 if far.any():
                     rows.add(block, *ctx.far, mirror, ids,
                              used=far[:, ctx.far_region].T)

@@ -111,13 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_coefficients(solution, path: Path):
-    coeffs = solution.coefficients.reshape(-1, 3)
+    positions = solution.colloc.positions.tolist()
+    coeffs = solution.coefficients.reshape(-1, 3).tolist()
     lines = ["node,x,y,z,ux,uy,uz"]
-    for index, node in enumerate(solution.colloc.nodes):
-        cells = [str(index)]
-        cells += [repr(float(c)) for c in node.position]
-        cells += [repr(float(c)) for c in coeffs[index]]
-        lines.append(",".join(cells))
+    lines += ["%d,%r,%r,%r,%r,%r,%r" % (index, *pos, *u)
+              for index, (pos, u) in enumerate(zip(positions, coeffs))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -352,12 +352,9 @@ def trace_table(model, solution, request: TraceRequest):
 def write_trace(model, solution, request: TraceRequest, path):
     """Write one trace as CSV: arc_length, x, y, z, component."""
     arc, positions, values = trace_table(model, solution, request)
+    table = np.column_stack([arc, positions, values]).tolist()
     lines = [f"arc_length,x,y,z,{request.component}"]
-    for a, pos, val in zip(arc, positions, values):
-        cells = [repr(float(a))]
-        cells += [repr(float(c)) for c in pos]
-        cells.append(repr(float(val)))
-        lines.append(",".join(cells))
+    lines += ["%r,%r,%r,%r,%r" % tuple(row) for row in table]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote trace %s (%d samples)", path, request.samples)
 
@@ -378,20 +375,18 @@ def write_vtk(model, solution, path, scale: float = 0.0, samples=None):
 
     points = []
     vectors = []
-    cells = []
-    offset = 0
     for index, patch in enumerate(model.patches):
         pos = patch.points_at(params)
         disp = evaluate_displacement_many(model, solution, index, params)
         points.append(pos + scale * disp)
         vectors.append(disp)
-        for i in range(k - 1):
-            for j in range(k - 1):
-                a = offset + i * k + j
-                cells.append((a, a + k, a + k + 1, a + 1))
-        offset += k * k
     points = np.vstack(points)
     vectors = np.vstack(vectors)
+    # quad (a, a + k, a + k + 1, a + 1) at every grid point a = i * k + j
+    # with i, j < k - 1, patch after patch
+    first = np.arange(k * k).reshape(k, k)[:-1, :-1].ravel()
+    first = (first + k * k * np.arange(model.n_patches)[:, None]).ravel()
+    cells = (first[:, None] + [0, k, k + 1, 1]).tolist()
 
     lines = [
         _VTK_HEADER,
@@ -400,13 +395,13 @@ def write_vtk(model, solution, path, scale: float = 0.0, samples=None):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(points)} double",
     ]
-    lines += [" ".join(repr(float(c)) for c in row) for row in points]
+    lines += ["%r %r %r" % tuple(row) for row in points.tolist()]
     lines.append(f"CELLS {len(cells)} {5 * len(cells)}")
-    lines += ["4 " + " ".join(str(c) for c in quad) for quad in cells]
+    lines += ["4 %d %d %d %d" % tuple(quad) for quad in cells]
     lines.append(f"CELL_TYPES {len(cells)}")
     lines += [str(_VTK_QUAD)] * len(cells)
     lines.append(f"POINT_DATA {len(points)}")
     lines.append("VECTORS displacement double")
-    lines += [" ".join(repr(float(c)) for c in row) for row in vectors]
+    lines += ["%r %r %r" % tuple(row) for row in vectors.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote VTK surface %s (%d points)", path, len(points))

@@ -165,8 +165,10 @@ def _sample_params(region: IntegrationRegion) -> np.ndarray:
 
 
 def region_samples(regions, point_fn) -> np.ndarray:
-    """Mapped 3x3 sample grids, (r, 9, 3); one ``point_fn`` call a region."""
-    return np.stack([point_fn(_sample_params(region)) for region in regions])
+    """Mapped 3x3 sample grids, (r, 9, 3), from one ``point_fn`` call on
+    the (r * 9, 2) sample parameters of all regions, region by region."""
+    params = np.concatenate([_sample_params(region) for region in regions])
+    return point_fn(params).reshape(len(regions), len(_SAMPLE_GRID), 3)
 
 
 def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:

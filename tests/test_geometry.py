@@ -251,3 +251,18 @@ def test_frame_rows_do_not_depend_on_batch(quarter_cylinder, trimmed):
         for name in ("positions", "tangents_u", "tangents_v", "normals", "areas"):
             assert_allclose(getattr(batch, name)[i], getattr(one, name)[0],
                             rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("trimmed", [False, True])
+def test_point_rows_do_not_depend_on_batch(quarter_cylinder, trimmed):
+    patch = quarter_cylinder
+    if trimmed:
+        quad = unit_interval_space(2)
+        ca = TrimmingCurve(quad, np.array([[0.1, 0.0], [0.3, 0.5], [0.15, 1.0]]))
+        cb = TrimmingCurve(quad, np.array([[0.8, 0.0], [0.7, 0.5], [0.9, 1.0]]))
+        patch = TrimmedPatch(quarter_cylinder, ca, cb)
+    pts = np.random.default_rng(9).uniform(0, 1, (25, 2))
+    batch = patch.points_at(pts)
+    for i in range(len(pts)):
+        assert_allclose(batch[i], patch.points_at(pts[i:i + 1])[0],
+                        rtol=0, atol=0)

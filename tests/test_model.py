@@ -49,6 +49,14 @@ class TestFieldSpacePair:
         bv = bspline_basis_many(pair.space_v, [0.8])[0]
         assert_allclose(vals, np.outer(bu, bv).ravel(), atol=1e-15)
 
+    def test_value_rows_do_not_depend_on_batch(self):
+        pair = FieldSpacePair.from_orders(4, 3, interior_u=[0.3, 0.6])
+        params = np.random.default_rng(10).uniform(0, 1, (25, 2))
+        batch = pair.values(params)
+        for i in range(len(params)):
+            assert_allclose(batch[i], pair.values(params[i:i + 1])[0],
+                            rtol=0, atol=0)
+
     def test_elevated(self):
         pair = FieldSpacePair.from_orders(2)
         up = pair.elevated(4)

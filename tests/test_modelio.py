@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gibem.cli import _write_coefficients
 from gibem.errors import ModelError, ModelFormatError
 from gibem.geometry import build_quarter_cylinder
 from gibem.model import (
@@ -29,7 +30,11 @@ from gibem.modelio import (
     write_trace,
     write_vtk,
 )
-from gibem.solve import evaluate_displacement, solve_model
+from gibem.solve import (
+    evaluate_displacement,
+    evaluate_displacement_many,
+    solve_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -396,3 +401,81 @@ class TestVtk:
         model, solution = solved_cube
         with pytest.raises(ModelError, match="2x2"):
             write_vtk(model, solution, tmp_path / "x.vtk", samples=1)
+
+
+def _reference_vtk(model, solution, k):
+    """The VTK writer as one repr call per float and a loop per cell."""
+    ts = np.linspace(0.0, 1.0, k)
+    uu, vv = np.meshgrid(ts, ts, indexing="ij")
+    params = np.column_stack([uu.ravel(), vv.ravel()])
+    points, vectors, cells = [], [], []
+    offset = 0
+    for index, patch in enumerate(model.patches):
+        points.append(patch.points_at(params))
+        vectors.append(evaluate_displacement_many(model, solution, index,
+                                                  params))
+        for i in range(k - 1):
+            for j in range(k - 1):
+                a = offset + i * k + j
+                cells.append((a, a + k, a + k + 1, a + 1))
+        offset += k * k
+    points, vectors = np.vstack(points), np.vstack(vectors)
+    lines = ["# vtk DataFile Version 3.0", "gibem boundary surface", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
+    lines += [" ".join(repr(float(c)) for c in row) for row in points]
+    lines.append(f"CELLS {len(cells)} {5 * len(cells)}")
+    lines += ["4 " + " ".join(str(c) for c in quad) for quad in cells]
+    lines.append(f"CELL_TYPES {len(cells)}")
+    lines += ["9"] * len(cells)
+    lines.append(f"POINT_DATA {len(points)}")
+    lines.append("VECTORS displacement double")
+    lines += [" ".join(repr(float(c)) for c in row) for row in vectors]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_trace(model, solution, request):
+    arc, positions, values = trace_table(model, solution, request)
+    lines = [f"arc_length,x,y,z,{request.component}"]
+    for a, pos, val in zip(arc, positions, values):
+        cells = [repr(float(a))]
+        cells += [repr(float(c)) for c in pos]
+        cells.append(repr(float(val)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_coefficients(solution):
+    coeffs = solution.coefficients.reshape(-1, 3)
+    lines = ["node,x,y,z,ux,uy,uz"]
+    for index, node in enumerate(solution.colloc.nodes):
+        cells = [str(index)]
+        cells += [repr(float(c)) for c in node.position]
+        cells += [repr(float(c)) for c in coeffs[index]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestWrittenBytes:
+    """The writers produce the bytes of plain per-float ``repr`` loops."""
+
+    def test_vtk(self, solved_trimmed, tmp_path):
+        model, solution = solved_trimmed
+        path = tmp_path / "surface.vtk"
+        write_vtk(model, solution, path, samples=7)
+        expected = _reference_vtk(model, solution, 7).encode("utf-8")
+        assert path.read_bytes() == expected
+
+    def test_trace(self, solved_trimmed, tmp_path):
+        model, solution = solved_trimmed
+        request = TraceRequest(1, "trim_a", "mag", 33)
+        path = tmp_path / "trace.csv"
+        write_trace(model, solution, request, path)
+        expected = _reference_trace(model, solution, request).encode("utf-8")
+        assert path.read_bytes() == expected
+
+    def test_coefficients(self, solved_trimmed, tmp_path):
+        _, solution = solved_trimmed
+        path = tmp_path / "coefficients.csv"
+        _write_coefficients(solution, path)
+        expected = _reference_coefficients(solution).encode("utf-8")
+        assert path.read_bytes() == expected

@@ -251,3 +251,49 @@ def test_quadtree_keeps_exactly_the_far_regions(cuts_u, cuts_v, target,
         if not is_far:
             assert all(r.depth > region.depth for r in inside)
         assert_allclose(sum(r.area for r in inside), region.area, rtol=1e-12)
+
+
+def _refine_region_by_region(regions, target, threshold, max_depth):
+    """Reference quad-tree: every region's samples mapped on their own."""
+    out, level = [], list(regions)
+    while level:
+        deeper = []
+        for region in level:
+            samples = region_samples([region], _CURVED.points_at)
+            keep = far_mask(samples, target[None], threshold)[0, 0]
+            if keep or region.depth >= max_depth:
+                out.append(region)
+            else:
+                deeper.extend(region.split())
+        level = deeper
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cuts_u=_cuts,
+    cuts_v=_cuts,
+    target=st.tuples(*[st.floats(-0.5, 1.5)] * 2, st.floats(-0.3, 0.6)),
+    threshold=st.floats(0.25, 4.0),
+)
+def test_quadtree_maps_each_level_in_one_call(cuts_u, cuts_v, target,
+                                              threshold):
+    regions = [
+        IntegrationRegion(u0, u1, v0, v1)
+        for u0, u1 in zip(cuts_u[:-1], cuts_u[1:])
+        for v0, v1 in zip(cuts_v[:-1], cuts_v[1:])
+    ]
+    target = np.array(target)
+    calls = []
+
+    def point_fn(params):
+        calls.append(len(params))
+        return _CURVED.points_at(params)
+
+    out = quadtree_refine(regions, target, point_fn, threshold=threshold,
+                          max_depth=3)
+    assert len(calls) == max(r.depth for r in out) + 1
+    splits = (len(out) - len(regions)) // 3
+    assert sum(calls) == 9 * (len(regions) + 4 * splits)
+    expected = _refine_region_by_region(regions, target, threshold, 3)
+    assert out == expected
