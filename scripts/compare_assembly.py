@@ -3,13 +3,17 @@
     python scripts/compare_assembly.py BASE_SRC NEW_SRC [--seed N]
 
 For each source directory, one subprocess with that directory on
-PYTHONPATH runs ``gibem.assembly._engine`` on five models: the three
+PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
+``gibem.assembly.assemble(model, colloc)`` on six models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
-read-only), the order-2 cube and the order-2 trimmed cube split at 0.4.
-For every model the script prints, per array (the matrix before closure,
-``row_sums``, the rhs and ``node_values``), whether the two trees agree
-bit for bit and the largest difference relative to the largest BASE
-entry. It exits with status 1 when any array differs.
+read-only), the order-2 cube, the order-2 trimmed cube split at 0.4 and
+the order-3 trimmed cube split at 0.49. Only these two public calls are
+used, so trees whose internals differ can be compared. For every model
+the script prints, per array (node positions, alias (node, patch) pairs,
+alias parameters, the per-patch grids of node ids, the closed matrix and
+the rhs), whether the two trees agree bit for bit and the largest
+difference relative to the largest BASE entry. It exits with status 1
+when any array differs.
 """
 
 import argparse
@@ -22,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-ARRAYS = ("t_blocks", "row_sums", "rhs", "node_values")
 
 # Runs in the subprocess: argv is (output .npz, seed, perfbench directory).
 CHILD = """
@@ -32,7 +35,7 @@ out, seed, perfbench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 sys.path.insert(0, perfbench)
 from workloads import WORKLOADS, build_model, draw_stress
 from gibem import LoadState, Material, build_cube_model, build_trimmed_cube_model
-from gibem.assembly import _engine, collocation_points
+from gibem.assembly import assemble, collocation_points
 
 models = {name: build_model(w, seed) for name, w in WORKLOADS.items()}
 rng = np.random.default_rng(seed)
@@ -40,19 +43,25 @@ material = Material(1000.0, float(rng.uniform(0.0, 0.4)))
 load = LoadState(draw_stress(rng, diagonal=False))
 models["cube-order2"] = build_cube_model(2, material, load)
 models["trimmed-cube-order2"] = build_trimmed_cube_model(2, 0.4, material, load)
+models["trimmed-cube-order3"] = build_trimmed_cube_model(3, 0.49, material, load)
 arrays = {}
 for name, model in models.items():
-    partial, rhs = _engine(model, collocation_points(model), model.config,
-                           model.load)
-    arrays[name + "/t_blocks"] = partial.t_blocks
-    arrays[name + "/row_sums"] = partial.row_sums
-    arrays[name + "/rhs"] = rhs
-    arrays[name + "/node_values"] = partial.node_values
+    colloc = collocation_points(model)
+    system = assemble(model, colloc)
+    aliases = [(node.index, pk, param) for node in colloc.nodes
+               for pk, param in node.aliases]
+    arrays[name + "/positions"] = colloc.positions
+    arrays[name + "/alias_patches"] = np.array([a[:2] for a in aliases])
+    arrays[name + "/alias_params"] = np.array([a[2] for a in aliases])
+    arrays[name + "/dof_grids"] = np.concatenate(
+        [grid.ravel() for grid in colloc.dof_map.grids])
+    arrays[name + "/matrix"] = system.matrix
+    arrays[name + "/rhs"] = system.rhs
 np.savez(out, **arrays)
 """
 
 
-def run_engine(src, seed, out):
+def run_assembly(src, seed, out):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -74,11 +83,11 @@ def main():
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        base = run_engine(args.base_src, args.seed, Path(tmp) / "base.npz")
-        new = run_engine(args.new_src, args.seed, Path(tmp) / "new.npz")
+        base = run_assembly(args.base_src, args.seed, Path(tmp) / "base.npz")
+        new = run_assembly(args.new_src, args.seed, Path(tmp) / "new.npz")
 
     all_equal = True
-    print(f"{'model':<22}{'array':<13}{'array_equal':<13}max rel diff")
+    print(f"{'model':<22}{'array':<15}{'array_equal':<13}max rel diff")
     for key in base:
         model, array = key.split("/")
         a, b = base[key], new[key]
@@ -89,7 +98,7 @@ def main():
         else:
             scale = np.abs(a).max()
             rel = f"{np.abs(a - b).max() / scale if scale else 0.0:.3e}"
-        print(f"{model:<22}{array:<13}{str(equal):<13}{rel}")
+        print(f"{model:<22}{array:<15}{str(equal):<13}{rel}")
     return 0 if all_equal else 1
 
 

@@ -5,9 +5,7 @@ can be refined independently of the geometry."""
 from .splines import (
     BasisSpace,
     KnotVector,
-    degree_elevate,
     greville_abscissae,
-    knot_insert,
     unit_interval_space,
 )
 from .geometry import (
@@ -26,7 +24,7 @@ from .model import (
     build_cube_model,
     build_trimmed_cube_model,
 )
-from .assembly import assemble, collocation_points, neumann_rhs
+from .assembly import assemble, collocation_points
 from .solve import (
     Solution,
     elevate_model_order,
@@ -63,13 +61,10 @@ __all__ = [
     "build_quarter_cylinder",
     "build_trimmed_cube_model",
     "collocation_points",
-    "degree_elevate",
     "elevate_model_order",
     "evaluate_displacement",
     "evaluate_displacement_many",
     "greville_abscissae",
-    "knot_insert",
-    "neumann_rhs",
     "parse_model",
     "refinement_study",
     "solve_model",

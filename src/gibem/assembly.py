@@ -51,7 +51,6 @@ __all__ = [
     "collocation_points",
     "assemble",
     "free_term_rigid_body",
-    "neumann_rhs",
 ]
 
 # Far-field kernel blocks hold at most this many (point, node) pairs, 9
@@ -136,86 +135,62 @@ class PartialSystem:
     node_values: np.ndarray
 
 
-def collocation_points(model, config=None):
-    """Greville collocation grid of every patch, merged across patches."""
-    cfg = config if config is not None else model.config
-    tol = cfg.resolved_merge_tol(model.bbox_diagonal())
+def collocation_points(model):
+    """Greville collocation grid of every patch, merged across patches.
 
-    patch_of = []
-    params = []
-    counts = []
-    positions = []
-    for k, (patch, pair) in enumerate(zip(model.patches, model.field_pairs)):
-        grid = pair.greville_params()
-        pos = patch.points_at(grid)
-        counts.append(len(grid))
-        patch_of.extend([k] * len(grid))
-        params.extend(grid)
-        positions.append(pos)
-    positions = np.concatenate(positions, axis=0)
-    total = len(positions)
-
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Points closer than the merge tolerance, directly or through a chain of
+    such points, become one node. Nodes are numbered in the order of their
+    first point in the flat (patch, Greville index) order, and that point is
+    the node's first alias.
+    """
+    tol = model.config.resolved_merge_tol(model.bbox_diagonal())
+    grids = [pair.greville_params() for pair in model.field_pairs]
+    positions = np.concatenate(
+        [patch.points_at(grid) for patch, grid in zip(model.patches, grids)]
+    )
+    params = np.concatenate(grids)
+    counts = [len(grid) for grid in grids]
+    patch_of = np.repeat(np.arange(len(grids)), counts)
 
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    merge_i, merge_j = np.nonzero(np.triu(dist < tol, k=1))
-    for i, j in zip(merge_i, merge_j):
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    close = dist < tol
+    # each point ends up labelled by the smallest index of its group
+    label = np.arange(len(positions))
+    while True:
+        spread = np.where(close, label, len(label)).min(axis=1)
+        if np.array_equal(spread, label):
+            break
+        label = spread
 
-    near = np.triu((dist >= tol) & (dist < 10.0 * tol), k=1)
-    mismatched = [
-        (int(i), int(j))
-        for i, j in zip(*np.nonzero(near))
-        if find(int(i)) != find(int(j))
-    ]
-    if mismatched:
-        worst = max(dist[i, j] for i, j in mismatched)
+    near = (dist >= tol) & (dist < 10.0 * tol)
+    mismatched = np.triu(near & (label[:, None] != label[None, :]), k=1)
+    if mismatched.any():
         warnings.warn(
-            f"{len(mismatched)} collocation point pair(s) almost coincide "
-            f"(separation < {10.0 * tol:.3e}, worst {worst:.3e}) but were "
-            f"not merged; check patch connectivity",
+            f"{np.count_nonzero(mismatched)} collocation point pair(s) almost "
+            f"coincide (separation < {10.0 * tol:.3e}, worst "
+            f"{dist[mismatched].max():.3e}) but were not merged; check patch "
+            f"connectivity",
             CollocationMismatchWarning,
             stacklevel=2,
         )
 
-    node_id = {}
-    order = []
-    for i in range(total):
-        root = find(i)
-        if root not in node_id:
-            node_id[root] = len(order)
-            order.append(root)
-    members = [[] for _ in order]
-    for i in range(total):
-        members[node_id[find(i)]].append(i)
-
+    _, node_of = np.unique(label, return_inverse=True)
+    members = np.split(np.argsort(node_of, kind="stable"),
+                       np.cumsum(np.bincount(node_of))[:-1])
     nodes = []
     for idx, group in enumerate(members):
         pos = positions[group].mean(axis=0)
         pos.flags.writeable = False
-        aliases = tuple((patch_of[i], np.array(params[i])) for i in group)
+        aliases = tuple((int(patch_of[i]), params[i].copy()) for i in group)
         nodes.append(CollocationNode(idx, pos, aliases))
 
-    grids = []
-    offset = 0
-    for k, count in enumerate(counts):
-        ids = np.array(
-            [node_id[find(offset + i)] for i in range(count)], dtype=int
-        )
-        pair = model.field_pairs[k]
-        grids.append(ids.reshape(pair.n_u, pair.n_v))
-        offset += count
-    dof_map = DofMap(tuple(grids), len(nodes))
-    return CollocationSet(tuple(nodes), dof_map, tol)
+    dof_grids = tuple(
+        ids.reshape(pair.n_u, pair.n_v)
+        for ids, pair in zip(np.split(node_of, np.cumsum(counts)[:-1]),
+                             model.field_pairs)
+    )
+    return CollocationSet(tuple(nodes), DofMap(dof_grids, len(nodes)), tol)
 
 
 class _PatchContext:
@@ -462,15 +437,17 @@ def _plan(ctx, patch_index, nodes, targets, cfg, tol):
     return far, near
 
 
-def _engine(model, colloc, cfg, load):
+def _engine(model, colloc):
     """Kernel blocks and right-hand side (zero without a load) of every row,
     before the closure; far pairs in blocks of nodes, the rest per node."""
+    cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     contexts = [
         _PatchContext(patch, pair, cfg)
         for patch, pair in zip(model.patches, model.field_pairs)
     ]
-    rows = _Rows(colloc.positions, model.material, load, cfg.excavation_sign)
+    rows = _Rows(colloc.positions, model.material, model.load,
+                 cfg.excavation_sign)
     n_nodes = len(colloc.nodes)
 
     for k, ctx in enumerate(contexts):
@@ -501,11 +478,13 @@ def _engine(model, colloc, cfg, load):
                              used=far[:, ctx.far_region].T)
 
     node_values = np.zeros((n_nodes, n_nodes))
-    for node in colloc.nodes:
-        owner_patch, owner_param = node.aliases[0]
-        values = contexts[owner_patch].pair.values(owner_param[None])[0]
-        ids = colloc.dof_map.grids[owner_patch].ravel()
-        node_values[node.index, ids] += values
+    owners = np.array([node.aliases[0][0] for node in colloc.nodes])
+    for k, pair in enumerate(model.field_pairs):
+        owned = np.flatnonzero(owners == k)
+        if owned.size:
+            params = np.array([colloc.nodes[n].aliases[0][1] for n in owned])
+            ids = colloc.dof_map.grids[k].ravel()
+            node_values[owned[:, None], ids] = pair.values(params)
 
     partial = PartialSystem(rows.t_blocks, rows.row_sums, node_values)
     return partial, rows.rhs.reshape(-1)
@@ -521,41 +500,28 @@ def free_term_rigid_body(partial, exterior=False):
     without ever evaluating a strongly singular integral. The exterior
     formulation shifts the same identity by the identity matrix.
     """
-    n_nodes = partial.row_sums.shape[0]
-    matrix = partial.t_blocks.copy()
-    view = matrix.reshape(n_nodes, 3, n_nodes, 3)
-    eye = np.eye(3)
-    for n in range(n_nodes):
-        closure = -partial.row_sums[n]
-        if exterior:
-            closure = closure + eye
-        view[n] += np.einsum("m,ij->imj", partial.node_values[n], closure)
-    return matrix
+    closure = -partial.row_sums
+    if exterior:
+        closure = closure + np.eye(3)
+    # one product per entry, so adding it to the kernel blocks is exact
+    # whichever operand comes first
+    matrix = np.einsum("nm,nij->nimj", partial.node_values, closure,
+                       order="C")
+    matrix += partial.t_blocks.reshape(matrix.shape)
+    return matrix.reshape(partial.t_blocks.shape)
 
 
-def assemble(model, colloc=None, config=None):
+def assemble(model, colloc=None):
     """Full dense collocation system for a model, closure included."""
-    cfg = config if config is not None else model.config
     if colloc is None:
-        colloc = collocation_points(model, cfg)
+        colloc = collocation_points(model)
     if not model.closed:
         raise UnsupportedModelError(
             "free-term closure requires a closed surface; open models are "
             "only supported when mirror images close them (set closed=True "
             "in that case)"
         )
-    partial, rhs = _engine(model, colloc, cfg, model.load)
+    partial, rhs = _engine(model, colloc)
     matrix = free_term_rigid_body(partial, model.exterior)
     return DenseSystem(matrix, rhs)
 
-
-def neumann_rhs(model, colloc=None, load=None, config=None):
-    """Right-hand side from a virgin stress state, as ``assemble`` builds it."""
-    cfg = config if config is not None else model.config
-    if colloc is None:
-        colloc = collocation_points(model, cfg)
-    if load is None:
-        load = model.load
-    if load is None:
-        raise ModelError("no load state given and the model carries none")
-    return _engine(model, colloc, cfg, load)[1]

@@ -25,7 +25,13 @@ from .errors import (
     SingularMatrixError,
     UnsupportedModelError,
 )
-from .modelio import parse_model, parse_trace_selector, write_trace, write_vtk
+from .modelio import (
+    check_trace_request,
+    parse_model,
+    parse_trace_selector,
+    write_trace,
+    write_vtk,
+)
 from .solve import elevate_model_order, solve_model
 
 log = logging.getLogger("gibem.cli")
@@ -120,8 +126,12 @@ def _write_coefficients(solution, path: Path):
 
 
 def _cmd_solve(args) -> int:
+    if not float("-inf") < args.scale < float("inf"):
+        raise ModelError(f"--scale must be finite, got {args.scale!r}")
     requests = [parse_trace_selector(text) for text in args.trace]
     model = parse_model(args.model)
+    for request in requests:
+        check_trace_request(model, request)
     if args.order is not None:
         if args.order < 1:
             raise ModelError("--order must be at least 1")

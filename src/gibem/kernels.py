@@ -1,7 +1,7 @@
 """Point-force (Kelvin) fundamental solutions for 3D linear elastostatics.
 
-``kelvin_U_many`` gives the displacement influence matrices and
-``kelvin_T_many`` the traction influence matrices, oriented so that the
+``kelvin_U_many`` gives the displacement kernel applied to tractions, U t,
+and ``kelvin_T_many`` the traction influence matrices, oriented so that the
 boundary identity reads
 
     c(P) u(P) + int T(P, Q) u(Q) dS = int U(P, Q) t(Q) dS
@@ -47,12 +47,11 @@ def _radii(source: np.ndarray, points: np.ndarray):
 
 
 def kelvin_U_many(source, points, material: Material,
-                  tractions=None) -> np.ndarray:
-    """Displacement kernel at many field points; shape (..., 3, 3).
+                  tractions) -> np.ndarray:
+    """Displacement kernel times ``tractions``, U t; shape (..., 3).
 
-    ``source`` and ``points`` broadcast: (1, n, 3) sources against (m, 1, 3)
-    points give every pair. With ``tractions`` the product U t, shape
-    (..., 3), is returned instead, without forming the 3x3 blocks.
+    ``source``, ``points`` and ``tractions`` broadcast: (1, n, 3) sources
+    against (m, 1, 3) points give every pair. No 3x3 block is formed.
     """
     source = np.asarray(source, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -60,14 +59,10 @@ def kelvin_U_many(source, points, material: Material,
     nu = material.poisson_ratio
     g = material.shear_modulus
     c = 1.0 / (16.0 * np.pi * g * (1.0 - nu))
-    if tractions is not None:
-        tractions = np.asarray(tractions, dtype=float)
-        rdt = np.einsum("...i,...i->...", rdir, tractions)
-        out = (3.0 - 4.0 * nu) * tractions + rdir * rdt[..., None]
-        return c * out / r[..., None]
-    out = (3.0 - 4.0 * nu) * np.eye(3) + \
-        rdir[..., :, None] * rdir[..., None, :]
-    return c * out / r[..., None, None]
+    tractions = np.asarray(tractions, dtype=float)
+    rdt = np.einsum("...i,...i->...", rdir, tractions)
+    out = (3.0 - 4.0 * nu) * tractions + rdir * rdt[..., None]
+    return c * out / r[..., None]
 
 
 def kelvin_T_many(source, points, normals, material: Material) -> np.ndarray:

@@ -313,26 +313,31 @@ def parse_trace_selector(text: str) -> TraceRequest:
     return TraceRequest(patch_index, parts[1], **kwargs)
 
 
+def check_trace_request(model, request: TraceRequest):
+    """Raise ModelError unless the request's patch exists in ``model`` and,
+    for the trim selectors, is trimmed."""
+    if not 0 <= request.patch_index < model.n_patches:
+        raise ModelError(
+            f"trace patch index {request.patch_index} out of range "
+            f"0..{model.n_patches - 1}"
+        )
+    if request.selector in _TRIM_SELECTORS and \
+            not isinstance(model.patches[request.patch_index], TrimmedPatch):
+        raise ModelError(
+            f"selector {request.selector!r} needs a trimmed patch, and patch "
+            f"{request.patch_index} is not trimmed"
+        )
+
+
 def trace_table(model, solution, request: TraceRequest):
     """Sampled positions and component values for one trace.
 
     Returns (arc_length, positions, values) with samples uniform in the
     curve parameter and arc length accumulated along the sampled polyline.
     """
-    if not 0 <= request.patch_index < model.n_patches:
-        raise ModelError(
-            f"trace patch index {request.patch_index} out of range "
-            f"0..{model.n_patches - 1}"
-        )
+    check_trace_request(model, request)
     patch = model.patches[request.patch_index]
-    selector = request.selector
-    if selector in _TRIM_SELECTORS:
-        if not isinstance(patch, TrimmedPatch):
-            raise ModelError(
-                f"selector {selector!r} needs a trimmed patch, and patch "
-                f"{request.patch_index} is not trimmed"
-            )
-        selector = _TRIM_SELECTORS[selector]
+    selector = _TRIM_SELECTORS.get(request.selector, request.selector)
     ts = np.linspace(0.0, 1.0, request.samples)
     params = _EDGE_SELECTORS[selector](ts)
     positions = patch.points_at(params)
@@ -359,16 +364,15 @@ def write_trace(model, solution, request: TraceRequest, path):
     log.info("wrote trace %s (%d samples)", path, request.samples)
 
 
-def write_vtk(model, solution, path, scale: float = 0.0, samples=None):
+def write_vtk(model, solution, path, scale: float = 0.0):
     """Write the solved surface as a legacy ASCII VTK unstructured grid.
 
-    Each patch contributes a k-by-k point grid and (k-1)^2 quad cells; the
-    displacement field rides along as point data.  ``scale`` warps the
-    geometry by that multiple of the displacement (0 leaves it undeformed).
+    Each patch contributes a k-by-k point grid, k = ``viz_samples`` of the
+    model's config, and (k-1)^2 quad cells; the displacement field rides
+    along as point data.  ``scale`` warps the geometry by that multiple of
+    the displacement (0 leaves it undeformed).
     """
-    k = model.config.viz_samples if samples is None else int(samples)
-    if k < 2:
-        raise ModelError("VTK export needs at least a 2x2 grid per patch")
+    k = model.config.viz_samples
     ts = np.linspace(0.0, 1.0, k)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
     params = np.column_stack([uu.ravel(), vv.ravel()])

@@ -121,31 +121,25 @@ class IntegrationRegion:
         return params, wts
 
 
-def _cut_lines(space: BasisSpace, extra) -> np.ndarray:
-    cuts = [0.0, 1.0]
+def _cut_lines(space: BasisSpace) -> np.ndarray:
     interior = greville_abscissae(space)[1:-1]
-    cuts.extend(float(g) for g in interior)
-    cuts.extend(float(e) for e in extra)
-    cuts = sorted(set(cuts))
+    cuts = sorted({0.0, 1.0, *(float(g) for g in interior)})
     out = [cuts[0]]
     for c in cuts[1:]:
         if c - out[-1] > 1e-12:
             out.append(c)
-    if not (out[0] == 0.0 and out[-1] == 1.0):
-        raise QuadratureError("cut lines must stay inside the unit square")
     return np.asarray(out)
 
 
-def region_partition(field_u: BasisSpace, field_v: BasisSpace,
-                     extra_u=(), extra_v=()) -> list[IntegrationRegion]:
+def region_partition(field_u: BasisSpace,
+                     field_v: BasisSpace) -> list[IntegrationRegion]:
     """Rectangles bounded by lines through the interior collocation abscissae.
 
     Collocation points land on region corners by construction, which is what
-    the singular integration scheme expects.  Extra cut positions may be
-    supplied per direction.
+    the singular integration scheme expects.
     """
-    lines_u = _cut_lines(field_u, extra_u)
-    lines_v = _cut_lines(field_v, extra_v)
+    lines_u = _cut_lines(field_u)
+    lines_v = _cut_lines(field_v)
     return [
         IntegrationRegion(lines_u[i], lines_u[i + 1], lines_v[j], lines_v[j + 1])
         for i in range(lines_u.size - 1)

@@ -141,11 +141,10 @@ def remove_rigid_motion(colloc, coefficients, symmetry_planes=()):
     return coefficients - z @ fit
 
 
-def solve_model(model, config=None):
+def solve_model(model):
     """Collocate, assemble, solve, and normalize one model."""
-    cfg = config if config is not None else model.config
-    colloc = collocation_points(model, cfg)
-    system = assemble(model, colloc, cfg)
+    colloc = collocation_points(model)
+    system = assemble(model, colloc)
     matrix, rhs = system.matrix, system.rhs
     if not model.exterior:
         matrix, rhs, _ = pin_rigid_motion(

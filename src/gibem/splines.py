@@ -1,5 +1,5 @@
-"""B-spline basis machinery: evaluation, derivatives, Greville abscissae, and
-the refinement primitives (knot insertion and degree elevation).
+"""B-spline basis machinery: evaluation, derivatives, Greville abscissae,
+degree-elevated spaces and B-spline curves.
 
 All knot vectors are open (clamped): the end knots repeat ``degree + 1``
 times.  Indexing is 0-based throughout.  Evaluation uses half-open knot
@@ -22,8 +22,6 @@ __all__ = [
     "bspline_basis_many",
     "bspline_basis_derivs_many",
     "greville_abscissae",
-    "knot_insert",
-    "degree_elevate",
     "elevate_space",
     "bspline_curve_derivs",
 ]
@@ -291,39 +289,6 @@ def _coeff_array(space: BasisSpace, coefficients) -> np.ndarray:
     return coeffs
 
 
-def knot_insert(space: BasisSpace, coefficients, u_new: float):
-    """Insert one knot without changing the represented function.
-
-    Returns ``(refined_space, refined_coefficients)`` with one extra basis
-    function.  The resulting multiplicity of ``u_new`` must not exceed the
-    degree, and the end knots cannot be inserted.
-    """
-    coeffs = _coeff_array(space, coefficients)
-    p = space.degree
-    kv = space.knots.values
-    lo, hi = space.domain
-    u_new = float(u_new)
-    if not (lo < u_new < hi):
-        raise SplineError(f"new knot {u_new!r} must lie strictly inside ({lo}, {hi})")
-    tol = _DOMAIN_RTOL * (hi - lo)
-    mult = int(np.count_nonzero(np.abs(kv - u_new) <= tol))
-    if mult + 1 > p:
-        raise SplineError(
-            f"inserting {u_new!r} would raise its multiplicity to {mult + 1}, "
-            f"above the degree {p}"
-        )
-    k = int(_find_spans(kv, p, np.array([u_new]))[0])
-    new_kv = np.insert(kv, k + 1, u_new)
-    n_new = coeffs.shape[0] + 1
-    new_coeffs = np.zeros((n_new,) + coeffs.shape[1:])
-    new_coeffs[: k - p + 1] = coeffs[: k - p + 1]
-    for i in range(k - p + 1, k + 1):
-        alpha = (u_new - kv[i]) / (kv[i + p] - kv[i])
-        new_coeffs[i] = alpha * coeffs[i] + (1.0 - alpha) * coeffs[i - 1]
-    new_coeffs[k + 1:] = coeffs[k:]
-    return BasisSpace(KnotVector(new_kv), p), new_coeffs
-
-
 def elevate_space(space: BasisSpace, new_degree: int) -> BasisSpace:
     """The degree-elevated space: every distinct knot's multiplicity grows by
     the degree increment, which preserves interior continuity."""
@@ -333,23 +298,6 @@ def elevate_space(space: BasisSpace, new_degree: int) -> BasisSpace:
     uniques, counts = space.breakpoints()
     new_kv = np.repeat(uniques, counts + t)
     return BasisSpace(KnotVector(new_kv), new_degree)
-
-
-def degree_elevate(space: BasisSpace, coefficients, new_degree: int):
-    """Raise the degree without changing the represented function.
-
-    The elevated coefficients are recovered by collocating the original
-    function at the Greville abscissae of the elevated space; the elevated
-    space contains the original one exactly, so this reproduces it to solver
-    precision.
-    """
-    coeffs = _coeff_array(space, coefficients)
-    elevated = elevate_space(space, new_degree)
-    grev = greville_abscissae(elevated)
-    interp = bspline_basis_many(elevated, grev)
-    samples = bspline_basis_many(space, grev) @ coeffs
-    new_coeffs = np.linalg.solve(interp, samples)
-    return elevated, new_coeffs
 
 
 def bspline_curve_derivs(space: BasisSpace, control_points, ts,

@@ -241,8 +241,15 @@ def test_criterion_4_kernel_identities():
     for _ in range(50):
         d = rng.normal(size=3)
         c = float(rng.uniform(1.5, 4.0))
-        u_near = kelvin_U_many(source, (source + d)[None], material)[0]
-        u_far = kelvin_U_many(source, (source + c * d)[None], material)[0]
+        # U from its columns U e_j
+        u_near = np.column_stack([
+            kelvin_U_many(source, (source + d)[None], material, e)[0]
+            for e in np.eye(3)
+        ])
+        u_far = np.column_stack([
+            kelvin_U_many(source, (source + c * d)[None], material, e)[0]
+            for e in np.eye(3)
+        ])
         u_err = max(
             u_err,
             float(np.abs(u_far - u_near / c).max() / np.abs(u_near).max()),

@@ -10,7 +10,6 @@ from gibem.assembly import (
     assemble,
     collocation_points,
     free_term_rigid_body,
-    neumann_rhs,
     _engine,
 )
 from gibem.errors import (
@@ -124,6 +123,27 @@ class TestCollocation:
             colloc = collocation_points(model)
         assert len(colloc) == 18
 
+    def test_node_numbering_follows_first_appearance(self):
+        model = build_trimmed_cube_model(3, 0.49)
+        colloc = collocation_points(model)
+        grids = [pair.greville_params() for pair in model.field_pairs]
+        points = [patch.points_at(grid)
+                  for patch, grid in zip(model.patches, grids)]
+        flat = [(k, i) for k, grid in enumerate(grids)
+                for i in range(len(grid))]
+        node_of = np.concatenate([g.ravel() for g in colloc.dof_map.grids])
+        first_seen = list(dict.fromkeys(node_of.tolist()))
+        assert first_seen == list(range(len(colloc)))
+        for node in colloc.nodes:
+            group = np.flatnonzero(node_of == node.index)
+            assert len(node.aliases) == len(group)
+            for (pk, param), i in zip(node.aliases, group):
+                k, j = flat[i]
+                assert pk == k
+                assert np.array_equal(param, grids[k][j])
+            mapped = np.array([points[flat[i][0]][flat[i][1]] for i in group])
+            assert np.array_equal(node.position, mapped.mean(axis=0))
+
     def test_grids_reference_every_node(self):
         colloc = collocation_points(build_cube_model(order=3))
         seen = np.unique(np.concatenate(
@@ -160,7 +180,7 @@ class TestCubeAssembly:
 
     def test_face_center_free_term_is_half(self, cube_system):
         model, colloc, _ = cube_system
-        partial, _ = _engine(model, colloc, model.config, None)
+        partial, _ = _engine(model, colloc)
         matrix = free_term_rigid_body(partial)
         for node in colloc.nodes:
             if len(node.aliases) == 1:
@@ -173,7 +193,7 @@ class TestCubeAssembly:
 
     def test_corner_free_term_differs_from_half(self, cube_system):
         model, colloc, _ = cube_system
-        partial, _ = _engine(model, colloc, model.config, None)
+        partial, _ = _engine(model, colloc)
         corner = next(
             n for n in colloc.nodes
             if len(n.aliases) == 3
@@ -181,11 +201,6 @@ class TestCubeAssembly:
         )
         closure = -partial.row_sums[corner.index]
         assert np.abs(closure - 0.5 * np.eye(3)).max() > 0.05
-
-    def test_rhs_matches_neumann_rhs(self, cube_system):
-        model, colloc, system = cube_system
-        rhs = neumann_rhs(model, colloc)
-        assert_allclose(rhs, system.rhs, atol=1e-15)
 
     def test_assembly_is_deterministic(self, cube_system):
         model, colloc, system = cube_system
@@ -200,17 +215,8 @@ def test_open_model_refuses_closure():
 
 
 def test_zero_stress_gives_zero_rhs():
-    model = build_cube_model(order=2)
-    load = LoadState(np.zeros(6))
-    rhs = neumann_rhs(model, load=load)
-    assert_allclose(rhs, 0.0, atol=0)
-
-
-def test_rhs_requires_some_load():
-    model = build_cube_model(order=2)
-    stripped = BoundaryModel(model.patches, model.field_pairs, model.material)
-    with pytest.raises(ModelError, match="load"):
-        neumann_rhs(stripped)
+    model = build_cube_model(order=2, load=LoadState(np.zeros(6)))
+    assert_allclose(assemble(model).rhs, 0.0, atol=0)
 
 
 def test_identity_trim_leaves_system_unchanged():

@@ -108,6 +108,24 @@ def test_bad_trace_selector_reports_code(cube_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("selector", ["99:u0", "0:trim_a"])
+def test_trace_selector_checked_against_model(cube_path, tmp_path, capsys,
+                                              selector):
+    out = tmp_path / "run"
+    assert run_solve(cube_path, out, "--trace", selector) == 1
+    assert "gibem error MODEL:" in capsys.readouterr().err
+    # the model is checked before it is solved
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_non_finite_scale_fails_cleanly(cube_path, tmp_path, capsys, scale):
+    out = tmp_path / "run"
+    assert run_solve(cube_path, out, "--vtk", f"--scale={scale}") == 1
+    assert "gibem error MODEL:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_open_model_reports_unsupported(tmp_path, capsys):
     from gibem.geometry import build_quarter_cylinder
     from gibem.kernels import Material

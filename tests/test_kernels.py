@@ -8,8 +8,10 @@ from gibem.kernels import Material, kelvin_T_many, kelvin_U_many
 
 
 def U_at(source, point, mat):
-    """Displacement kernel at one field point, as a one-row batch."""
-    return kelvin_U_many(source, np.asarray(point, dtype=float)[None], mat)[0]
+    """Displacement kernel at one field point, column j from U e_j."""
+    point = np.asarray(point, dtype=float)[None]
+    return np.column_stack([kelvin_U_many(source, point, mat, e)[0]
+                            for e in np.eye(3)])
 
 
 def T_at(source, point, normal, mat):
@@ -181,7 +183,8 @@ def test_batch_rows_match_one_row_batches(mat):
     pts = src + rng.normal(size=(25, 3))
     nrm = rng.normal(size=(25, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    U = kelvin_U_many(src, pts, mat)
+    U = np.stack([kelvin_U_many(src, pts, mat, e) for e in np.eye(3)],
+                 axis=-1)
     T = kelvin_T_many(src, pts, nrm, mat)
     for i in range(25):
         assert_allclose(U[i], U_at(src, pts[i], mat), atol=0)

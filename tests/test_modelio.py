@@ -1,6 +1,7 @@
 """Model file round-trips, trace CSVs, and VTK export."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ def solved_cube(cube_case):
 def solved_trimmed():
     model = build_trimmed_cube_model()
     return model, solve_model(model)
+
+
+def with_viz_samples(model, k):
+    """The model with a k-by-k VTK grid per patch."""
+    return model.with_config(replace(model.config, viz_samples=k))
 
 
 def reload_raw(path):
@@ -344,7 +350,7 @@ class TestVtk:
     def test_layout_and_counts(self, solved_cube, tmp_path):
         model, solution = solved_cube
         path = tmp_path / "surface.vtk"
-        write_vtk(model, solution, path, samples=5)
+        write_vtk(with_viz_samples(model, 5), solution, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# vtk DataFile Version 3.0"
         assert lines[2] == "ASCII"
@@ -363,7 +369,7 @@ class TestVtk:
     def test_scale_zero_keeps_geometry(self, solved_cube, tmp_path):
         model, solution = solved_cube
         path = tmp_path / "flat.vtk"
-        write_vtk(model, solution, path, scale=0.0, samples=3)
+        write_vtk(with_viz_samples(model, 3), solution, path, scale=0.0)
         lines = path.read_text().splitlines()
         points = np.array([
             [float(c) for c in line.split()] for line in lines[5:5 + 9]
@@ -379,8 +385,9 @@ class TestVtk:
         model, solution = solved_cube
         flat = tmp_path / "flat.vtk"
         warped = tmp_path / "warped.vtk"
-        write_vtk(model, solution, flat, scale=0.0, samples=3)
-        write_vtk(model, solution, warped, scale=50.0, samples=3)
+        model = with_viz_samples(model, 3)
+        write_vtk(model, solution, flat, scale=0.0)
+        write_vtk(model, solution, warped, scale=50.0)
 
         def grab(path, start, count):
             lines = path.read_text().splitlines()
@@ -399,8 +406,13 @@ class TestVtk:
 
     def test_grid_floor(self, solved_cube, tmp_path):
         model, solution = solved_cube
-        with pytest.raises(ModelError, match="2x2"):
-            write_vtk(model, solution, tmp_path / "x.vtk", samples=1)
+        with pytest.raises(ModelError, match="viz_samples"):
+            with_viz_samples(model, 1)
+        path = tmp_path / "floor.vtk"
+        write_vtk(with_viz_samples(model, 2), solution, path)
+        lines = path.read_text().splitlines()
+        assert lines[4] == f"POINTS {6 * 4} double"
+        assert f"CELLS 6 {5 * 6}" in lines
 
 
 def _reference_vtk(model, solution, k):
@@ -461,7 +473,7 @@ class TestWrittenBytes:
     def test_vtk(self, solved_trimmed, tmp_path):
         model, solution = solved_trimmed
         path = tmp_path / "surface.vtk"
-        write_vtk(model, solution, path, samples=7)
+        write_vtk(with_viz_samples(model, 7), solution, path)
         expected = _reference_vtk(model, solution, 7).encode("utf-8")
         assert path.read_bytes() == expected
 

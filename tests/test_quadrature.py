@@ -61,12 +61,6 @@ class TestRegionPartition:
         space = unit_interval_space(1)
         assert len(region_partition(space, space)) == 1
 
-    def test_extra_line_adds_row(self):
-        space = unit_interval_space(2)
-        regions = region_partition(space, space, extra_v=[0.25])
-        assert len(regions) == 6
-        assert_allclose(sum(r.area for r in regions), 1.0, atol=1e-15)
-
     def test_collocation_points_on_corners(self):
         from gibem.splines import greville_abscissae
 
@@ -81,11 +75,6 @@ class TestRegionPartition:
         for gu in grev:
             for gv in grev:
                 assert (round(gu, 12), round(gv, 12)) in corners
-
-    def test_outside_cut_rejected(self):
-        space = unit_interval_space(2)
-        with pytest.raises(QuadratureError):
-            region_partition(space, space, extra_u=[1.5])
 
 
 class TestRegion:

@@ -1,4 +1,4 @@
-"""Basis evaluation, Greville abscissae, and refinement primitives."""
+"""Basis evaluation, Greville abscissae, degree elevation, and curves."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +11,8 @@ from gibem.splines import (
     bspline_basis_derivs_many,
     bspline_basis_many,
     bspline_curve_derivs,
-    degree_elevate,
     elevate_space,
     greville_abscissae,
-    knot_insert,
     unit_interval_space,
 )
 
@@ -179,41 +177,6 @@ class TestGreville:
         assert pts[0] >= 0.0 and pts[-1] <= 1.0
 
 
-class TestKnotInsert:
-    def test_quadratic_example(self):
-        space = unit_interval_space(2)
-        coeffs = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-        refined, new_coeffs = knot_insert(space, coeffs, 0.5)
-        assert_allclose(refined.knots.values, [0, 0, 0, 0.5, 1, 1, 1], atol=0)
-        assert new_coeffs.shape == (4, 2)
-        assert_allclose(new_coeffs[0], coeffs[0], atol=0)
-        assert_allclose(new_coeffs[-1], coeffs[-1], atol=0)
-
-    def test_multiplicity_limit(self):
-        space = unit_interval_space(2, [0.5, 0.5])
-        with pytest.raises(SplineError, match="multiplicity"):
-            knot_insert(space, np.zeros((space.n_basis, 2)), 0.5)
-
-    def test_end_knot_rejected(self):
-        space = unit_interval_space(2)
-        with pytest.raises(SplineError):
-            knot_insert(space, np.zeros((3, 2)), 1.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(basis_spaces(max_degree=4), st.floats(0.1, 0.9))
-    def test_preserves_evaluation(self, space, u_new):
-        rng = np.random.default_rng(42)
-        coeffs = rng.normal(size=(space.n_basis, 3))
-        try:
-            refined, new_coeffs = knot_insert(space, coeffs, u_new)
-        except SplineError:
-            return  # multiplicity limit hit; nothing to check
-        us = np.linspace(0, 1, 37)
-        before = bspline_basis_many(space, us) @ coeffs
-        after = bspline_basis_many(refined, us) @ new_coeffs
-        assert_allclose(after, before, atol=1e-12)
-
-
 class TestDegreeElevate:
     def test_single_span_arithmetic(self):
         space = unit_interval_space(2)
@@ -229,14 +192,19 @@ class TestDegreeElevate:
     def test_must_increase(self):
         space = unit_interval_space(2)
         with pytest.raises(SplineError):
-            degree_elevate(space, np.zeros((3, 2)), 2)
+            elevate_space(space, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(basis_spaces(max_degree=3, max_interior=3), st.integers(1, 2))
     def test_preserves_evaluation(self, space, bump):
+        # the elevated space holds every function of the original one, so
+        # interpolating at its Greville points reproduces the function
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=(space.n_basis, 2))
-        elevated, new_coeffs = degree_elevate(space, coeffs, space.degree + bump)
+        elevated = elevate_space(space, space.degree + bump)
+        grev = greville_abscissae(elevated)
+        new_coeffs = np.linalg.solve(bspline_basis_many(elevated, grev),
+                                     bspline_basis_many(space, grev) @ coeffs)
         us = np.linspace(0, 1, 37)
         before = bspline_basis_many(space, us) @ coeffs
         after = bspline_basis_many(elevated, us) @ new_coeffs
