@@ -4,16 +4,20 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on six models: the three
+``gibem.assembly.assemble(model, colloc)`` on eight models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
-read-only), the order-2 cube, the order-2 trimmed cube split at 0.4 and
-the order-3 trimmed cube split at 0.49. Only these two public calls are
-used, so trees whose internals differ can be compared. For every model
-the script prints, per array (node positions, alias (node, patch) pairs,
-alias parameters, the per-patch grids of node ids, the closed matrix and
-the rhs), whether the two trees agree bit for bit and the largest
-difference relative to the largest BASE entry. It exits with status 1
-when any array differs.
+read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
+order-3 trimmed cube split at 0.49, and an order-3 cube and an order-2
+trimmed cube split at 0.4, both rotated by Rz(0.3) Ry(0.7) Rx(1.1). The
+cubes carry a full-shear stress and no mirror planes. The rotated cubes
+have no axis-aligned normals or offsets, so every term of every kernel
+dot product is nonzero and a change in summation order shows. Only the
+two public calls are used, so trees whose internals differ can be
+compared. For every model the script prints, per array (node positions,
+alias (node, patch) pairs, alias parameters, the per-patch grids of node
+ids, the closed matrix and the rhs), whether the two trees agree bit for
+bit and the largest difference relative to the largest BASE entry. It
+exits with status 1 when any array differs.
 """
 
 import argparse
@@ -29,6 +33,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Runs in the subprocess: argv is (output .npz, seed, perfbench directory).
 CHILD = """
+import dataclasses
 import sys
 import numpy as np
 out, seed, perfbench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
@@ -44,6 +49,28 @@ load = LoadState(draw_stress(rng, diagonal=False))
 models["cube-order2"] = build_cube_model(2, material, load)
 models["trimmed-cube-order2"] = build_trimmed_cube_model(2, 0.4, material, load)
 models["trimmed-cube-order3"] = build_trimmed_cube_model(3, 0.49, material, load)
+
+
+def axis_rotation(axis, angle):
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    mat = np.eye(3)
+    mat[i, i] = mat[j, j] = np.cos(angle)
+    mat[i, j], mat[j, i] = -np.sin(angle), np.sin(angle)
+    return mat
+
+
+def rotated(patch, rot):
+    if hasattr(patch, "base"):  # a TrimmedPatch keeps its trimming curves
+        return dataclasses.replace(patch, base=rotated(patch.base, rot))
+    return dataclasses.replace(patch, control_points=patch.control_points @ rot.T)
+
+
+rot = axis_rotation(2, 0.3) @ axis_rotation(1, 0.7) @ axis_rotation(0, 1.1)
+for name, model in [("rotated-cube-order3", build_cube_model(3, material, load)),
+                    ("rotated-trimmed-order2",
+                     build_trimmed_cube_model(2, 0.4, material, load))]:
+    models[name] = dataclasses.replace(
+        model, patches=tuple(rotated(p, rot) for p in model.patches))
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)
@@ -87,7 +114,7 @@ def main():
         new = run_assembly(args.new_src, args.seed, Path(tmp) / "new.npz")
 
     all_equal = True
-    print(f"{'model':<22}{'array':<15}{'array_equal':<13}max rel diff")
+    print(f"{'model':<24}{'array':<15}{'array_equal':<13}max rel diff")
     for key in base:
         model, array = key.split("/")
         a, b = base[key], new[key]
@@ -98,7 +125,7 @@ def main():
         else:
             scale = np.abs(a).max()
             rel = f"{np.abs(a - b).max() / scale if scale else 0.0:.3e}"
-        print(f"{model:<22}{array:<15}{str(equal):<13}{rel}")
+        print(f"{model:<24}{array:<15}{str(equal):<13}{rel}")
     return 0 if all_equal else 1
 
 

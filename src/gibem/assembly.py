@@ -379,29 +379,32 @@ class _Rows:
 
         ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``basis``
         (m, f), the values of the patch fields ``ids``, are the quadrature
-        data of the patch before ``mirror`` maps it. ``used`` (m, len(nodes))
-        marks the pairs to integrate, all by default; the others get a dummy
-        point one unit off the source in each coordinate and a zero normal,
-        so that their kernel and traction are finite and exactly zero.
+        data of the patch before ``mirror``, a diagonal reflection, maps it.
+        ``used`` (m, len(nodes)) marks the pairs to integrate, all by
+        default; the others get a unit offset and a zero normal and
+        traction, so that their kernel and traction are exactly zero.
         """
         sources = self.positions[nodes]
-        points = (points @ mirror.T)[:, None, :]
-        normals = (normals @ mirror.T)[:, None, :]
+        points = points @ mirror.T
+        normals = normals @ mirror.T
+        diff = [points[:, None, k] - sources[None, :, k] for k in range(3)]
+        normal = [c[:, None] for c in normals.T]
         if used is not None:
-            points = np.where(used[..., None], points, sources[None] + 1.0)
-            normals = np.where(used[..., None], normals, 0.0)
-        kernel = kelvin_T_many(sources[None], points, normals, self.material)
+            diff = [np.where(used, c, 1.0) for c in diff]
+            normal = [np.where(used, c, 0.0) for c in normal]
+        kernel = kelvin_T_many(diff, normal, self.material)
         contrib = kernel.reshape(len(basis), -1).T @ (weights[:, None] * basis)
         contrib = contrib.reshape(len(nodes), 3, 3, -1)
         self.row_sums[nodes] += contrib.sum(axis=3)
         view = self.t_blocks.reshape(len(self.positions), 3, -1, 3)
-        view[nodes[:, None], :, ids, :] += np.einsum(
-            "nijf,jl->nfil", contrib, mirror
-        )
+        view[nodes[:, None], :, ids, :] += \
+            contrib.transpose(0, 3, 1, 2) * np.diag(mirror)
         if self.load is not None:
             tractions = self.load.traction(normals, self.sign)
-            u_t = kelvin_U_many(sources[None], points, self.material,
-                                tractions)
+            traction = [c[:, None] for c in tractions.T]
+            if used is not None:
+                traction = [np.where(used, c, 0.0) for c in traction]
+            u_t = kelvin_U_many(diff, self.material, traction)
             self.rhs[nodes] += np.einsum("m,mni->ni", weights, u_t)
 
 

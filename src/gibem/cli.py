@@ -130,8 +130,14 @@ def _cmd_solve(args) -> int:
         raise ModelError(f"--scale must be finite, got {args.scale!r}")
     requests = [parse_trace_selector(text) for text in args.trace]
     model = parse_model(args.model)
+    traces = {}
     for request in requests:
         check_trace_request(model, request)
+        name = (f"trace_{request.patch_index}_{request.selector}"
+                f"_{request.component}.csv")
+        if name in traces:
+            raise ModelError(f"two --trace requests would both write {name}")
+        traces[name] = request
     if args.order is not None:
         if args.order < 1:
             raise ModelError("--order must be at least 1")
@@ -168,11 +174,7 @@ def _cmd_solve(args) -> int:
     (out / "report.json").write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )
-    for request in requests:
-        name = (
-            f"trace_{request.patch_index}_{request.selector}"
-            f"_{request.component}.csv"
-        )
+    for name, request in traces.items():
         write_trace(model, solution, request, out / name)
     if args.vtk:
         write_vtk(model, solution, out / "surface.vtk", scale=args.scale)

@@ -8,6 +8,10 @@ boundary identity reads
 
 with the normal pointing out of the domain.  Consequently the closed-surface
 identity  int T dS = -I  holds for any surface enclosing the source point.
+
+Inputs are component-major: ``diff`` (field point minus source), normals and
+tractions come as x, y and z arrays that broadcast to the pair shape, such as
+the transpose of (m, 3) rows. Outputs keep the components on the last axes.
 """
 from __future__ import annotations
 
@@ -38,53 +42,54 @@ class Material:
         return self.youngs_modulus / (2.0 * (1.0 + self.poisson_ratio))
 
 
-def _radii(source: np.ndarray, points: np.ndarray):
-    diff = points - source
-    r = np.linalg.norm(diff, axis=-1)
+def _radii(diff):
+    """Unit vector and length of ``diff``, summed as np.linalg.norm does."""
+    dx, dy, dz = diff
+    r = np.sqrt((dx * dx + dy * dy) + dz * dz)
     if np.any(r == 0.0):
         raise KernelSingularityError("field point coincides with the source point")
-    return diff / r[..., None], r
+    return [d / r for d in diff], r
 
 
-def kelvin_U_many(source, points, material: Material,
-                  tractions) -> np.ndarray:
+def _dot(a, b):
+    """Dot product summed as ``np.einsum("...i,...i->...")`` does."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def kelvin_U_many(diff, material: Material, tractions) -> np.ndarray:
     """Displacement kernel times ``tractions``, U t; shape (..., 3).
 
-    ``source``, ``points`` and ``tractions`` broadcast: (1, n, 3) sources
-    against (m, 1, 3) points give every pair. No 3x3 block is formed.
+    No 3x3 block is formed.
     """
-    source = np.asarray(source, dtype=float)
-    points = np.asarray(points, dtype=float)
-    rdir, r = _radii(source, points)
+    rdir, r = _radii(diff)
     nu = material.poisson_ratio
     g = material.shear_modulus
     c = 1.0 / (16.0 * np.pi * g * (1.0 - nu))
-    tractions = np.asarray(tractions, dtype=float)
-    rdt = np.einsum("...i,...i->...", rdir, tractions)
-    out = (3.0 - 4.0 * nu) * tractions + rdir * rdt[..., None]
-    return c * out / r[..., None]
+    rdt = _dot(rdir, tractions)
+    out = np.empty(np.shape(rdt) + (3,))
+    for k in range(3):
+        out[..., k] = c * ((3.0 - 4.0 * nu) * tractions[k] + rdir[k] * rdt) / r
+    return out
 
 
-def kelvin_T_many(source, points, normals, material: Material) -> np.ndarray:
+def kelvin_T_many(diff, normals, material: Material) -> np.ndarray:
     """Traction kernel at many field points; shape (..., 3, 3).
 
     ``normals`` are unit normals at the field points, pointing out of the
-    domain the identity is written for. ``source``, ``points`` and
-    ``normals`` broadcast against each other as in ``kelvin_U_many``.
+    domain the identity is written for.
     """
-    source = np.asarray(source, dtype=float)
-    points = np.asarray(points, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    rdir, r = _radii(source, points)
+    rdir, r = _radii(diff)
     nu = material.poisson_ratio
     two_nu = 1.0 - 2.0 * nu
     scale = -1.0 / (8.0 * np.pi * (1.0 - nu)) / r**2
-    drdn = np.einsum("...i,...i->...", rdir, normals)
+    drdn = _dot(rdir, normals)
     # scale * (drdn * (two_nu I + 3 r r^T) + two_nu * (n r^T - r n^T))
-    radial = (3.0 * scale * drdn)[..., None] * rdir
-    turn = (two_nu * scale)[..., None] * normals
-    out = (radial + turn)[..., :, None] * rdir[..., None, :]
-    out -= rdir[..., :, None] * turn[..., None, :]
-    out.reshape(*out.shape[:-2], 9)[..., ::4] += \
-        (two_nu * scale * drdn)[..., None]
+    radial = 3.0 * scale * drdn
+    turn = [two_nu * scale * n for n in normals]
+    out = np.empty(np.shape(drdn) + (3, 3))
+    for i in range(3):
+        left = radial * rdir[i] + turn[i]
+        for j in range(3):
+            out[..., i, j] = left * rdir[j] - rdir[i] * turn[j]
+        out[..., i, i] += two_nu * scale * drdn
     return out

@@ -229,7 +229,7 @@ def test_criterion_4_kernel_identities():
             params, wts = region.gauss_points(rule)
             frames = patch.frames_at(params)
             kernel = kelvin_T_many(
-                source, frames.positions, frames.normals, material
+                (frames.positions - source).T, frames.normals.T, material
             )
             total += np.einsum(
                 "m,mij->ij", wts * frames.areas, kernel
@@ -243,11 +243,11 @@ def test_criterion_4_kernel_identities():
         c = float(rng.uniform(1.5, 4.0))
         # U from its columns U e_j
         u_near = np.column_stack([
-            kelvin_U_many(source, (source + d)[None], material, e)[0]
+            kelvin_U_many(((source + d) - source)[:, None], material, e)[0]
             for e in np.eye(3)
         ])
         u_far = np.column_stack([
-            kelvin_U_many(source, (source + c * d)[None], material, e)[0]
+            kelvin_U_many(((source + c * d) - source)[:, None], material, e)[0]
             for e in np.eye(3)
         ])
         u_err = max(

@@ -305,8 +305,8 @@ class TestOctantAssembly:
                     params, wts = region.gauss_points(rule)
                     frames = patch.frames_at(params)
                     kernel = kelvin_T_many(
-                        source, frames.positions @ mirror.T,
-                        frames.normals @ mirror.T, model.material,
+                        (frames.positions @ mirror.T - source).T,
+                        (frames.normals @ mirror.T).T, model.material,
                     )
                     expected += np.einsum(
                         "m,mij,mf->fij", wts * frames.areas, kernel,

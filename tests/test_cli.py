@@ -118,6 +118,15 @@ def test_trace_selector_checked_against_model(cube_path, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_traces_to_one_file_fail_cleanly(cube_path, tmp_path, capsys):
+    """Selectors that differ only in their sample count name the same file."""
+    out = tmp_path / "run"
+    assert run_solve(cube_path, out, "--trace", "1:v1:uz:65",
+                     "--trace", "1:v1:uz:9") == 1
+    assert "gibem error MODEL:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
 def test_non_finite_scale_fails_cleanly(cube_path, tmp_path, capsys, scale):
     out = tmp_path / "run"

@@ -9,15 +9,15 @@ from gibem.kernels import Material, kelvin_T_many, kelvin_U_many
 
 def U_at(source, point, mat):
     """Displacement kernel at one field point, column j from U e_j."""
-    point = np.asarray(point, dtype=float)[None]
-    return np.column_stack([kelvin_U_many(source, point, mat, e)[0]
+    diff = (np.asarray(point, dtype=float) - source)[:, None]
+    return np.column_stack([kelvin_U_many(diff, mat, e)[0]
                             for e in np.eye(3)])
 
 
 def T_at(source, point, normal, mat):
     """Traction kernel at one field point, as a one-row batch."""
-    return kelvin_T_many(source, np.asarray(point, dtype=float)[None],
-                         np.asarray(normal, dtype=float)[None], mat)[0]
+    return kelvin_T_many((np.asarray(point, dtype=float) - source)[:, None],
+                         np.asarray(normal, dtype=float)[:, None], mat)[0]
 
 
 @pytest.fixture
@@ -172,9 +172,59 @@ def test_closed_surface_traction_identity():
                 pts[:, axis] = side
                 pts[:, other[0]] = ui
                 pts[:, other[1]] = x
-                T = kelvin_T_many(src, pts, np.tile(nrm, (x.size, 1)), mat)
+                T = kelvin_T_many((pts - src).T,
+                                  np.tile(nrm, (x.size, 1)).T, mat)
                 total += np.einsum("m,mij->ij", wu * w, T)
     assert_allclose(total, -np.eye(3), atol=1e-6)
+
+
+class TestPairLayout:
+    """(m, 1) points against (1, n) sources, as assembly feeds the kernels."""
+
+    @pytest.fixture
+    def pairs(self):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(7, 3))
+        src = rng.normal(size=(4, 3))
+        nrm = rng.normal(size=(7, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        trac = rng.normal(size=(7, 3))
+        return pts, src, nrm, trac
+
+    def test_blocks_match_one_pair_calls(self, pairs):
+        mat = Material(800.0, 0.31)
+        pts, src, nrm, trac = pairs
+        diff = pts.T[:, :, None] - src.T[:, None, :]
+        T = kelvin_T_many(diff, nrm.T[:, :, None], mat)
+        U = kelvin_U_many(diff, mat, trac.T[:, :, None])
+        assert T.shape == (7, 4, 3, 3) and U.shape == (7, 4, 3)
+        for i in range(7):
+            for j in range(4):
+                one = (pts[i] - src[j])[:, None]
+                assert_allclose(
+                    T[i, j], kelvin_T_many(one, nrm[i][:, None], mat)[0],
+                    rtol=0, atol=0,
+                )
+                assert_allclose(
+                    U[i, j], kelvin_U_many(one, mat, trac[i][:, None])[0],
+                    rtol=0, atol=0,
+                )
+
+    def test_zero_normal_and_traction_give_zero(self, pairs, mat):
+        pts, src, _, _ = pairs
+        diff = pts.T[:, :, None] - src.T[:, None, :]
+        zero = np.zeros((3, 7, 1))
+        assert not kelvin_T_many(diff, zero, mat).any()
+        assert not kelvin_U_many(diff, mat, zero).any()
+
+    def test_coincident_pair_raises(self, pairs, mat):
+        pts, src, nrm, trac = pairs
+        src[2] = pts[5]
+        diff = pts.T[:, :, None] - src.T[:, None, :]
+        with pytest.raises(KernelSingularityError):
+            kelvin_T_many(diff, nrm.T[:, :, None], mat)
+        with pytest.raises(KernelSingularityError):
+            kelvin_U_many(diff, mat, trac.T[:, :, None])
 
 
 def test_batch_rows_match_one_row_batches(mat):
@@ -183,9 +233,9 @@ def test_batch_rows_match_one_row_batches(mat):
     pts = src + rng.normal(size=(25, 3))
     nrm = rng.normal(size=(25, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    U = np.stack([kelvin_U_many(src, pts, mat, e) for e in np.eye(3)],
+    U = np.stack([kelvin_U_many((pts - src).T, mat, e) for e in np.eye(3)],
                  axis=-1)
-    T = kelvin_T_many(src, pts, nrm, mat)
+    T = kelvin_T_many((pts - src).T, nrm.T, mat)
     for i in range(25):
         assert_allclose(U[i], U_at(src, pts[i], mat), atol=0)
         assert_allclose(T[i], T_at(src, pts[i], nrm[i], mat), atol=0)

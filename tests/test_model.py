@@ -1,4 +1,6 @@
 """Field spaces, load states, symmetry declarations, cube builders."""
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -143,6 +145,17 @@ def test_symmetry_group_sizes():
     # products cover every sign pattern exactly once
     signs = {tuple(np.sign(np.diag(m)).astype(int)) for m in group}
     assert len(signs) == 8
+
+
+@pytest.mark.parametrize("planes", [
+    planes for size in range(4)
+    for planes in itertools.combinations(("xy", "xz", "yz"), size)
+])
+def test_symmetry_group_is_diagonal(planes):
+    """Assembly scales kernel columns by the mirror's diagonal."""
+    for mat in symmetry_group(planes):
+        assert np.array_equal(mat, np.diag(np.diag(mat)))
+        assert set(np.diag(mat)) <= {1.0, -1.0}
 
 
 class TestBoundaryModel:

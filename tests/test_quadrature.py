@@ -181,7 +181,7 @@ class TestQuadtree:
             for region in regions:
                 params, wts = region.gauss_points(gauss_rule(order))
                 fr = flat_patch.frames_at(params)
-                tk = kelvin_T_many(src, fr.positions, fr.normals, mat)
+                tk = kelvin_T_many((fr.positions - src).T, fr.normals.T, mat)
                 total += np.einsum("m,mij->ij", wts * fr.areas, tk)
             return total
 
