@@ -13,11 +13,14 @@ cubes carry a full-shear stress and no mirror planes. The rotated cubes
 have no axis-aligned normals or offsets, so every term of every kernel
 dot product is nonzero and a change in summation order shows. Only the
 two public calls are used, so trees whose internals differ can be
-compared. For every model the script prints, per array (node positions,
-alias (node, patch) pairs, alias parameters, the per-patch grids of node
-ids, the closed matrix and the rhs), whether the two trees agree bit for
-bit and the largest difference relative to the largest BASE entry. It
-exits with status 1 when any array differs.
+compared; the script reads both the ``(matrix, rhs)`` tuple and
+``colloc.grids`` and the older form, a system object with ``matrix`` and
+``rhs`` and the grids on ``colloc.dof_map``. For every model the script
+prints, per array (node positions, each patch's grid of node ids, the
+closed matrix and the rhs), whether the two trees agree bit for bit and
+the largest difference relative to the largest BASE entry. The grids and
+the model's Greville parameters determine every node's aliases, so equal
+grids mean equal aliases. It exits with status 1 when any array differs.
 """
 
 import argparse
@@ -75,15 +78,15 @@ arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)
     system = assemble(model, colloc)
-    aliases = [(node.index, pk, param) for node in colloc.nodes
-               for pk, param in node.aliases]
+    # older trees return a system object and keep the grids on colloc.dof_map
+    matrix, rhs = system if isinstance(system, tuple) else \
+        (system.matrix, system.rhs)
+    grids = getattr(colloc, "grids", None) or colloc.dof_map.grids
     arrays[name + "/positions"] = colloc.positions
-    arrays[name + "/alias_patches"] = np.array([a[:2] for a in aliases])
-    arrays[name + "/alias_params"] = np.array([a[2] for a in aliases])
-    arrays[name + "/dof_grids"] = np.concatenate(
-        [grid.ravel() for grid in colloc.dof_map.grids])
-    arrays[name + "/matrix"] = system.matrix
-    arrays[name + "/rhs"] = system.rhs
+    for k, grid in enumerate(grids):
+        arrays[name + f"/grid{k}"] = grid
+    arrays[name + "/matrix"] = matrix
+    arrays[name + "/rhs"] = rhs
 np.savez(out, **arrays)
 """
 

@@ -3,7 +3,9 @@
 Each patch contributes a tensor grid of collocation points at the Greville
 parameters of its field spaces. Points that coincide in global coordinates
 are merged into one node, and the three displacement components of a node
-form three consecutive rows/columns of the dense system.
+form three consecutive rows/columns of the dense system. The stages pass
+plain arrays: a ``CollocationSet`` holds the node positions and each
+patch's grid of node ids, and ``assemble`` returns ``(matrix, rhs)``.
 
 The traction kernel is strongly singular, so rows are built in two parts.
 Away from the collocation point the integrand is smooth and handled by
@@ -33,7 +35,6 @@ import numpy as np
 
 from .errors import (
     CollocationMismatchWarning,
-    ModelError,
     QuadratureError,
     UnsupportedModelError,
 )
@@ -43,11 +44,7 @@ from .quadrature import far_mask, gauss_rule, quadtree_refine, \
     region_partition, region_samples, singular_quadrature_points
 
 __all__ = [
-    "CollocationNode",
     "CollocationSet",
-    "DofMap",
-    "DenseSystem",
-    "PartialSystem",
     "collocation_points",
     "assemble",
     "free_term_rigid_body",
@@ -59,80 +56,26 @@ BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True, eq=False)
-class CollocationNode:
-    """One merged collocation point.
+class CollocationSet:
+    """Merged collocation nodes.
 
-    aliases lists every (patch index, field parameter) pair that landed on
-    this node; the first entry is the owner used for nodal field values.
+    ``positions`` (n, 3), read-only, holds each node's mean point.
+    ``grids[k]`` is the (n_u, n_v) grid of node ids at patch k's Greville
+    parameters, flat index a * n_v + b. A node's aliases are the Greville
+    points whose grid entry is that node; the first of them in flat
+    (patch, index) order is its owner, used for nodal field values.
     """
 
-    index: int
-    position: np.ndarray
-    aliases: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class DofMap:
-    """Per-patch grids of global node ids, flat index a * n_v + b."""
-
+    positions: np.ndarray
     grids: tuple
-    n_nodes: int
-
-    @property
-    def n_dof(self):
-        return 3 * self.n_nodes
-
-
-@dataclass(frozen=True, eq=False)
-class CollocationSet:
-    nodes: tuple
-    dof_map: DofMap
     merge_tol: float
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.positions)
 
-    @property
-    def positions(self):
-        return np.array([node.position for node in self.nodes])
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ModelError(f"system matrix must be square, got {mat.shape}")
-        if rhs.shape != (mat.shape[0],):
-            raise ModelError(
-                f"rhs length {rhs.shape} does not match matrix {mat.shape}"
-            )
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "rhs", rhs)
-
-    @property
-    def n_dof(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class PartialSystem:
-    """Assembled kernel blocks before the free-term closure.
-
-    t_blocks holds every computed traction-kernel contribution (with the
-    singular parts already weakened by basis subtraction). row_sums[n] is
-    the plain kernel integral of row n summed over mirror images, and
-    node_values[n] holds the owner-patch basis values at node n, so that
-    node_values[n] @ coefficients interpolates the displacement there.
-    """
-
-    t_blocks: np.ndarray
-    row_sums: np.ndarray
-    node_values: np.ndarray
+    # the names ``perfbench/tests/check_bench.py`` reads
+    dof_map = property(lambda self: self)
+    n_dof = property(lambda self: 3 * len(self.positions))
 
 
 def collocation_points(model):
@@ -141,16 +84,13 @@ def collocation_points(model):
     Points closer than the merge tolerance, directly or through a chain of
     such points, become one node. Nodes are numbered in the order of their
     first point in the flat (patch, Greville index) order, and that point is
-    the node's first alias.
+    the node's owner.
     """
     tol = model.config.resolved_merge_tol(model.bbox_diagonal())
-    grids = [pair.greville_params() for pair in model.field_pairs]
-    positions = np.concatenate(
-        [patch.points_at(grid) for patch, grid in zip(model.patches, grids)]
-    )
-    params = np.concatenate(grids)
-    counts = [len(grid) for grid in grids]
-    patch_of = np.repeat(np.arange(len(grids)), counts)
+    positions = np.concatenate([
+        patch.points_at(pair.greville_params())
+        for patch, pair in zip(model.patches, model.field_pairs)
+    ])
 
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
@@ -176,21 +116,13 @@ def collocation_points(model):
         )
 
     _, node_of = np.unique(label, return_inverse=True)
-    members = np.split(np.argsort(node_of, kind="stable"),
-                       np.cumsum(np.bincount(node_of))[:-1])
-    nodes = []
-    for idx, group in enumerate(members):
-        pos = positions[group].mean(axis=0)
-        pos.flags.writeable = False
-        aliases = tuple((int(patch_of[i]), params[i].copy()) for i in group)
-        nodes.append(CollocationNode(idx, pos, aliases))
-
-    dof_grids = tuple(
-        ids.reshape(pair.n_u, pair.n_v)
-        for ids, pair in zip(np.split(node_of, np.cumsum(counts)[:-1]),
-                             model.field_pairs)
-    )
-    return CollocationSet(tuple(nodes), DofMap(dof_grids, len(nodes)), tol)
+    sums = [np.bincount(node_of, column) for column in positions.T]
+    means = np.column_stack(sums) / np.bincount(node_of)[:, None]
+    means.flags.writeable = False
+    cuts = np.cumsum([pair.n_u * pair.n_v for pair in model.field_pairs])
+    grids = tuple(ids.reshape(pair.n_u, pair.n_v) for ids, pair
+                  in zip(np.split(node_of, cuts[:-1]), model.field_pairs))
+    return CollocationSet(means, grids, tol)
 
 
 class _PatchContext:
@@ -328,11 +260,12 @@ def _key(region, param=()):
     return (region.u0, region.u1, region.v0, region.v1, *param)
 
 
-def _singular_params(node, patch_index, ctx, target, seed, tol):
-    if np.linalg.norm(target - node.position) < tol:
-        hits = [p for pk, p in node.aliases if pk == patch_index]
-        if hits:
-            return hits
+def _singular_params(source, aliases, ctx, target, seed, tol):
+    """Parameters on the patch of ``ctx`` where ``target``, an image of the
+    node at ``source``, lies: the node's ``aliases`` there when the image
+    is the node itself, else a projection closer than ``tol``."""
+    if len(aliases) and np.linalg.norm(target - source) < tol:
+        return list(aliases)
     if seed < 0:
         return []
     param, dist = ctx.project(target, seed)
@@ -408,9 +341,11 @@ class _Rows:
             self.rhs[nodes] += np.einsum("m,mni->ni", weights, u_t)
 
 
-def _plan(ctx, patch_index, nodes, targets, cfg, tol):
+def _plan(ctx, aliases, sources, targets, cfg, tol):
     """What one node block needs from one patch image before integrating.
 
+    ``aliases[i]`` holds the Greville parameters of node i on the patch,
+    ``sources[i]`` its position and ``targets[i]`` the position's image.
     Returns the far mask of (node, base region) pairs, and for each node
     not wholly far its index in the block, its fans as (region, singular
     parameter) pairs and its quad-tree refined regions.
@@ -418,9 +353,8 @@ def _plan(ctx, patch_index, nodes, targets, cfg, tol):
     far = far_mask(ctx.samples, targets, cfg.quadtree_threshold)
     seeds = ctx.nearest_seeds(targets)
     near = []
-    for i, node in enumerate(nodes):
-        sing = _singular_params(node, patch_index, ctx, targets[i], seeds[i],
-                                tol)
+    for i, (alias, source) in enumerate(zip(aliases, sources)):
+        sing = _singular_params(source, alias, ctx, targets[i], seeds[i], tol)
         if sing:
             far[i] &= [
                 not any(r.contains(p, tol=1e-9) for p in sing)
@@ -441,27 +375,29 @@ def _plan(ctx, patch_index, nodes, targets, cfg, tol):
 
 
 def _engine(model, colloc):
-    """Kernel blocks and right-hand side (zero without a load) of every row,
-    before the closure; far pairs in blocks of nodes, the rest per node."""
+    """Kernel blocks, row sums, nodal basis values and right-hand side (zero
+    without a load) of every row, before the closure; far pairs in blocks
+    of nodes, the rest per node."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     contexts = [
         _PatchContext(patch, pair, cfg)
         for patch, pair in zip(model.patches, model.field_pairs)
     ]
-    rows = _Rows(colloc.positions, model.material, model.load,
-                 cfg.excavation_sign)
-    n_nodes = len(colloc.nodes)
+    greville = [pair.greville_params() for pair in model.field_pairs]
+    positions = colloc.positions
+    rows = _Rows(positions, model.material, model.load, cfg.excavation_sign)
+    n_nodes = len(positions)
 
     for k, ctx in enumerate(contexts):
-        ids = colloc.dof_map.grids[k].ravel()
+        ids = colloc.grids[k].ravel()
         step = max(1, BLOCK_PAIRS // len(ctx.far_region))
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
-            nodes = [colloc.nodes[n] for n in block]
+            aliases = [greville[k][ids == n] for n in block]
             plans = [
-                (mirror, *_plan(ctx, k, nodes,
-                                rows.positions[block] @ mirror.T, cfg,
+                (mirror, *_plan(ctx, aliases, positions[block],
+                                positions[block] @ mirror.T, cfg,
                                 colloc.merge_tol))
                 for mirror in group
             ]
@@ -480,21 +416,31 @@ def _engine(model, colloc):
                     rows.add(block, *ctx.far, mirror, ids,
                              used=far[:, ctx.far_region].T)
 
+    # owner[n] is the flat (patch, Greville index) position of node n's owner
+    _, owner = np.unique(
+        np.concatenate([grid.ravel() for grid in colloc.grids]),
+        return_index=True,
+    )
     node_values = np.zeros((n_nodes, n_nodes))
-    owners = np.array([node.aliases[0][0] for node in colloc.nodes])
-    for k, pair in enumerate(model.field_pairs):
-        owned = np.flatnonzero(owners == k)
+    start = 0
+    for grid, pair, params in zip(colloc.grids, model.field_pairs, greville):
+        owned = np.flatnonzero((owner >= start) & (owner < start + grid.size))
         if owned.size:
-            params = np.array([colloc.nodes[n].aliases[0][1] for n in owned])
-            ids = colloc.dof_map.grids[k].ravel()
-            node_values[owned[:, None], ids] = pair.values(params)
+            node_values[owned[:, None], grid.ravel()] = \
+                pair.values(params[owner[owned] - start])
+        start += grid.size
 
-    partial = PartialSystem(rows.t_blocks, rows.row_sums, node_values)
-    return partial, rows.rhs.reshape(-1)
+    return rows.t_blocks, rows.row_sums, node_values, rows.rhs.reshape(-1)
 
 
-def free_term_rigid_body(partial, exterior=False):
+def free_term_rigid_body(t_blocks, row_sums, node_values, exterior=False):
     """Complete the diagonal blocks from the rigid-translation identity.
+
+    ``t_blocks`` holds every computed traction-kernel contribution, with
+    the singular parts already weakened by basis subtraction. ``row_sums[n]``
+    is the plain kernel integral of row n summed over mirror images, and
+    ``node_values[n] @ coefficients`` interpolates the displacement at node
+    n from the owner patch's basis.
 
     For every row the untreated part of its singular integrals, together
     with the free term, equals one 3x3 matrix. On a closed (mirror
@@ -503,19 +449,18 @@ def free_term_rigid_body(partial, exterior=False):
     without ever evaluating a strongly singular integral. The exterior
     formulation shifts the same identity by the identity matrix.
     """
-    closure = -partial.row_sums
+    closure = -row_sums
     if exterior:
         closure = closure + np.eye(3)
     # one product per entry, so adding it to the kernel blocks is exact
     # whichever operand comes first
-    matrix = np.einsum("nm,nij->nimj", partial.node_values, closure,
-                       order="C")
-    matrix += partial.t_blocks.reshape(matrix.shape)
-    return matrix.reshape(partial.t_blocks.shape)
+    matrix = np.einsum("nm,nij->nimj", node_values, closure, order="C")
+    matrix += t_blocks.reshape(matrix.shape)
+    return matrix.reshape(t_blocks.shape)
 
 
 def assemble(model, colloc=None):
-    """Full dense collocation system for a model, closure included."""
+    """The dense system ``(matrix, rhs)`` of a model, closure included."""
     if colloc is None:
         colloc = collocation_points(model)
     if not model.closed:
@@ -524,7 +469,6 @@ def assemble(model, colloc=None):
             "only supported when mirror images close them (set closed=True "
             "in that case)"
         )
-    partial, rhs = _engine(model, colloc)
-    matrix = free_term_rigid_body(partial, model.exterior)
-    return DenseSystem(matrix, rhs)
-
+    t_blocks, row_sums, node_values, rhs = _engine(model, colloc)
+    return free_term_rigid_body(t_blocks, row_sums, node_values,
+                                model.exterior), rhs

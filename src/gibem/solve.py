@@ -17,14 +17,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ModelError, SingularMatrixError
-from .assembly import DenseSystem, assemble, collocation_points
+from .assembly import assemble, collocation_points
 from .model import reflection_matrix
 
 __all__ = [
     "Solution",
     "solve",
     "solve_model",
-    "surviving_rigid_modes",
+    "rigid_modes",
     "pin_rigid_motion",
     "remove_rigid_motion",
     "evaluate_displacement",
@@ -47,10 +47,16 @@ class Solution:
         return len(self.coefficients)
 
 
-def solve(system):
+def solve(matrix, rhs):
     """LU solve with a residual check, for one assembled dense system."""
-    matrix = system.matrix
-    rhs = system.rhs
+    matrix = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ModelError(f"system matrix must be square, got {matrix.shape}")
+    if rhs.shape != (matrix.shape[0],):
+        raise ModelError(
+            f"rhs length {rhs.shape} does not match matrix {matrix.shape}"
+        )
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
         raise ModelError("system contains non-finite entries")
     with warnings.catch_warnings():
@@ -69,38 +75,26 @@ def solve(system):
     return coeffs, float(residual)
 
 
-def surviving_rigid_modes(symmetry_planes):
+def rigid_modes(positions, symmetry_planes=()):
     """Rigid-motion fields compatible with the declared mirror symmetries.
 
-    Returns a list of callables mapping positions (m, 3) to mode fields
-    (m, 3). Without symmetry there are six: three translations and three
-    rotations about the coordinate axes.
+    Returns the (3m, k) matrix whose columns are the surviving modes at
+    ``positions`` (m, 3), flattened point by point: first the translations
+    along the coordinate axes that every plane's reflection keeps, then the
+    rotations about the axes that every reflection reverses. Without
+    symmetry there are six.
     """
-    mats = [reflection_matrix(p) for p in symmetry_planes]
-    modes = []
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        if all(np.allclose(m @ e, e) for m in mats):
-            vec = e.copy()
-            modes.append(lambda pts, v=vec: np.broadcast_to(
-                v, (len(pts), 3)).copy())
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        # reflections reverse rotation axes unless the axis is the plane
-        # normal; det(M) M e == e is the invariance condition
-        if all(np.allclose(-(m @ e), e) for m in mats):
-            vec = e.copy()
-            modes.append(lambda pts, v=vec: np.cross(v, pts))
-    return modes
-
-
-def _mode_matrix(modes, positions):
-    cols = [mode(positions).ravel() for mode in modes]
+    signs = np.array([np.diag(reflection_matrix(p))
+                      for p in symmetry_planes]).reshape(-1, 3)
+    axes = np.eye(3)
+    cols = [np.broadcast_to(axes[a], (len(positions), 3))
+            for a in range(3) if np.all(signs[:, a] == 1.0)]
+    # a rotation axis is a pseudovector, mapped to -M e by a reflection M
+    cols += [np.cross(axes[a], positions)
+             for a in range(3) if np.all(signs[:, a] == -1.0)]
     if not cols:
         return np.zeros((3 * len(positions), 0))
-    return np.column_stack(cols)
+    return np.column_stack([col.ravel() for col in cols])
 
 
 def pin_rigid_motion(matrix, rhs, colloc, symmetry_planes=()):
@@ -110,12 +104,11 @@ def pin_rigid_motion(matrix, rhs, colloc, symmetry_planes=()):
     The rows are picked by column-pivoted QR on the mode value matrix so
     the constrained mode combinations stay well conditioned.
     """
-    modes = surviving_rigid_modes(symmetry_planes)
-    if not modes:
+    z = rigid_modes(colloc.positions, symmetry_planes)
+    if not z.shape[1]:
         return matrix, rhs, ()
-    z = _mode_matrix(modes, colloc.positions)
     _, _, pivots = scipy.linalg.qr(z.T, pivoting=True)
-    rows = tuple(int(r) for r in pivots[: len(modes)])
+    rows = tuple(int(r) for r in pivots[: z.shape[1]])
     matrix = matrix.copy()
     rhs = rhs.copy()
     for r in rows:
@@ -128,15 +121,15 @@ def pin_rigid_motion(matrix, rhs, colloc, symmetry_planes=()):
 def remove_rigid_motion(colloc, coefficients, symmetry_planes=()):
     """Subtract the best-fit surviving rigid motion from the coefficients.
 
-    Coefficients are compared against rigid fields sampled at the node
-    positions; the least-squares fit is removed. With flat patch geometry
-    a rigid field's exact coefficient vector equals its node samples, so
-    this removes pinning artifacts without touching the elastic part.
+    ``colloc`` is anything with node ``positions``. Coefficients are
+    compared against rigid fields sampled at those positions; the
+    least-squares fit is removed. With flat patch geometry a rigid field's
+    exact coefficient vector equals its node samples, so this removes
+    pinning artifacts without touching the elastic part.
     """
-    modes = surviving_rigid_modes(symmetry_planes)
-    if not modes:
+    z = rigid_modes(colloc.positions, symmetry_planes)
+    if not z.shape[1]:
         return coefficients
-    z = _mode_matrix(modes, colloc.positions)
     fit, *_ = np.linalg.lstsq(z, coefficients, rcond=None)
     return coefficients - z @ fit
 
@@ -144,14 +137,12 @@ def remove_rigid_motion(colloc, coefficients, symmetry_planes=()):
 def solve_model(model):
     """Collocate, assemble, solve, and normalize one model."""
     colloc = collocation_points(model)
-    system = assemble(model, colloc)
-    matrix, rhs = system.matrix, system.rhs
+    matrix, rhs = assemble(model, colloc)
     if not model.exterior:
         matrix, rhs, _ = pin_rigid_motion(
             matrix, rhs, colloc, model.symmetry_planes
         )
-        system = DenseSystem(matrix, rhs)
-    coeffs, residual = solve(system)
+    coeffs, residual = solve(matrix, rhs)
     if not model.exterior:
         coeffs = remove_rigid_motion(colloc, coeffs, model.symmetry_planes)
     orders = tuple(pair.orders for pair in model.field_pairs)
@@ -169,14 +160,16 @@ def evaluate_displacement_many(model, solution, patch_index, params):
     Each returned row is bit-identical to evaluating its point alone,
     however many rows are evaluated together.
     """
-    if not 0 <= patch_index < model.n_patches:
-        raise ModelError(
-            f"patch index {patch_index} out of range 0..{model.n_patches - 1}"
-        )
-    params = np.atleast_2d(np.asarray(params, dtype=float))
+    if not (isinstance(patch_index, (int, np.integer))
+            and 0 <= patch_index < model.n_patches):
+        raise ModelError(f"patch index {patch_index!r} is not an integer in "
+                         f"0..{model.n_patches - 1}")
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != 2:
+        raise ModelError(f"parameters must be (m, 2), got {params.shape}")
     pair = model.field_pairs[patch_index]
     values = pair.values(params)
-    ids = solution.colloc.dof_map.grids[patch_index].ravel()
+    ids = solution.colloc.grids[patch_index].ravel()
     coeffs = solution.coefficients.reshape(-1, 3)
     # not `@`: BLAS sums a row in an order that depends on the row count,
     # while unoptimized einsum sums every row the same way

@@ -126,7 +126,8 @@ def _prepare_params(space: BasisSpace, us) -> np.ndarray:
     us = np.atleast_1d(np.asarray(us, dtype=float))
     lo, hi = space.domain
     tol = _DOMAIN_RTOL * (hi - lo)
-    bad = (us < lo - tol) | (us > hi + tol)
+    # written so that NaN, which fails every comparison, is flagged too
+    bad = ~((us >= lo - tol) & (us <= hi + tol))
     if np.any(bad):
         u_bad = float(us[bad][0])
         raise ParameterDomainError(

@@ -3,20 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gibem.assembly import (
-    DenseSystem,
     assemble,
     collocation_points,
     free_term_rigid_body,
     _engine,
 )
-from gibem.errors import (
-    CollocationMismatchWarning,
-    ModelError,
-    UnsupportedModelError,
-)
+from gibem.errors import CollocationMismatchWarning, UnsupportedModelError
 from gibem.geometry import NurbsPatch, TrimmedPatch, straight_trim_pair
 from gibem.kernels import Material, kelvin_T_many
 from gibem.model import (
@@ -55,6 +50,11 @@ def single_patch_model(order=2, patch=None):
     )
 
 
+def alias_count(colloc, n):
+    """Number of Greville points, over all patches, merged into node n."""
+    return sum(np.count_nonzero(grid == n) for grid in colloc.grids)
+
+
 class TestCollocation:
     def test_single_patch_grid(self):
         colloc = collocation_points(single_patch_model(order=2))
@@ -64,7 +64,8 @@ class TestCollocation:
         got = {(round(p[0], 12), round(p[1], 12))
                for p in colloc.positions[:, :2]}
         assert got == expected
-        assert colloc.dof_map.n_dof == 27
+        assert colloc.grids[0].shape == (3, 3)
+        assert not colloc.positions.flags.writeable
 
     def test_linear_fields_collocate_at_corners(self):
         colloc = collocation_points(single_patch_model(order=1))
@@ -79,18 +80,17 @@ class TestCollocation:
         )
         colloc = collocation_points(model)
         assert len(colloc) == 15
-        edge_nodes = [n for n in colloc.nodes if len(n.aliases) == 2]
-        assert len(edge_nodes) == 3
-        for node in edge_nodes:
-            assert node.position[0] == pytest.approx(1.0)
-            patches = sorted(pk for pk, _ in node.aliases)
-            assert patches == [0, 1]
+        shared = np.intersect1d(colloc.grids[0], colloc.grids[1])
+        assert len(shared) == 3
+        for n in shared:
+            assert colloc.positions[n, 0] == pytest.approx(1.0)
+            assert [np.count_nonzero(g == n) for g in colloc.grids] == [1, 1]
 
     def test_cube_node_counts(self):
         for order, expected in ((2, 26), (3, 56), (4, 98)):
             colloc = collocation_points(build_cube_model(order=order))
-            assert len(colloc) == expected
-            assert colloc.dof_map.n_dof == 3 * expected
+            assert len(colloc) == len(colloc.positions) == expected
+            assert colloc.positions.shape == (expected, 3)
 
     def test_chain_merge_is_transitive(self):
         # three copies of a patch, each shifted by 0.8 tolerance: neighbors
@@ -108,7 +108,8 @@ class TestCollocation:
             warnings.simplefilter("error")
             colloc = collocation_points(model)
         assert len(colloc) == 4
-        assert all(len(n.aliases) == 3 for n in colloc.nodes)
+        for grid in colloc.grids:
+            assert_array_equal(np.sort(grid.ravel()), np.arange(4))
 
     def test_near_miss_warns(self):
         cfg = SolverConfig(merge_tol=1e-6)
@@ -129,37 +130,30 @@ class TestCollocation:
         grids = [pair.greville_params() for pair in model.field_pairs]
         points = [patch.points_at(grid)
                   for patch, grid in zip(model.patches, grids)]
-        flat = [(k, i) for k, grid in enumerate(grids)
-                for i in range(len(grid))]
-        node_of = np.concatenate([g.ravel() for g in colloc.dof_map.grids])
+        for grid, pair in zip(colloc.grids, model.field_pairs):
+            assert grid.shape == (pair.n_u, pair.n_v)
+        node_of = np.concatenate([g.ravel() for g in colloc.grids])
         first_seen = list(dict.fromkeys(node_of.tolist()))
         assert first_seen == list(range(len(colloc)))
-        for node in colloc.nodes:
-            group = np.flatnonzero(node_of == node.index)
-            assert len(node.aliases) == len(group)
-            for (pk, param), i in zip(node.aliases, group):
-                k, j = flat[i]
-                assert pk == k
-                assert np.array_equal(param, grids[k][j])
-            mapped = np.array([points[flat[i][0]][flat[i][1]] for i in group])
-            assert np.array_equal(node.position, mapped.mean(axis=0))
+        mapped = np.concatenate(points)
+        for n in range(len(colloc)):
+            group = np.flatnonzero(node_of == n)
+            # every member of a node lies within the merge tolerance of
+            # another one, and the node sits at their mean
+            if len(group) > 1:
+                gaps = np.linalg.norm(
+                    mapped[group, None] - mapped[None, group], axis=2)
+                np.fill_diagonal(gaps, np.inf)
+                assert gaps.min(axis=1).max() < colloc.merge_tol
+            assert np.array_equal(colloc.positions[n],
+                                  mapped[group].mean(axis=0))
 
     def test_grids_reference_every_node(self):
         colloc = collocation_points(build_cube_model(order=3))
         seen = np.unique(np.concatenate(
-            [g.ravel() for g in colloc.dof_map.grids]
+            [g.ravel() for g in colloc.grids]
         ))
         assert_allclose(seen, np.arange(len(colloc)))
-
-
-class TestDenseSystem:
-    def test_square_required(self):
-        with pytest.raises(ModelError):
-            DenseSystem(np.zeros((3, 4)), np.zeros(3))
-
-    def test_rhs_length_checked(self):
-        with pytest.raises(ModelError):
-            DenseSystem(np.eye(3), np.zeros(4))
 
 
 @pytest.fixture(scope="module")
@@ -171,21 +165,20 @@ def cube_system():
 
 class TestCubeAssembly:
     def test_rigid_translation_rows_vanish(self, cube_system):
-        model, colloc, system = cube_system
+        model, colloc, (matrix, _) = cube_system
         n = len(colloc)
         for direction in range(3):
             const = np.zeros(3 * n)
             const[direction::3] = 1.0
-            assert np.abs(system.matrix @ const).max() < 1e-10
+            assert np.abs(matrix @ const).max() < 1e-10
 
     def test_face_center_free_term_is_half(self, cube_system):
         model, colloc, _ = cube_system
-        partial, _ = _engine(model, colloc)
-        matrix = free_term_rigid_body(partial)
-        for node in colloc.nodes:
-            if len(node.aliases) == 1:
-                closure = -partial.row_sums[node.index]
-                assert_allclose(closure, 0.5 * np.eye(3), atol=1e-5)
+        t_blocks, row_sums, node_values, _ = _engine(model, colloc)
+        matrix = free_term_rigid_body(t_blocks, row_sums, node_values)
+        for n in range(len(colloc)):
+            if alias_count(colloc, n) == 1:
+                assert_allclose(-row_sums[n], 0.5 * np.eye(3), atol=1e-5)
                 break
         else:
             pytest.fail("no face-interior node found")
@@ -193,20 +186,19 @@ class TestCubeAssembly:
 
     def test_corner_free_term_differs_from_half(self, cube_system):
         model, colloc, _ = cube_system
-        partial, _ = _engine(model, colloc)
+        _, row_sums, _, _ = _engine(model, colloc)
         corner = next(
-            n for n in colloc.nodes
-            if len(n.aliases) == 3
-            and np.allclose(np.abs(n.position - 0.5), 0.5)
+            n for n in range(len(colloc))
+            if alias_count(colloc, n) == 3
+            and np.allclose(np.abs(colloc.positions[n] - 0.5), 0.5)
         )
-        closure = -partial.row_sums[corner.index]
-        assert np.abs(closure - 0.5 * np.eye(3)).max() > 0.05
+        assert np.abs(-row_sums[corner] - 0.5 * np.eye(3)).max() > 0.05
 
     def test_assembly_is_deterministic(self, cube_system):
-        model, colloc, system = cube_system
-        again = assemble(model, colloc)
-        assert np.array_equal(system.matrix, again.matrix)
-        assert np.array_equal(system.rhs, again.rhs)
+        model, colloc, (matrix, rhs) = cube_system
+        again_matrix, again_rhs = assemble(model, colloc)
+        assert np.array_equal(matrix, again_matrix)
+        assert np.array_equal(rhs, again_rhs)
 
 
 def test_open_model_refuses_closure():
@@ -216,7 +208,7 @@ def test_open_model_refuses_closure():
 
 def test_zero_stress_gives_zero_rhs():
     model = build_cube_model(order=2, load=LoadState(np.zeros(6)))
-    assert_allclose(assemble(model).rhs, 0.0, atol=0)
+    assert_allclose(assemble(model)[1], 0.0, atol=0)
 
 
 def test_identity_trim_leaves_system_unchanged():
@@ -226,10 +218,10 @@ def test_identity_trim_leaves_system_unchanged():
     trimmed = BoundaryModel(
         tuple(faces), plain.field_pairs, plain.material, load=plain.load,
     )
-    ref = assemble(plain)
-    alt = assemble(trimmed)
-    assert np.abs(ref.matrix - alt.matrix).max() < 1e-10
-    assert np.abs(ref.rhs - alt.rhs).max() < 1e-10
+    ref_matrix, ref_rhs = assemble(plain)
+    alt_matrix, alt_rhs = assemble(trimmed)
+    assert np.abs(ref_matrix - alt_matrix).max() < 1e-10
+    assert np.abs(ref_rhs - alt_rhs).max() < 1e-10
 
 
 def test_exterior_closure_maps_constants_to_themselves():
@@ -240,12 +232,11 @@ def test_exterior_closure_maps_constants_to_themselves():
     model = BoundaryModel(
         flipped, plain.field_pairs, Material(1000.0, 0.25), exterior=True,
     )
-    system = assemble(model)
-    n = system.n_dof // 3
+    matrix, _ = assemble(model)
     for direction in range(3):
-        const = np.zeros(3 * n)
+        const = np.zeros(len(matrix))
         const[direction::3] = 1.0
-        assert_allclose(system.matrix @ const, const, atol=1e-12)
+        assert_allclose(matrix @ const, const, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -274,16 +265,16 @@ class TestOctantAssembly:
         that only patch 0 holds get no other patch's integral and no
         free-term closure.
         """
-        model, colloc, system = octant_system
+        model, colloc, (matrix, _) = octant_system
         k = 0
         patch, pair = model.patches[k], model.field_pairs[k]
-        grid = colloc.dof_map.grids[k].ravel()
+        grid = colloc.grids[k].ravel()
         others = np.concatenate(
-            [g.ravel() for j, g in enumerate(colloc.dof_map.grids) if j != k]
+            [g.ravel() for j, g in enumerate(colloc.grids) if j != k]
         )
         columns = [f for f, c in enumerate(grid) if c not in others]
-        rows = [n.index for n in colloc.nodes
-                if {pk for pk, _ in n.aliases} == {2}]
+        rows = [n for n in range(len(colloc))
+                if [j for j, g in enumerate(colloc.grids) if n in g] == [2]]
         assert len(columns) == 5 and len(rows) == 4
 
         regions = region_partition(pair.space_u, pair.space_v)
@@ -296,7 +287,7 @@ class TestOctantAssembly:
         )
         rule = gauss_rule(model.config.gauss_order)
         for n in rows:
-            source = colloc.nodes[n].position
+            source = colloc.positions[n]
             expected = np.zeros((len(grid), 3, 3))
             for mirror in symmetry_group(model.symmetry_planes):
                 gap = np.linalg.norm(dense @ mirror.T - source, axis=1).min()
@@ -313,14 +304,14 @@ class TestOctantAssembly:
                         pair.values(params),
                     ) @ mirror
             got = np.array([
-                system.matrix[3 * n:3 * n + 3, 3 * c:3 * c + 3]
+                matrix[3 * n:3 * n + 3, 3 * c:3 * c + 3]
                 for c in grid[columns]
             ])
             scale = np.abs(expected[columns]).max()
             assert np.abs(got - expected[columns]).max() <= 1e-12 * scale
 
     def test_assembly_is_deterministic(self, octant_system):
-        model, colloc, system = octant_system
-        again = assemble(model, colloc)
-        assert np.array_equal(system.matrix, again.matrix)
-        assert np.array_equal(system.rhs, again.rhs)
+        model, colloc, (matrix, rhs) = octant_system
+        again_matrix, again_rhs = assemble(model, colloc)
+        assert np.array_equal(matrix, again_matrix)
+        assert np.array_equal(rhs, again_rhs)

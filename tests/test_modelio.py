@@ -459,9 +459,9 @@ def _reference_trace(model, solution, request):
 def _reference_coefficients(solution):
     coeffs = solution.coefficients.reshape(-1, 3)
     lines = ["node,x,y,z,ux,uy,uz"]
-    for index, node in enumerate(solution.colloc.nodes):
+    for index, position in enumerate(solution.colloc.positions):
         cells = [str(index)]
-        cells += [repr(float(c)) for c in node.position]
+        cells += [repr(float(c)) for c in position]
         cells += [repr(float(c)) for c in coeffs[index]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

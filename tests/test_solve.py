@@ -1,10 +1,16 @@
 """Linear solve, rigid-mode handling, evaluation, refinement driver."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gibem.assembly import DenseSystem, collocation_points
-from gibem.errors import ModelError, SingularMatrixError
+from gibem.assembly import assemble, collocation_points
+from gibem.errors import (
+    ModelError,
+    ParameterDomainError,
+    SingularMatrixError,
+)
 from gibem.kernels import Material
 from gibem.model import (
     BoundaryModel,
@@ -22,9 +28,9 @@ from gibem.solve import (
     pin_rigid_motion,
     refinement_study,
     remove_rigid_motion,
+    rigid_modes,
     solve,
     solve_model,
-    surviving_rigid_modes,
 )
 
 UNIAXIAL_SCALE = 1e-3  # z displacement of the unit cube at sigma_z/E = 1/1000
@@ -47,68 +53,76 @@ def patch_test_error(model):
 class TestLinearSolve:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0])
-        coeffs, residual = solve(DenseSystem(np.eye(3), rhs))
+        coeffs, residual = solve(np.eye(3), rhs)
         assert_allclose(coeffs, rhs)
         assert residual < 1e-15
 
     def test_diagonal_two_by_two(self):
-        system = DenseSystem(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        coeffs, _ = solve(system)
+        coeffs, _ = solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
         assert_allclose(coeffs, [1.0, 2.0])
 
     def test_residual_on_random_system(self):
         rng = np.random.default_rng(11)
         matrix = rng.standard_normal((50, 50)) + 10.0 * np.eye(50)
         rhs = rng.standard_normal(50)
-        coeffs, residual = solve(DenseSystem(matrix, rhs))
+        coeffs, residual = solve(matrix, rhs)
         assert residual < 1e-12
         assert_allclose(matrix @ coeffs, rhs, atol=1e-10)
 
     def test_singular_matrix_raises_with_pivot(self):
         matrix = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError) as info:
-            solve(DenseSystem(matrix, np.ones(2)))
+            solve(matrix, np.ones(2))
         assert info.value.pivot_index == 1
 
     def test_non_finite_rejected(self):
         matrix = np.eye(2)
         matrix[0, 1] = np.inf
         with pytest.raises(ModelError):
-            solve(DenseSystem(matrix, np.ones(2)))
+            solve(matrix, np.ones(2))
+
+    def test_square_required(self):
+        with pytest.raises(ModelError):
+            solve(np.zeros((3, 4)), np.zeros(3))
+
+    def test_rhs_length_checked(self):
+        with pytest.raises(ModelError):
+            solve(np.eye(3), np.zeros(4))
 
 
 class TestRigidModes:
+    pts = np.array([[1.0, 2.0, 3.0], [-0.5, 0.25, 2.0]])
+
     def test_free_body_has_six(self):
-        assert len(surviving_rigid_modes(())) == 6
+        modes = rigid_modes(self.pts)
+        assert modes.shape == (6, 6)
+        # three unit translations, then the rotations e_a x p
+        assert_allclose(modes[:, :3], np.tile(np.eye(3), (2, 1)))
+        assert_allclose(modes[:3, 3:], [[0, 3, -2], [-3, 0, 1], [2, -1, 0]])
 
     def test_one_plane_keeps_three(self):
         # reflection across xy keeps in-plane translations and the rotation
         # about the plane normal
-        modes = surviving_rigid_modes(("xy",))
-        assert len(modes) == 3
-        pts = np.array([[1.0, 2.0, 3.0]])
-        fields = np.array([mode(pts)[0] for mode in modes])
-        assert_allclose(
-            sorted(map(tuple, fields)),
-            sorted(map(tuple, [[1, 0, 0], [0, 1, 0], [-2.0, 1.0, 0.0]])),
-        )
+        modes = rigid_modes(self.pts, ("xy",))
+        assert modes.shape == (6, 3)
+        assert_allclose(modes[:3].T, [[1, 0, 0], [0, 1, 0], [-2.0, 1.0, 0.0]])
+
+    def test_two_planes_keep_one_translation(self):
+        modes = rigid_modes(self.pts, ("xy", "yz"))
+        assert_allclose(modes.T, [[0.0, 1.0, 0.0] * 2])
 
     def test_full_symmetry_kills_all(self):
-        assert surviving_rigid_modes(("xy", "xz", "yz")) == []
+        assert rigid_modes(self.pts, ("xy", "xz", "yz")).shape == (6, 0)
 
     def test_pinning_makes_cube_solvable(self):
-        from gibem.assembly import assemble
-
         model = build_cube_model(order=2)
         colloc = collocation_points(model)
-        system = assemble(model, colloc)
-        matrix, rhs, rows = pin_rigid_motion(system.matrix, system.rhs,
-                                             colloc)
+        matrix, rhs, rows = pin_rigid_motion(*assemble(model, colloc), colloc)
         assert len(rows) == 6
         for r in rows:
             assert matrix[r, r] == 1.0
             assert np.count_nonzero(matrix[r]) == 1
-        coeffs, residual = solve(DenseSystem(matrix, rhs))
+        coeffs, residual = solve(matrix, rhs)
         assert residual < 1e-10
         assert np.all(np.isfinite(coeffs))
 
@@ -125,10 +139,19 @@ class TestRigidModes:
         model = build_cube_model(order=2)
         colloc = collocation_points(model)
         rng = np.random.default_rng(3)
-        coeffs = rng.standard_normal(colloc.dof_map.n_dof)
+        coeffs = rng.standard_normal(3 * len(colloc))
         once = remove_rigid_motion(colloc, coeffs)
         twice = remove_rigid_motion(colloc, once)
         assert_allclose(twice, once, atol=1e-12)
+
+    @pytest.mark.parametrize("planes", [(), ("xy",), ("xz", "yz")])
+    def test_removal_needs_only_positions(self, planes):
+        model = build_trimmed_cube_model(order=2)
+        colloc = collocation_points(model)
+        coeffs = np.random.default_rng(5).standard_normal(3 * len(colloc))
+        plain = SimpleNamespace(positions=colloc.positions.copy())
+        assert np.array_equal(remove_rigid_motion(plain, coeffs, planes),
+                              remove_rigid_motion(colloc, coeffs, planes))
 
 
 class TestPatchTest:
@@ -157,11 +180,17 @@ class TestPatchTest:
         assert sol.residual < 1e-10
 
 
+@pytest.fixture(scope="module")
+def cube_solution():
+    model = build_cube_model(order=2)
+    return model, solve_model(model)
+
+
 class TestEvaluate:
     def test_constant_coefficients(self):
         model = build_cube_model(order=2)
         sol = solve_model(model)
-        const = np.tile([0.3, -0.1, 0.7], len(sol.colloc.nodes))
+        const = np.tile([0.3, -0.1, 0.7], len(sol.colloc))
         forged = type(sol)(const, sol.colloc, sol.field_orders, 0.0)
         for patch in range(6):
             u = evaluate_displacement(model, forged, patch, 0.37, 0.81)
@@ -173,11 +202,11 @@ class TestEvaluate:
         model = build_cube_model(order=3)
         colloc = collocation_points(model)
         rng = np.random.default_rng(19)
-        coeffs = rng.standard_normal(colloc.dof_map.n_dof)
+        coeffs = rng.standard_normal(3 * len(colloc))
         sol_cls = solve_model(build_cube_model(order=2)).__class__
         sol = sol_cls(coeffs, colloc, ((3, 3),) * 6, 0.0)
         pair = model.field_pairs[2]
-        grid = colloc.dof_map.grids[2]
+        grid = colloc.grids[2]
         u, v = 0.42, 0.17
         bu = bspline_basis_many(pair.space_u, [u])[0]
         bv = bspline_basis_many(pair.space_v, [v])[0]
@@ -194,6 +223,34 @@ class TestEvaluate:
         sol = solve_model(model)
         with pytest.raises(ModelError):
             evaluate_displacement(model, sol, 6, 0.5, 0.5)
+
+    @pytest.mark.parametrize("params", [
+        [[0.5, 0.5, 9.0]],  # a third column used to be dropped
+        [0.5],
+        [0.5, 0.5],
+        [[[0.5, 0.5]]],
+    ], ids=["three-columns", "one-value", "flat-pair", "three-dims"])
+    def test_params_must_be_m_by_2(self, cube_solution, params):
+        model, sol = cube_solution
+        with pytest.raises(ModelError, match=r"\(m, 2\)"):
+            evaluate_displacement_many(model, sol, 1, params)
+
+    @pytest.mark.parametrize("index", [1.0, "1", None],
+                             ids=["float", "str", "none"])
+    def test_patch_index_must_be_an_integer(self, cube_solution, index):
+        model, sol = cube_solution
+        with pytest.raises(ModelError, match="integer"):
+            evaluate_displacement_many(model, sol, index, [[0.5, 0.5]])
+        assert_allclose(
+            evaluate_displacement_many(model, sol, np.int64(1), [[0.5, 0.5]]),
+            evaluate_displacement_many(model, sol, 1, [[0.5, 0.5]]),
+            rtol=0.0, atol=0.0,
+        )
+
+    def test_nan_parameter_is_a_domain_error(self, cube_solution):
+        model, sol = cube_solution
+        with pytest.raises(ParameterDomainError):
+            evaluate_displacement(model, sol, 1, np.nan, 0.5)
 
 
 @pytest.fixture(scope="module", params=["cube", "trimmed"])

@@ -82,6 +82,15 @@ def test_domain_violation_raises():
         basis_at(space, -0.2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_raises(bad):
+    space = unit_interval_space(2)
+    with pytest.raises(ParameterDomainError):
+        bspline_basis_many(space, [0.5, bad])
+    with pytest.raises(ParameterDomainError):
+        bspline_basis_derivs_many(space, [bad], 1)
+
+
 def test_tiny_roundoff_overshoot_is_clipped():
     space = unit_interval_space(3)
     vals = basis_at(space, 1.0 + 1e-15)
