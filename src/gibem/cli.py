@@ -29,6 +29,7 @@ from .modelio import (
     check_trace_request,
     parse_model,
     parse_trace_selector,
+    write_coefficients,
     write_trace,
     write_vtk,
 )
@@ -116,15 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_coefficients(solution, path: Path):
-    positions = solution.colloc.positions.tolist()
-    coeffs = solution.coefficients.reshape(-1, 3).tolist()
-    lines = ["node,x,y,z,ux,uy,uz"]
-    lines += ["%d,%r,%r,%r,%r,%r,%r" % (index, *pos, *u)
-              for index, (pos, u) in enumerate(zip(positions, coeffs))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _cmd_solve(args) -> int:
     if not float("-inf") < args.scale < float("inf"):
         raise ModelError(f"--scale must be finite, got {args.scale!r}")
@@ -159,7 +151,7 @@ def _cmd_solve(args) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    _write_coefficients(solution, out / "coefficients.csv")
+    write_coefficients(solution, out / "coefficients.csv")
     report = {
         "model": str(args.model),
         "patches": model.n_patches,

@@ -8,8 +8,10 @@ through ``repr`` round-trip formatting on both legs.
 
 Traces sample the solved displacement along a patch edge (or a trimming
 curve, which is the same thing in the rebuilt parameter square) and land in
-a small CSV.  Surface export writes a legacy ASCII VTK unstructured grid of
-quad cells, optionally warped by a multiple of the displacement field.
+a small CSV, as do the nodal coefficients.  Surface export writes a legacy
+ASCII VTK unstructured grid of quad cells, optionally warped by a multiple
+of the displacement field; all values are evaluated first, then written
+patch by patch.
 """
 
 import importlib.resources
@@ -32,7 +34,6 @@ log = logging.getLogger("gibem.modelio")
 
 _DEFAULT_FIELD_ORDERS = (2, 2)
 
-_VTK_HEADER = "# vtk DataFile Version 3.0"
 _VTK_QUAD = 9
 
 
@@ -354,13 +355,28 @@ def trace_table(model, solution, request: TraceRequest):
     return arc, positions, values
 
 
+def _float_rows(table, sep):
+    """A 2-D float table as text: each value's ``repr``, joined by ``sep``
+    within a row and by newlines between rows (none after the last)."""
+    tokens = map(repr, table.ravel().tolist())
+    return "\n".join(map(sep.join, zip(*[tokens] * table.shape[1])))
+
+
+def write_coefficients(solution, path):
+    """Write the nodal coefficients as CSV: node, x, y, z, ux, uy, uz."""
+    table = np.column_stack([solution.colloc.positions,
+                             solution.coefficients.reshape(-1, 3)])
+    rows = _float_rows(table, ",").split("\n")
+    text = "".join(map("{},{}\n".format, range(len(rows)), rows))
+    Path(path).write_text("node,x,y,z,ux,uy,uz\n" + text, encoding="utf-8")
+
+
 def write_trace(model, solution, request: TraceRequest, path):
     """Write one trace as CSV: arc_length, x, y, z, component."""
     arc, positions, values = trace_table(model, solution, request)
-    table = np.column_stack([arc, positions, values]).tolist()
-    lines = [f"arc_length,x,y,z,{request.component}"]
-    lines += ["%r,%r,%r,%r,%r" % tuple(row) for row in table]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = _float_rows(np.column_stack([arc, positions, values]), ",")
+    Path(path).write_text(f"arc_length,x,y,z,{request.component}\n{rows}\n",
+                          encoding="utf-8")
     log.info("wrote trace %s (%d samples)", path, request.samples)
 
 
@@ -370,42 +386,34 @@ def write_vtk(model, solution, path, scale: float = 0.0):
     Each patch contributes a k-by-k point grid, k = ``viz_samples`` of the
     model's config, and (k-1)^2 quad cells; the displacement field rides
     along as point data.  ``scale`` warps the geometry by that multiple of
-    the displacement (0 leaves it undeformed).
+    the displacement (0 leaves it undeformed).  Every patch's values are
+    evaluated before the file is opened, so a failed evaluation leaves no
+    file; the rows are then formatted and written patch by patch.
     """
     k = model.config.viz_samples
     ts = np.linspace(0.0, 1.0, k)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
     params = np.column_stack([uu.ravel(), vv.ravel()])
-
-    points = []
-    vectors = []
-    for index, patch in enumerate(model.patches):
-        pos = patch.points_at(params)
-        disp = evaluate_displacement_many(model, solution, index, params)
-        points.append(pos + scale * disp)
-        vectors.append(disp)
-    points = np.vstack(points)
-    vectors = np.vstack(vectors)
+    vectors = [evaluate_displacement_many(model, solution, index, params)
+               for index in range(model.n_patches)]
+    points = [patch.points_at(params) + scale * disp
+              for patch, disp in zip(model.patches, vectors)]
+    n_points, n_cells = k * k * model.n_patches, (k - 1) ** 2 * model.n_patches
     # quad (a, a + k, a + k + 1, a + 1) at every grid point a = i * k + j
-    # with i, j < k - 1, patch after patch
-    first = np.arange(k * k).reshape(k, k)[:-1, :-1].ravel()
-    first = (first + k * k * np.arange(model.n_patches)[:, None]).ravel()
-    cells = (first[:, None] + [0, k, k + 1, 1]).tolist()
+    # with i, j < k - 1; each patch adds k * k to every id
+    quads = np.arange(k * k).reshape(k, k)[:-1, :-1].reshape(-1, 1) + \
+        [0, k, k + 1, 1]
 
-    lines = [
-        _VTK_HEADER,
-        "gibem boundary surface",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(points)} double",
-    ]
-    lines += ["%r %r %r" % tuple(row) for row in points.tolist()]
-    lines.append(f"CELLS {len(cells)} {5 * len(cells)}")
-    lines += ["4 %d %d %d %d" % tuple(quad) for quad in cells]
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines += [str(_VTK_QUAD)] * len(cells)
-    lines.append(f"POINT_DATA {len(points)}")
-    lines.append("VECTORS displacement double")
-    lines += ["%r %r %r" % tuple(row) for row in vectors.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    log.info("wrote VTK surface %s (%d points)", path, len(points))
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("# vtk DataFile Version 3.0\ngibem boundary surface\nASCII\n"
+                  f"DATASET UNSTRUCTURED_GRID\nPOINTS {n_points} double\n")
+        out.writelines(_float_rows(block, " ") + "\n" for block in points)
+        out.write(f"CELLS {n_cells} {5 * n_cells}\n")
+        out.writelines(
+            "".join(map("4 {} {} {} {}\n".format, *(quads + first).T.tolist()))
+            for first in range(0, n_points, k * k)
+        )
+        out.write(f"CELL_TYPES {n_cells}\n" + f"{_VTK_QUAD}\n" * n_cells +
+                  f"POINT_DATA {n_points}\nVECTORS displacement double\n")
+        out.writelines(_float_rows(block, " ") + "\n" for block in vectors)
+    log.info("wrote VTK surface %s (%d points)", path, n_points)

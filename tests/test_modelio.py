@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gibem.cli import _write_coefficients
 from gibem.errors import ModelError, ModelFormatError
 from gibem.geometry import build_quarter_cylinder
 from gibem.model import (
@@ -25,8 +24,10 @@ from gibem.modelio import (
     model_from_dict,
     model_to_dict,
     parse_model,
+    _float_rows,
     parse_trace_selector,
     trace_table,
+    write_coefficients,
     write_model,
     write_trace,
     write_vtk,
@@ -415,7 +416,7 @@ class TestVtk:
         assert f"CELLS 6 {5 * 6}" in lines
 
 
-def _reference_vtk(model, solution, k):
+def _reference_vtk(model, solution, k, scale=0.0):
     """The VTK writer as one repr call per float and a loop per cell."""
     ts = np.linspace(0.0, 1.0, k)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
@@ -423,9 +424,10 @@ def _reference_vtk(model, solution, k):
     points, vectors, cells = [], [], []
     offset = 0
     for index, patch in enumerate(model.patches):
-        points.append(patch.points_at(params))
-        vectors.append(evaluate_displacement_many(model, solution, index,
-                                                  params))
+        disp = evaluate_displacement_many(model, solution, index, params)
+        pos = patch.points_at(params)
+        points.append(pos + scale * disp if scale else pos)
+        vectors.append(disp)
         for i in range(k - 1):
             for j in range(k - 1):
                 a = offset + i * k + j
@@ -488,6 +490,68 @@ class TestWrittenBytes:
     def test_coefficients(self, solved_trimmed, tmp_path):
         _, solution = solved_trimmed
         path = tmp_path / "coefficients.csv"
-        _write_coefficients(solution, path)
+        write_coefficients(solution, path)
         expected = _reference_coefficients(solution).encode("utf-8")
         assert path.read_bytes() == expected
+
+    def test_warped_vtk(self, solved_trimmed, tmp_path):
+        model, solution = solved_trimmed
+        path = tmp_path / "warped.vtk"
+        write_vtk(with_viz_samples(model, 7), solution, path, scale=50.0)
+        expected = _reference_vtk(model, solution, 7, scale=50.0)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_untrimmed_edge_trace(self, solved_trimmed, tmp_path):
+        model, solution = solved_trimmed
+        request = TraceRequest(3, "v0", "ux", 17)
+        path = tmp_path / "trace.csv"
+        write_trace(model, solution, request, path)
+        expected = _reference_trace(model, solution, request).encode("utf-8")
+        assert path.read_bytes() == expected
+
+
+class TestFloatRows:
+    VALUES = [-0.0, 0.0, 1e-05, 1e16, 1.5e+16, 5e-324,
+              1.7976931348623157e308, float("nan"), float("inf"),
+              float("-inf"), 0.1, -2.5, 1.0 / 3.0, 123456789.0, -7e-310]
+
+    @pytest.mark.parametrize("ncols", [1, 3, 5])
+    def test_matches_repr_per_float(self, ncols):
+        table = np.array(self.VALUES).reshape(-1, ncols)
+        expected = "\n".join(
+            ",".join(repr(float(c)) for c in row) for row in table
+        )
+        assert _float_rows(table, ",") == expected
+        assert _float_rows(table, " ") == expected.replace(",", " ")
+
+
+class TestNoPartialFiles:
+    """A failed evaluation leaves no file behind."""
+
+    @pytest.fixture
+    def failing_third_patch(self, monkeypatch):
+        import gibem.modelio
+
+        def evaluate(model, solution, patch_index, params):
+            if patch_index == 2:
+                raise ModelError("patch 2 cannot be evaluated")
+            return evaluate_displacement_many(model, solution, patch_index,
+                                              params)
+
+        monkeypatch.setattr(gibem.modelio, "evaluate_displacement_many",
+                            evaluate)
+
+    def test_vtk(self, solved_trimmed, failing_third_patch, tmp_path):
+        model, solution = solved_trimmed
+        path = tmp_path / "surface.vtk"
+        with pytest.raises(ModelError, match="cannot be evaluated"):
+            write_vtk(with_viz_samples(model, 5), solution, path)
+        assert not path.exists()
+
+    def test_trace(self, solved_trimmed, failing_third_patch, tmp_path):
+        model, solution = solved_trimmed
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ModelError, match="cannot be evaluated"):
+            write_trace(model, solution, TraceRequest(2, "trim_b", "mag", 9),
+                        path)
+        assert not path.exists()
