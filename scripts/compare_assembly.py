@@ -4,14 +4,18 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on eight models: the three
+``gibem.assembly.assemble(model, colloc)`` on nine models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
-order-3 trimmed cube split at 0.49, and an order-3 cube and an order-2
-trimmed cube split at 0.4, both rotated by Rz(0.3) Ry(0.7) Rx(1.1). The
-cubes carry a full-shear stress and no mirror planes. The rotated cubes
-have no axis-aligned normals or offsets, so every term of every kernel
-dot product is nonzero and a change in summation order shows. Only the
+order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
+trimmed cube split at 0.4, both rotated by Rz(0.3) Ry(0.7) Rx(1.1), and
+an order-3 cube whose top face bulges out. The cubes carry a full-shear
+stress and no mirror planes. The rotated cubes have no axis-aligned
+normals or offsets, so every term of every kernel dot product is nonzero
+and a change in summation order shows. The bulged top face is a rational
+biquadratic 3x3 net whose boundary rows lie on the straight cube edges and
+whose centre point sits at z = 1.3 with weight 0.8, so degree-2 basis
+derivatives reach the compared matrix; every other face is bilinear. Only the
 two public calls are used, so trees whose internals differ can be
 compared; the script reads both the ``(matrix, rhs)`` tuple and
 ``colloc.grids`` and the older form, a system object with ``matrix`` and
@@ -42,7 +46,8 @@ import numpy as np
 out, seed, perfbench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 sys.path.insert(0, perfbench)
 from workloads import WORKLOADS, build_model, draw_stress
-from gibem import LoadState, Material, build_cube_model, build_trimmed_cube_model
+from gibem import (LoadState, Material, NurbsPatch, build_cube_model,
+                   build_trimmed_cube_model, unit_interval_space)
 from gibem.assembly import assemble, collocation_points
 
 models = {name: build_model(w, seed) for name, w in WORKLOADS.items()}
@@ -74,6 +79,16 @@ for name, model in [("rotated-cube-order3", build_cube_model(3, material, load))
                      build_trimmed_cube_model(2, 0.4, material, load))]:
     models[name] = dataclasses.replace(
         model, patches=tuple(rotated(p, rot) for p in model.patches))
+
+# the top face (patch 1, the map (u, v) -> (u, v, 1)) bulges out of the cube
+net = np.array([[[i / 2, j / 2, 1.0] for j in range(3)] for i in range(3)])
+net[1, 1, 2] = 1.3
+weights = np.ones((3, 3))
+weights[1, 1] = 0.8
+cube = build_cube_model(3, material, load)
+bulged = NurbsPatch(unit_interval_space(2), unit_interval_space(2), net, weights)
+models["bulged-cube-order3"] = dataclasses.replace(
+    cube, patches=(cube.patches[0], bulged) + cube.patches[2:])
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)

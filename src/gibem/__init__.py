@@ -4,7 +4,6 @@ can be refined independently of the geometry."""
 
 from .splines import (
     BasisSpace,
-    KnotVector,
     greville_abscissae,
     unit_interval_space,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "BasisSpace",
     "BoundaryModel",
     "FieldSpacePair",
-    "KnotVector",
     "LoadState",
     "Material",
     "NurbsPatch",

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DegenerateTrimError, GeometryError, SingularFrameError
 from .splines import (
     BasisSpace,
-    KnotVector,
     bspline_basis_derivs_many,
     bspline_basis_many,
     bspline_curve_derivs,
@@ -105,8 +104,8 @@ class NurbsPatch:
 
     def frames_at(self, params: np.ndarray) -> FrameBatch:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
-        du = bspline_basis_derivs_many(self.space_u, params[:, 0], 1)
-        dv = bspline_basis_derivs_many(self.space_v, params[:, 1], 1)
+        du = bspline_basis_derivs_many(self.space_u, params[:, 0])
+        dv = bspline_basis_derivs_many(self.space_v, params[:, 1])
         wx = self.weights[:, :, None] * self.control_points
         den = np.einsum("ma,mb,ab->m", du[:, 0], dv[:, 0], self.weights)
         den_u = np.einsum("ma,mb,ab->m", du[:, 1], dv[:, 0], self.weights)
@@ -161,19 +160,19 @@ class TrimmingCurve:
         np.clip(cps, 0.0, 1.0, out=cps)
         lo, hi = self.space.domain
         if (lo, hi) != (0.0, 1.0):
-            rescaled = (self.space.knots.values - lo) / (hi - lo)
-            space = BasisSpace(KnotVector(rescaled), self.space.degree)
+            rescaled = (self.space.knots - lo) / (hi - lo)
+            space = BasisSpace(rescaled, self.space.degree)
             object.__setattr__(self, "space", space)
         cps.setflags(write=False)
         object.__setattr__(self, "control_points", cps)
 
-    def evaluate(self, ts, max_order: int = 1) -> np.ndarray:
-        """Points and parameter derivatives, shape (len(ts), max_order+1, 2)."""
-        return bspline_curve_derivs(self.space, self.control_points, ts, max_order)
+    def evaluate(self, ts) -> np.ndarray:
+        """Points and first parameter derivatives, shape (len(ts), 2, 2)."""
+        return bspline_curve_derivs(self.space, self.control_points, ts)
 
     def reversed(self) -> "TrimmingCurve":
-        knots = 1.0 - self.space.knots.values[::-1]
-        space = BasisSpace(KnotVector(knots), self.space.degree)
+        knots = 1.0 - self.space.knots[::-1]
+        space = BasisSpace(knots, self.space.degree)
         return TrimmingCurve(space, self.control_points[::-1].copy())
 
 
@@ -186,8 +185,8 @@ def _plane_map(curve_a: TrimmingCurve, curve_b: TrimmingCurve,
     """
     s = params[:, 0]
     t = params[:, 1]
-    ca = curve_a.evaluate(t, 1)
-    cb = curve_b.evaluate(t, 1)
+    ca = curve_a.evaluate(t)
+    cb = curve_b.evaluate(t)
     pos = (1.0 - s)[:, None] * ca[:, 0] + s[:, None] * cb[:, 0]
     jac = np.empty((params.shape[0], 2, 2))
     jac[:, :, 0] = cb[:, 0] - ca[:, 0]
@@ -217,8 +216,8 @@ class TrimmedPatch:
     curve_b: TrimmingCurve
 
     def __post_init__(self):
-        a0, a1 = self.curve_a.evaluate([0.0, 1.0], 0)[:, 0]
-        b0, b1 = self.curve_b.evaluate([0.0, 1.0], 0)[:, 0]
+        a0, a1 = self.curve_a.evaluate([0.0, 1.0])[:, 0]
+        b0, b1 = self.curve_b.evaluate([0.0, 1.0])[:, 0]
         keep = np.linalg.norm(a0 - b0) + np.linalg.norm(a1 - b1)
         swap = np.linalg.norm(a0 - b1) + np.linalg.norm(a1 - b0)
         if swap < keep:

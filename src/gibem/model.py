@@ -82,7 +82,7 @@ class FieldSpacePair:
 
     def __post_init__(self):
         for name, space in (("u", self.space_u), ("v", self.space_v)):
-            knots = space.knots.values
+            knots = space.knots
             if knots[0] != 0.0 or knots[-1] != 1.0:
                 raise ModelError(
                     f"field space ({name}) must span [0, 1], got "
@@ -90,6 +90,16 @@ class FieldSpacePair:
                 )
             if space.degree < 1:
                 raise ModelError("field spaces need degree >= 1")
+            # more copies of a knot than the degree give two basis functions
+            # one Greville point; each end knot has one copy to spare
+            uniques, counts = space.breakpoints()
+            counts[[0, -1]] -= 1
+            if np.any(counts > space.degree):
+                knot = float(uniques[np.argmax(counts > space.degree)])
+                raise ModelError(
+                    f"field space ({name}) repeats knot {knot!r} more than "
+                    f"its degree {space.degree} allows"
+                )
 
     @classmethod
     def from_orders(cls, degree_u, degree_v=None, interior_u=(), interior_v=()):
@@ -200,11 +210,11 @@ class SolverConfig:
             raise ModelError(
                 f"singular_gauss_order out of range: {self.singular_gauss_order}"
             )
-        if self.quadtree_threshold <= 0:
+        if not self.quadtree_threshold > 0:
             raise ModelError("quadtree_threshold must be positive")
         if self.quadtree_max_depth < 0:
             raise ModelError("quadtree_max_depth must be non-negative")
-        if self.merge_tol is not None and self.merge_tol <= 0:
+        if self.merge_tol is not None and not self.merge_tol > 0:
             raise ModelError("merge_tol must be positive when given")
         if self.viz_samples < 2:
             raise ModelError("viz_samples must be at least 2")

@@ -28,7 +28,7 @@ from .geometry import NurbsPatch, TrimmedPatch, TrimmingCurve
 from .kernels import Material
 from .model import BoundaryModel, FieldSpacePair, LoadState, SolverConfig
 from .solve import evaluate_displacement_many
-from .splines import BasisSpace, KnotVector
+from .splines import BasisSpace
 
 log = logging.getLogger("gibem.modelio")
 
@@ -60,19 +60,14 @@ def _validate_document(raw):
 
 
 def _build_curve(data) -> TrimmingCurve:
-    space = BasisSpace(KnotVector(np.asarray(data["knots"], dtype=float)),
-                       int(data["degree"]))
+    space = BasisSpace(data["knots"], int(data["degree"]))
     return TrimmingCurve(space, np.asarray(data["control_points"], dtype=float))
 
 
 def _build_patch(data):
     degrees = data["degrees"]
-    space_u = BasisSpace(
-        KnotVector(np.asarray(data["knots_u"], dtype=float)), int(degrees[0])
-    )
-    space_v = BasisSpace(
-        KnotVector(np.asarray(data["knots_v"], dtype=float)), int(degrees[1])
-    )
+    space_u = BasisSpace(data["knots_u"], int(degrees[0]))
+    space_v = BasisSpace(data["knots_v"], int(degrees[1]))
     patch = NurbsPatch(
         space_u,
         space_v,
@@ -149,6 +144,10 @@ def model_from_dict(raw) -> BoundaryModel:
         raise ModelFormatError(str(exc)) from exc
 
 
+def _reject_constant(name):
+    raise ModelFormatError(f"non-finite number {name} is not allowed")
+
+
 def parse_model(path) -> BoundaryModel:
     """Read and validate a model file."""
     path = Path(path)
@@ -157,7 +156,7 @@ def parse_model(path) -> BoundaryModel:
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     model = model_from_dict(raw)
@@ -168,22 +167,22 @@ def parse_model(path) -> BoundaryModel:
 def _curve_to_dict(curve: TrimmingCurve):
     return {
         "degree": curve.space.degree,
-        "knots": curve.space.knots.values.tolist(),
+        "knots": curve.space.knots.tolist(),
         "control_points": curve.control_points.tolist(),
     }
 
 
 def _space_interior(space: BasisSpace):
     p = space.degree
-    return space.knots.values[p + 1:-(p + 1)].tolist()
+    return space.knots[p + 1:-(p + 1)].tolist()
 
 
 def _patch_to_dict(patch, pair: FieldSpacePair):
     base = patch.base if isinstance(patch, TrimmedPatch) else patch
     entry = {
         "degrees": [base.space_u.degree, base.space_v.degree],
-        "knots_u": base.space_u.knots.values.tolist(),
-        "knots_v": base.space_v.knots.values.tolist(),
+        "knots_u": base.space_u.knots.tolist(),
+        "knots_v": base.space_v.knots.tolist(),
         "control_points": base.control_points.tolist(),
         "weights": base.weights.tolist(),
         "flip_normal": base.flip_normal,

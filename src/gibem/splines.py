@@ -1,8 +1,9 @@
-"""B-spline basis machinery: evaluation, derivatives, Greville abscissae,
-degree-elevated spaces and B-spline curves.
+"""B-spline basis machinery: values, and first derivatives from the same
+recursion, Greville abscissae, degree-elevated spaces and B-spline curves.
 
-All knot vectors are open (clamped): the end knots repeat ``degree + 1``
-times.  Indexing is 0-based throughout.  Evaluation uses half-open knot
+A :class:`BasisSpace` holds its knots as a read-only array.  All knot
+vectors are open (clamped): the end knots repeat ``degree + 1`` times.
+Indexing is 0-based throughout.  Evaluation uses half-open knot
 spans, with the single special case at the right end of the domain where the
 limit from the left is returned, so the last basis function takes the value
 1 there.
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import ParameterDomainError, SplineError
 
 __all__ = [
-    "KnotVector",
     "BasisSpace",
     "unit_interval_space",
     "bspline_basis_many",
@@ -36,47 +36,29 @@ def _readonly(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class KnotVector:
-    """A non-decreasing sequence of parameter values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _readonly(np.atleast_1d(self.values))
-        if vals.ndim != 1:
-            raise SplineError("knot vector must be one-dimensional")
-        if vals.size < 2:
-            raise SplineError("knot vector needs at least two entries")
-        if np.any(np.diff(vals) < 0.0):
-            raise SplineError("knot values must be non-decreasing")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.values[0]), float(self.values[-1])
-
-
-@dataclass(frozen=True, eq=False)
 class BasisSpace:
     """An open (clamped) B-spline basis of a given degree.
 
-    The number of basis functions is ``len(knots) - degree - 1``.
+    ``knots`` is a read-only 1-D array; the number of basis functions is
+    ``len(knots) - degree - 1``.
     """
 
-    knots: KnotVector
+    knots: np.ndarray
     degree: int
 
     def __post_init__(self):
-        if not isinstance(self.knots, KnotVector):
-            object.__setattr__(self, "knots", KnotVector(self.knots))
+        kv = _readonly(np.atleast_1d(self.knots))
+        if kv.ndim != 1:
+            raise SplineError("knot vector must be one-dimensional")
+        if not np.all(np.isfinite(kv)):
+            raise SplineError("knot values must be finite")
+        if np.any(np.diff(kv) < 0.0):
+            raise SplineError("knot values must be non-decreasing")
+        object.__setattr__(self, "knots", kv)
         p = self.degree
         if not isinstance(p, (int, np.integer)) or p < 0:
             raise SplineError("degree must be a non-negative integer")
         object.__setattr__(self, "degree", int(p))
-        kv = self.knots.values
         n = kv.size - p - 1
         if n < p + 1:
             raise SplineError(
@@ -95,11 +77,11 @@ class BasisSpace:
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self.knots.domain
+        return float(self.knots[0]), float(self.knots[-1])
 
     def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct knot values and their multiplicities."""
-        kv = self.knots.values
+        kv = self.knots
         tol = _DOMAIN_RTOL * max(kv[-1] - kv[0], 1.0)
         uniques = [kv[0]]
         counts = [1]
@@ -119,7 +101,7 @@ def unit_interval_space(degree: int, interior=()) -> BasisSpace:
         np.asarray(sorted(interior), dtype=float),
         np.ones(degree + 1),
     ])
-    return BasisSpace(KnotVector(kv), degree)
+    return BasisSpace(kv, degree)
 
 
 def _prepare_params(space: BasisSpace, us) -> np.ndarray:
@@ -143,91 +125,46 @@ def _find_spans(knots: np.ndarray, degree: int, us: np.ndarray) -> np.ndarray:
 
 
 def _nonzero_basis(knots: np.ndarray, p: int, us: np.ndarray,
-                   spans: np.ndarray) -> np.ndarray:
-    """Values of the p + 1 basis functions supported on each span.
+                   spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the basis functions supported on each span, at degree p
+    and at the degree p - 1 that the last step starts from.
 
-    Returns an array of shape (len(us), p + 1); column r holds the value of
-    basis function ``span - p + r``.
+    Returns ``(lower, vals)``, shapes (len(us), p) and (len(us), p + 1);
+    column r holds basis function ``span - p + 1 + r``, resp. ``span - p + r``.
     """
     m = us.size
+    # two buffers take turns holding degree j - 1 and degree j
     vals = np.zeros((m, p + 1))
     vals[:, 0] = 1.0
+    lower = np.zeros((m, p + 1))
     left = np.zeros((m, p + 1))
     right = np.zeros((m, p + 1))
     for j in range(1, p + 1):
         left[:, j] = us - knots[spans + 1 - j]
         right[:, j] = knots[spans + j] - us
+        lower, vals = vals, lower
         saved = np.zeros(m)
         for r in range(j):
-            tmp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
+            tmp = lower[:, r] / (right[:, r + 1] + left[:, j - r])
             vals[:, r] = saved + right[:, r + 1] * tmp
             saved = left[:, j - r] * tmp
         vals[:, j] = saved
-    return vals
+    return lower[:, :p], vals
 
 
-def _nonzero_basis_derivs(knots: np.ndarray, p: int, us: np.ndarray,
-                          spans: np.ndarray, max_order: int) -> np.ndarray:
-    """Basis values and derivatives on each span, shape (m, max_order+1, p+1).
+def _scatter(tables, spans: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Expand per-span tables, each (m, p+1), to full basis rows.
 
-    Standard triangular-table recursion; derivative orders above the degree
-    come out as exact zeros.
+    Returns shape (m, len(tables), n); table k fills rows ``[:, k]``.
     """
-    m = us.size
-    ndu = np.zeros((m, p + 1, p + 1))
-    ndu[:, 0, 0] = 1.0
-    left = np.zeros((m, p + 1))
-    right = np.zeros((m, p + 1))
-    for j in range(1, p + 1):
-        left[:, j] = us - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - us
-        saved = np.zeros(m)
-        for r in range(j):
-            ndu[:, j, r] = right[:, r + 1] + left[:, j - r]
-            tmp = ndu[:, r, j - 1] / ndu[:, j, r]
-            ndu[:, r, j] = saved + right[:, r + 1] * tmp
-            saved = left[:, j - r] * tmp
-        ndu[:, j, j] = saved
-
-    ders = np.zeros((m, max_order + 1, p + 1))
-    ders[:, 0, :] = ndu[:, :, p]
-    n_eff = min(max_order, p)
-    a = np.zeros((m, 2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[:, :, :] = 0.0
-        a[:, 0, 0] = 1.0
-        for k in range(1, n_eff + 1):
-            d = np.zeros(m)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[:, s2, 0] = a[:, s1, 0] / ndu[:, pk + 1, rk]
-                d = a[:, s2, 0] * ndu[:, rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[:, s2, j] = (a[:, s1, j] - a[:, s1, j - 1]) / ndu[:, pk + 1, rk + j]
-                d = d + a[:, s2, j] * ndu[:, rk + j, pk]
-            if r <= pk:
-                a[:, s2, k] = -a[:, s1, k - 1] / ndu[:, pk + 1, r]
-                d = d + a[:, s2, k] * ndu[:, r, pk]
-            ders[:, k, r] = d
-            s1, s2 = s2, s1
-
-    factor = float(p)
-    for k in range(1, n_eff + 1):
-        ders[:, k, :] *= factor
-        factor *= p - k
-    return ders
-
-
-def _scatter(local: np.ndarray, spans: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Expand per-span values (m, p+1) to full basis rows (m, n)."""
     m = spans.size
-    out = np.zeros((m, n))
-    cols = spans[:, None] - p + np.arange(p + 1)[None, :]
-    out[np.arange(m)[:, None], cols] = local
+    out = np.zeros((m, len(tables), n))
+    flat = out.reshape(-1)
+    cols = (np.arange(m) * (len(tables) * n) + spans - p)[:, None] \
+        + np.arange(p + 1)
+    for table in tables:
+        flat[cols] = table
+        cols += n
     return out
 
 
@@ -238,31 +175,36 @@ def bspline_basis_many(space: BasisSpace, us) -> np.ndarray:
     1e-12 is forgiven and clipped).  Each row is non-negative and sums to 1.
     """
     us = _prepare_params(space, us)
-    kv = space.knots.values
+    kv = space.knots
     spans = _find_spans(kv, space.degree, us)
-    local = _nonzero_basis(kv, space.degree, us, spans)
-    return _scatter(local, spans, space.degree, space.n_basis)
+    _, local = _nonzero_basis(kv, space.degree, us, spans)
+    return _scatter([local], spans, space.degree, space.n_basis)[:, 0]
 
 
-def bspline_basis_derivs_many(space: BasisSpace, us, max_order: int) -> np.ndarray:
-    """Basis values and derivatives, shape (len(us), max_order + 1, n_basis).
+def bspline_basis_derivs_many(space: BasisSpace, us) -> np.ndarray:
+    """Basis values and first derivatives, shape (len(us), 2, n_basis).
 
-    Row 0 of the middle axis holds the values; row k the k-th derivative.
-    Orders above the degree are identically zero.
+    Row 0 of the middle axis holds the values, row 1 the derivatives.  These
+    come from the degree p - 1 values of the same recursion by de Boor's
+    formula N'_{i,p} = p (N_{i,p-1} / d_i - N_{i+1,p-1} / d_{i+1}), where
+    d_i = t_{i+p} - t_i is the support length of N_{i,p-1}.  At degree 0 the
+    derivatives are zero.
     """
-    if max_order < 0:
-        raise SplineError("max_order must be non-negative")
     us = _prepare_params(space, us)
-    kv = space.knots.values
-    spans = _find_spans(kv, space.degree, us)
-    local = _nonzero_basis_derivs(kv, space.degree, us, spans, max_order)
-    m = us.size
-    out = np.zeros((m, max_order + 1, space.n_basis))
-    cols = spans[:, None] - space.degree + np.arange(space.degree + 1)[None, :]
-    out[np.arange(m)[:, None, None],
-        np.arange(max_order + 1)[None, :, None],
-        cols[:, None, :]] = local
-    return out
+    kv, p = space.knots, space.degree
+    spans = _find_spans(kv, p, us)
+    lower, vals = _nonzero_basis(kv, p, us, spans)
+    # d for column r is t[span + r + 1] - t[span + r + 1 - p], summed from
+    # the same two differences as the last step's denominators
+    ends = spans[:, None] + np.arange(1, p + 1)
+    d = (kv[ends] - us[:, None]) + (us[:, None] - kv[ends - p])
+    quotients = (1.0 / d) * lower
+    # column r: p (quotients[r - 1] - quotients[r]), each missing term zero
+    ders = np.zeros_like(vals)
+    ders[:, 1:] = quotients
+    ders[:, :p] -= quotients
+    ders *= float(p)
+    return _scatter([vals, ders], spans, p, space.n_basis)
 
 
 def greville_abscissae(space: BasisSpace) -> np.ndarray:
@@ -275,19 +217,10 @@ def greville_abscissae(space: BasisSpace) -> np.ndarray:
     p = space.degree
     if p == 0:
         raise SplineError("Greville abscissae are not defined for degree 0")
-    kv = space.knots.values
+    kv = space.knots
     n = space.n_basis
     windows = np.lib.stride_tricks.sliding_window_view(kv[1:n + p], p)
     return _readonly(windows.mean(axis=1))
-
-
-def _coeff_array(space: BasisSpace, coefficients) -> np.ndarray:
-    coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.shape[0] != space.n_basis:
-        raise SplineError(
-            f"expected {space.n_basis} coefficient rows, got {coeffs.shape[0]}"
-        )
-    return coeffs
 
 
 def elevate_space(space: BasisSpace, new_degree: int) -> BasisSpace:
@@ -298,18 +231,19 @@ def elevate_space(space: BasisSpace, new_degree: int) -> BasisSpace:
         raise SplineError("new degree must exceed the current degree")
     uniques, counts = space.breakpoints()
     new_kv = np.repeat(uniques, counts + t)
-    return BasisSpace(KnotVector(new_kv), new_degree)
+    return BasisSpace(new_kv, new_degree)
 
 
-def bspline_curve_derivs(space: BasisSpace, control_points, ts,
-                         max_order: int = 1) -> np.ndarray:
-    """Curve point and parameter derivatives at each ``t``.
+def bspline_curve_derivs(space: BasisSpace, control_points, ts) -> np.ndarray:
+    """Curve points and first parameter derivatives at each ``t``.
 
-    Shape (len(ts), max_order + 1, point_dim); index 0 of the middle axis is
-    the curve point itself.
+    ``control_points`` has shape (n_basis, point_dim); the result has shape
+    (len(ts), 2, point_dim), with the curve points at index 0 of the middle
+    axis.
     """
-    controls = _coeff_array(space, control_points)
-    ders = bspline_basis_derivs_many(space, ts, max_order)
-    stacked = controls if controls.ndim > 1 else controls[:, None]
-    out = np.einsum("mkn,nd->mkd", ders, stacked)
-    return out if controls.ndim > 1 else out[..., 0]
+    controls = np.asarray(control_points, dtype=float)
+    if controls.shape[0] != space.n_basis:
+        raise SplineError(
+            f"expected {space.n_basis} coefficient rows, got {controls.shape[0]}"
+        )
+    return np.einsum("mkn,nd->mkd", bspline_basis_derivs_many(space, ts), controls)

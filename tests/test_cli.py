@@ -135,6 +135,23 @@ def test_non_finite_scale_fails_cleanly(cube_path, tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, text", [
+    ("field_interior_u", "[0.5, 0.5, 0.5]"),
+    ("weights", "[[1.0, NaN], [1.0, 1.0]]"),
+], ids=["repeated_field_knot", "nan_weight"])
+def test_bad_numbers_fail_as_model_format(cube_path, tmp_path, capsys, key,
+                                          text):
+    """Rejected while parsing, before any assembly starts."""
+    raw = json.loads(cube_path.read_text())
+    raw["patches"][1][key] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw).replace('"@"', text))
+    out = tmp_path / "run"
+    assert run_solve(bad, out) == 1
+    assert "gibem error MODEL_FORMAT:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_open_model_reports_unsupported(tmp_path, capsys):
     from gibem.geometry import build_quarter_cylinder
     from gibem.kernels import Material

@@ -17,7 +17,7 @@ from gibem.model import (
     reflection_matrix,
     symmetry_group,
 )
-from gibem.splines import BasisSpace, KnotVector
+from gibem.splines import BasisSpace, greville_abscissae
 
 
 class TestFieldSpacePair:
@@ -68,15 +68,27 @@ class TestFieldSpacePair:
             pair.elevated(2)
 
     def test_rejects_wrong_interval(self):
-        off = BasisSpace(KnotVector(np.array([0.0, 0, 1, 2, 2.0])), 1)
-        good = BasisSpace(KnotVector(np.array([0.0, 0, 1, 1.0])), 1)
+        off = BasisSpace(np.array([0.0, 0, 1, 2, 2.0]), 1)
+        good = BasisSpace(np.array([0.0, 0, 1, 1.0]), 1)
         with pytest.raises(ModelError, match="span"):
             FieldSpacePair(off, good)
 
     def test_rejects_degree_zero(self):
-        flat = BasisSpace(KnotVector(np.array([0.0, 0.5, 1.0])), 0)
+        flat = BasisSpace(np.array([0.0, 0.5, 1.0]), 0)
         with pytest.raises(ModelError, match="degree"):
             FieldSpacePair(flat, flat)
+
+    @pytest.mark.parametrize("interior", [[0.5, 0.5, 0.5], [0.0], [0.3, 1.0]])
+    def test_rejects_knot_repeated_above_degree(self, interior):
+        """Two basis functions would share a Greville point."""
+        with pytest.raises(ModelError, match="repeats knot"):
+            FieldSpacePair.from_orders(2, interior_v=interior)
+
+    def test_knot_repeated_degree_times_is_kept_by_elevation(self):
+        pair = FieldSpacePair.from_orders(2, interior_u=[0.5, 0.5])
+        assert np.all(np.diff(greville_abscissae(pair.space_u)) > 0)
+        up = pair.elevated(4)
+        assert list(up.space_u.knots).count(0.5) == 4
 
 
 class TestLoadState:
@@ -126,6 +138,11 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ModelError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["quadtree_threshold", "merge_tol"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ModelError, match=name):
+            SolverConfig(**{name: float("nan")})
 
 
 def test_reflection_matrices():

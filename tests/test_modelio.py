@@ -109,8 +109,8 @@ class TestRoundTrip:
         again = parse_model(path)
         assert again.field_pairs[0].n_u == pairs[0].n_u
         assert_allclose(
-            again.field_pairs[0].space_u.knots.values,
-            pairs[0].space_u.knots.values,
+            again.field_pairs[0].space_u.knots,
+            pairs[0].space_u.knots,
         )
 
     def test_quarter_cylinder_file_matches_fixture(self, tmp_path):
@@ -129,7 +129,7 @@ class TestRoundTrip:
             again.control_points, fixture.control_points, rtol=0.0, atol=0.0
         )
         assert_allclose(
-            again.space_u.knots.values, fixture.space_u.knots.values
+            again.space_u.knots, fixture.space_u.knots
         )
         params = np.array([[0.5, 0.5], [0.0, 1.0], [0.25, 0.75]])
         assert_allclose(
@@ -239,6 +239,36 @@ class TestParseErrors:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         with pytest.raises(ModelFormatError):
+            parse_model(bad)
+
+    def test_field_knot_repeated_above_degree(self, cube_case):
+        model, _ = cube_case
+        raw = model_to_dict(model)
+        raw["patches"][1]["field_interior_u"] = [0.5, 0.5, 0.5]
+        with pytest.raises(ModelFormatError, match="repeats knot 0.5") as info:
+            model_from_dict(raw)
+        assert info.value.location == "/patches/1"
+
+    @pytest.mark.parametrize("path, value", [
+        (("config", "merge_tol"), "NaN"),
+        (("config", "quadtree_threshold"), "NaN"),
+        (("patches", 0, "knots_u", 2), "Infinity"),
+        (("patches", 2, "weights", 0, 0), "NaN"),
+        (("patches", 4, "control_points", 1, 1, 0), "-Infinity"),
+        (("patches", 1, "field_interior_u"), "[NaN]"),
+    ], ids=["merge_tol", "quadtree_threshold", "knots", "weights",
+            "control_points", "field_interior_u"])
+    def test_non_finite_numbers_rejected(self, cube_case, tmp_path, path,
+                                         value):
+        _, good = cube_case
+        raw = reload_raw(good)
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw).replace('"@"', value))
+        with pytest.raises(ModelFormatError, match="non-finite number"):
             parse_model(bad)
 
     def test_garbage_text_rejected(self, tmp_path):
