@@ -81,8 +81,10 @@ class NurbsPatch:
             raise GeometryError(
                 f"weight grid must have shape {(a, b)}, got {wts.shape}"
             )
-        if np.any(wts <= 0.0):
-            raise GeometryError("weights must be strictly positive")
+        if not np.isfinite(cps).all():
+            raise GeometryError("control points must be finite")
+        if not (np.isfinite(wts) & (wts > 0.0)).all():
+            raise GeometryError("weights must be finite and strictly positive")
         cps.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "control_points", cps)
@@ -155,7 +157,7 @@ class TrimmingCurve:
                 f"trim curve expects {self.space.n_basis} control points, "
                 f"got {cps.shape[0]}"
             )
-        if np.any(cps < -1e-9) or np.any(cps > 1.0 + 1e-9):
+        if not np.all((cps >= -1e-9) & (cps <= 1.0 + 1e-9)):  # so NaN fails
             raise GeometryError("trim curve control points must lie in [0, 1]^2")
         np.clip(cps, 0.0, 1.0, out=cps)
         lo, hi = self.space.domain

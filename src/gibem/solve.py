@@ -1,20 +1,18 @@
 """Dense solve, rigid-mode handling, field evaluation, refinement driver.
 
-Pure Neumann interior problems carry a rigid-motion nullspace. The modes
-that survive the declared mirror symmetries are pinned at an automatically
-chosen, well-conditioned set of displacement components, and the reported
-coefficients are post-normalized by subtracting the best-fit surviving
-rigid motion. Exterior problems need neither step, the decay condition
-already removes the nullspace.
+The LU is written in numpy. Pure Neumann interior problems carry a
+rigid-motion nullspace. The modes that survive the declared mirror
+symmetries are pinned at the well-conditioned displacement components
+LAPACK's pivoted QR picks, and the reported coefficients are post-normalized
+by subtracting the best-fit surviving rigid motion. Exterior problems need
+neither step, the decay condition already removes the nullspace.
 """
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ModelError, SingularMatrixError
 from .assembly import assemble, collocation_points
@@ -59,20 +57,55 @@ def solve(matrix, rhs):
         )
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
         raise ModelError("system contains non-finite entries")
-    with warnings.catch_warnings():
-        # scipy warns on near-singular input; the pivot check below raises
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(matrix)
+    lu, perm = matrix.copy(), np.arange(len(matrix))
+    _lu_factor(lu, perm, 0, len(lu))
     diag = np.abs(np.diag(lu))
     scale = diag.max() if diag.size else 0.0
     bad = np.nonzero(diag <= 1e-14 * max(scale, 1.0))[0]
     if bad.size:
         raise SingularMatrixError(int(bad[0]))
-    coeffs = scipy.linalg.lu_solve((lu, piv), rhs)
+    coeffs = rhs[perm]
+    _triangular_solve(lu, coeffs, lower=True)
+    _triangular_solve(lu, coeffs, lower=False)
     denom = np.linalg.norm(rhs)
     residual = np.linalg.norm(matrix @ coeffs - rhs)
     residual = residual / denom if denom > 0 else residual
     return coeffs, float(residual)
+
+
+def _lu_factor(lu, perm, lo, hi):
+    """Partial-pivot LU of columns lo:hi of lu in place, swapping whole rows
+    of lu and entries of perm: over all columns, L @ U = input[perm]. As in
+    LAPACK getrf a pivot is the first entry of largest magnitude, and a zero
+    pivot is left unscaled, so a singular matrix still factors.
+    """
+    if hi - lo > 8:  # narrower blocks cost more in calls than BLAS saves
+        mid = (lo + hi) // 2
+        _lu_factor(lu, perm, lo, mid)
+        _triangular_solve(lu[lo:mid, lo:mid], lu[lo:mid, mid:hi], lower=True)
+        lu[mid:, mid:hi] -= lu[mid:, lo:mid] @ lu[lo:mid, mid:hi]
+        _lu_factor(lu, perm, mid, hi)
+        return
+    for j in range(lo, hi):
+        p = j + int(np.abs(lu[j:, j]).argmax())
+        if p != j:
+            lu[[j, p]] = lu[[p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        lu[j + 1:, j] /= lu[j, j] or 1.0  # a zero pivot has zeros below
+        lu[j + 1:, j + 1:hi] -= lu[j + 1:, j, None] * lu[j, j + 1:hi]
+
+
+def _triangular_solve(t, b, lower):
+    """b = T^-1 b in place, T the unit lower or the upper triangle of t."""
+    k = len(t)
+    if k <= 16:
+        tri = np.tril(t, -1) + np.eye(k) if lower else np.triu(t)
+        b[...] = np.linalg.solve(tri, b)
+        return
+    first, second = (slice(k // 2), slice(k // 2, k))[::1 if lower else -1]
+    _triangular_solve(t[first, first], b[first], lower)
+    b[second] -= t[second, first] @ b[first]
+    _triangular_solve(t[second, second], b[second], lower)
 
 
 def rigid_modes(positions, symmetry_planes=()):
@@ -102,13 +135,36 @@ def pin_rigid_motion(matrix, rhs, colloc, symmetry_planes=()):
 
     One row per surviving rigid mode is overwritten with an identity row.
     The rows are picked by column-pivoted QR on the mode value matrix so
-    the constrained mode combinations stay well conditioned.
+    the constrained mode combinations stay well conditioned. The QR copies
+    LAPACK dlaqp2, which geqp3 runs for these k <= 6 rows: symmetric models
+    have exact ties, and the rows chosen move the answer at the level of
+    the discretisation error, so ties must break as in geqp3.
     """
-    z = rigid_modes(colloc.positions, symmetry_planes)
-    if not z.shape[1]:
+    a = rigid_modes(colloc.positions, symmetry_planes).T
+    if not len(a):
         return matrix, rhs, ()
-    _, _, pivots = scipy.linalg.qr(z.T, pivoting=True)
-    rows = tuple(int(r) for r in pivots[: z.shape[1]])
+    cols = np.arange(a.shape[1])
+    vn1 = np.linalg.norm(a, axis=0)
+    vn2 = vn1.copy()
+    for i in range(min(a.shape)):
+        p = i + int(vn1[i:].argmax())
+        a[:, [i, p]] = a[:, [p, i]]
+        cols[[i, p]] = cols[[p, i]]
+        vn1[p], vn2[p] = vn1[i], vn2[i]
+        alpha, x = a[i, i], a[i + 1:, i]
+        xnorm = np.linalg.norm(x)
+        if xnorm != 0.0:  # one Householder step, dlarfg then dlarf
+            beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
+            v = np.concatenate([[1.0], x / (alpha - beta)])
+            rest = a[i:, i + 1:]
+            rest -= np.outer((beta - alpha) / beta * v, v @ rest)
+        # downdate the partial norms as in LAPACK Working Note 176
+        j = np.flatnonzero(vn1[i + 1:]) + i + 1
+        temp = np.maximum(1.0 - (np.abs(a[i, j]) / vn1[j]) ** 2, 0.0)
+        stale = j[temp * (vn1[j] / vn2[j]) ** 2 <= np.finfo(float).eps ** 0.5]
+        vn1[j] *= np.sqrt(temp)
+        vn1[stale] = vn2[stale] = np.linalg.norm(a[i + 1:, stale], axis=0)
+    rows = tuple(int(r) for r in cols[:len(a)])
     matrix = matrix.copy()
     rhs = rhs.copy()
     for r in rows:

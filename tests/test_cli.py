@@ -186,6 +186,15 @@ def test_identical_runs_write_identical_csv(cube_path, tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_import_loads_no_scipy():
+    code = ("import sys, gibem.cli; print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_log_level_env(monkeypatch):
     root = logging.getLogger()
     old_handlers = root.handlers[:]

@@ -51,6 +51,18 @@ class TestPatchValidation:
                 np.ones((2, 2)),
             )
 
+    @pytest.mark.parametrize("point, weight", [
+        (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0),
+    ], ids=["nan-weight", "inf-weight", "nan-point", "inf-point"])
+    def test_non_finite_net(self, point, weight):
+        points = np.zeros((2, 2, 3))
+        points[1, 0, 2] = point
+        weights = np.ones((2, 2))
+        weights[0, 1] = weight
+        with pytest.raises(GeometryError, match="finite"):
+            NurbsPatch(unit_interval_space(1), unit_interval_space(1),
+                       points, weights)
+
     def test_nonpositive_weight(self):
         with pytest.raises(GeometryError, match="weights"):
             NurbsPatch(
@@ -132,6 +144,11 @@ class TestTrimmingCurve:
     def test_control_points_outside_square(self):
         with pytest.raises(GeometryError, match="unit square|\\[0, 1\\]"):
             TrimmingCurve(unit_interval_space(1), np.array([[0.0, 0.0], [1.3, 1.0]]))
+
+    def test_nan_control_point(self):
+        with pytest.raises(GeometryError, match="\\[0, 1\\]"):
+            TrimmingCurve(unit_interval_space(1),
+                          np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
     def test_reversed_swaps_ends(self):
         curve = TrimmingCurve(unit_interval_space(2), np.array([[0.1, 0.0], [0.5, 0.4], [0.2, 1.0]]))

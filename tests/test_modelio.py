@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +249,16 @@ class TestParseErrors:
         with pytest.raises(ModelFormatError, match="repeats knot 0.5") as info:
             model_from_dict(raw)
         assert info.value.location == "/patches/1"
+
+    def test_nan_weight_in_decoded_dict(self):
+        # json.loads with parse_constant rejects NaN text; a dict built in
+        # Python reaches the patch check instead
+        shipped = Path(__file__).resolve().parents[1] / "models" / "cube.json"
+        raw = json.loads(shipped.read_text())
+        raw["patches"][2]["weights"][0][0] = float("nan")
+        with pytest.raises(ModelFormatError, match="finite") as info:
+            model_from_dict(raw)
+        assert info.value.location == "/patches/2"
 
     @pytest.mark.parametrize("path, value", [
         (("config", "merge_tol"), "NaN"),

@@ -1,8 +1,12 @@
 """Linear solve, rigid-mode handling, evaluation, refinement driver."""
+import itertools
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gibem.assembly import assemble, collocation_points
@@ -22,6 +26,7 @@ from gibem.model import (
     build_trimmed_cube_model,
 )
 from gibem.solve import (
+    _lu_factor,
     elevate_model_order,
     evaluate_displacement,
     evaluate_displacement_many,
@@ -75,6 +80,13 @@ class TestLinearSolve:
             solve(matrix, np.ones(2))
         assert info.value.pivot_index == 1
 
+    def test_tiny_nonzero_pivot_raises_with_pivot(self):
+        # the second pivot is -4.4e-16, not zero, and still below 1e-14 * 2
+        matrix = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-15]])
+        with pytest.raises(SingularMatrixError) as info:
+            solve(matrix, np.ones(2))
+        assert info.value.pivot_index == 1
+
     def test_non_finite_rejected(self):
         matrix = np.eye(2)
         matrix[0, 1] = np.inf
@@ -88,6 +100,65 @@ class TestLinearSolve:
     def test_rhs_length_checked(self):
         with pytest.raises(ModelError):
             solve(np.eye(3), np.zeros(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_lu_factor_pivots_as_lapack(n, seed):
+    matrix = np.random.default_rng(seed).standard_normal((n, n))
+    lu, perm = matrix.copy(), np.arange(n)
+    _lu_factor(lu, perm, 0, n)
+    lower = np.tril(lu, -1) + np.eye(n)
+    assert_allclose(lower @ np.triu(lu), matrix[perm], rtol=0.0,
+                    atol=1e-14 * n)
+    ref, swaps = scipy.linalg.lu_factor(matrix)
+    ref_perm = np.arange(n)
+    for i, p in enumerate(swaps):
+        ref_perm[[i, p]] = ref_perm[[p, i]]
+    assert np.array_equal(perm, ref_perm)
+    assert_allclose(np.abs(np.diag(lu)), np.abs(np.diag(ref)), rtol=1e-8)
+
+
+def octant_model(order, split):
+    """The trimmed cube's x, y, z = 1 faces with three mirror planes."""
+    cube = build_trimmed_cube_model(order, split)
+    keep = (1, 2, 3, 5)
+    return BoundaryModel(
+        tuple(cube.patches[k] for k in keep),
+        tuple(cube.field_pairs[k] for k in keep),
+        cube.material,
+        symmetry_planes=("xy", "xz", "yz"),
+    )
+
+
+PIN_MODELS = {
+    **{f"cube-{order}": partial(build_cube_model, order)
+       for order in (2, 3, 4, 5)},
+    **{f"trimmed-{split}-{order}": partial(build_trimmed_cube_model, order,
+                                           split)
+       for split in (0.36, 0.40, 0.45, 0.49, 0.50) for order in (2, 3, 4, 5)},
+    "octant-trim": partial(octant_model, 4, 0.4),
+}
+PLANE_SUBSETS = [planes for r in (1, 2)
+                 for planes in itertools.combinations(("xy", "xz", "yz"), r)]
+
+
+@pytest.mark.parametrize("build", PIN_MODELS.values(), ids=PIN_MODELS.keys())
+def test_pinned_rows_are_geqp3_pivots(build):
+    model = build()
+    colloc = collocation_points(model)
+    n = 3 * len(colloc)
+    checked = 0
+    for planes in [model.symmetry_planes, *PLANE_SUBSETS]:
+        modes = rigid_modes(colloc.positions, planes)
+        if not modes.shape[1]:
+            continue
+        _, _, rows = pin_rigid_motion(np.zeros((n, n)), np.zeros(n), colloc,
+                                      planes)
+        pivots = scipy.linalg.qr(modes.T, pivoting=True)[2]
+        assert rows == tuple(pivots[: modes.shape[1]]), planes
+        checked += 1
+    assert checked == 6 + (not model.symmetry_planes)
 
 
 class TestRigidModes:
