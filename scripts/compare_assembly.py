@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on nine models: the three
+``gibem.assembly.assemble(model, colloc)`` on ten models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -15,8 +15,13 @@ normals or offsets, so every term of every kernel dot product is nonzero
 and a change in summation order shows. The bulged top face is a rational
 biquadratic 3x3 net whose boundary rows lie on the straight cube edges and
 whose centre point sits at z = 1.3 with weight 0.8, so degree-2 basis
-derivatives reach the compared matrix; every other face is bilinear. Only the
-two public calls are used, so trees whose internals differ can be
+derivatives reach the compared matrix; every other face is bilinear. A
+tenth model, an order-3 cube, writes each flat face as a biquadratic patch
+with two knot spans per direction (knots 0, 0, 0, 0.5, 1, 1, 1, control
+points at the Greville abscissae 0, 0.25, 0.75, 1). The faces are the same
+flat squares, but surface evaluation reads the control net at span offsets
+other than 0, which no other model does. Only the two public calls are
+used, so trees whose internals differ can be
 compared; the script reads both the ``(matrix, rhs)`` tuple and
 ``colloc.grids`` and the older form, a system object with ``matrix`` and
 ``rhs`` and the grids on ``colloc.dof_map``. For every model the script
@@ -46,8 +51,9 @@ import numpy as np
 out, seed, perfbench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 sys.path.insert(0, perfbench)
 from workloads import WORKLOADS, build_model, draw_stress
-from gibem import (LoadState, Material, NurbsPatch, build_cube_model,
-                   build_trimmed_cube_model, unit_interval_space)
+from gibem import (BasisSpace, LoadState, Material, NurbsPatch,
+                   build_cube_model, build_trimmed_cube_model,
+                   unit_interval_space)
 from gibem.assembly import assemble, collocation_points
 
 models = {name: build_model(w, seed) for name, w in WORKLOADS.items()}
@@ -89,6 +95,15 @@ cube = build_cube_model(3, material, load)
 bulged = NurbsPatch(unit_interval_space(2), unit_interval_space(2), net, weights)
 models["bulged-cube-order3"] = dataclasses.replace(
     cube, patches=(cube.patches[0], bulged) + cube.patches[2:])
+
+# each flat face again, as a two-span biquadratic net on the Greville grid
+two_span = BasisSpace([0.0, 0, 0, 0.5, 1, 1, 1], 2)
+grev = np.array([0.0, 0.25, 0.75, 1.0])
+grid = np.stack(np.meshgrid(grev, grev, indexing="ij"), -1).reshape(-1, 2)
+models["two-span-cube-order3"] = dataclasses.replace(cube, patches=tuple(
+    NurbsPatch(two_span, two_span, p.points_at(grid).reshape(4, 4, 3),
+               np.ones((4, 4)), flip_normal=p.flip_normal)
+    for p in cube.patches))
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)

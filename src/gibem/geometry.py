@@ -1,5 +1,11 @@
 """NURBS surface patches and trimmed patches.
 
+A patch is evaluated span by span (Piegl & Tiller, *The NURBS Book*,
+algorithms A3.5 and A4.3): each parameter row gathers the (p+1)(q+1)
+homogeneous control points (w x, w) of its knot span and sums them in one
+fixed order, over v inside and then over u, so every row depends only on
+its own parameters and never on the batch it is evaluated in.
+
 A trimmed patch restricts a surface to the band between two curves drawn in
 the patch parameter plane.  The unit square (s, t) is mapped into the
 parameter plane by blending the two curves linearly in s, and the composite
@@ -15,11 +21,13 @@ import numpy as np
 from .errors import DegenerateTrimError, GeometryError, SingularFrameError
 from .splines import (
     BasisSpace,
-    bspline_basis_derivs_many,
-    bspline_basis_many,
     bspline_curve_derivs,
+    bspline_span_basis,
+    fixed_order_sum,
     unit_interval_space,
 )
+# the names ``perfbench/tracer.py`` wraps; nothing here calls them now
+from .splines import bspline_basis_derivs_many, bspline_basis_many  # noqa: F401
 
 __all__ = [
     "FrameBatch",
@@ -30,6 +38,9 @@ __all__ = [
 ]
 
 _PARALLEL_TOL = 1e-12
+# rows per span gather: gathering a 161 x 161 output grid at once doubles
+# the transient memory of an evaluation and raises the process's peak RSS
+_SPAN_BATCH = 4096
 # side of the parameter grid on which a trim map is checked at construction
 _TRIM_VALIDATION_SAMPLES = 17
 
@@ -87,37 +98,52 @@ class NurbsPatch:
             raise GeometryError("weights must be finite and strictly positive")
         cps.setflags(write=False)
         wts.setflags(write=False)
+        net = np.concatenate([wts[:, :, None] * cps, wts[:, :, None]], axis=2)
+        net.setflags(write=False)
         object.__setattr__(self, "control_points", cps)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "_net", net)
         object.__setattr__(self, "flip_normal", bool(self.flip_normal))
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         flat = self.control_points.reshape(-1, 3)
         return flat.min(axis=0), flat.max(axis=0)
 
+    def _span_sums(self, params: np.ndarray, derivs: bool):
+        """Homogeneous sums (m, 4) of each row's span: the point, then with
+        ``derivs`` its u and v derivatives."""
+        if len(params) > _SPAN_BATCH:
+            parts = [self._span_sums(params[i:i + _SPAN_BATCH], derivs)
+                     for i in range(0, len(params), _SPAN_BATCH)]
+            return [np.concatenate(column) for column in zip(*parts)]
+        first_u, tables_u = bspline_span_basis(self.space_u, params[:, 0], derivs)
+        first_v, tables_v = bspline_span_basis(self.space_v, params[:, 1], derivs)
+        n_v = self.space_v.n_basis
+        # near[i, b, a] is the net entry (first_u[i] + a, first_v[i] + b)
+        offsets = np.arange(tables_v[0].shape[1])[:, None] \
+            + n_v * np.arange(tables_u[0].shape[1])
+        near = self._net.reshape(-1, 4)[
+            (first_u * n_v + first_v)[:, None, None] + offsets
+        ]
+        along_v = [fixed_order_sum(table, near) for table in tables_v]
+        sums = [fixed_order_sum(tables_u[0], along_v[0])]
+        if derivs:
+            sums.append(fixed_order_sum(tables_u[1], along_v[0]))
+            sums.append(fixed_order_sum(tables_u[0], along_v[1]))
+        return sums
+
     def points_at(self, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
-        nu = bspline_basis_many(self.space_u, params[:, 0])
-        nv = bspline_basis_many(self.space_v, params[:, 1])
-        wgt = np.einsum("ma,mb,ab->m", nu, nv, self.weights)
-        num = np.einsum("ma,mb,abk->mk", nu, nv,
-                        self.weights[:, :, None] * self.control_points)
-        return num / wgt[:, None]
+        (hom,) = self._span_sums(params, derivs=False)
+        return hom[:, :3] / hom[:, 3:]
 
     def frames_at(self, params: np.ndarray) -> FrameBatch:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
-        du = bspline_basis_derivs_many(self.space_u, params[:, 0])
-        dv = bspline_basis_derivs_many(self.space_v, params[:, 1])
-        wx = self.weights[:, :, None] * self.control_points
-        den = np.einsum("ma,mb,ab->m", du[:, 0], dv[:, 0], self.weights)
-        den_u = np.einsum("ma,mb,ab->m", du[:, 1], dv[:, 0], self.weights)
-        den_v = np.einsum("ma,mb,ab->m", du[:, 0], dv[:, 1], self.weights)
-        num = np.einsum("ma,mb,abk->mk", du[:, 0], dv[:, 0], wx)
-        num_u = np.einsum("ma,mb,abk->mk", du[:, 1], dv[:, 0], wx)
-        num_v = np.einsum("ma,mb,abk->mk", du[:, 0], dv[:, 1], wx)
-        pos = num / den[:, None]
-        tan_u = (num_u - pos * den_u[:, None]) / den[:, None]
-        tan_v = (num_v - pos * den_v[:, None]) / den[:, None]
+        hom, hom_u, hom_v = self._span_sums(params, derivs=True)
+        den = hom[:, 3:]
+        pos = hom[:, :3] / den
+        tan_u = (hom_u[:, :3] - pos * hom_u[:, 3:]) / den
+        tan_v = (hom_v[:, :3] - pos * hom_v[:, 3:]) / den
         return _finish_frames(params, pos, tan_u, tan_v, self.flip_normal)
 
 

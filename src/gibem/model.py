@@ -138,7 +138,7 @@ class FieldSpacePair:
         params = np.asarray(params, dtype=float)
         bu = bspline_basis_many(self.space_u, params[:, 0])
         bv = bspline_basis_many(self.space_v, params[:, 1])
-        return np.einsum("ma,mb->mab", bu, bv).reshape(len(params), -1)
+        return (bu[:, :, None] * bv[:, None, :]).reshape(len(params), -1)
 
     def elevated(self, new_degree):
         """Same breakpoints, higher order in both directions."""

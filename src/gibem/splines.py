@@ -1,5 +1,6 @@
 """B-spline basis machinery: values, and first derivatives from the same
-recursion, Greville abscissae, degree-elevated spaces and B-spline curves.
+recursion, per knot span or as full rows; a fixed-order row sum; Greville
+abscissae, degree-elevated spaces and B-spline curves.
 
 A :class:`BasisSpace` holds its knots as a read-only array.  All knot
 vectors are open (clamped): the end knots repeat ``degree + 1`` times.
@@ -21,6 +22,8 @@ __all__ = [
     "unit_interval_space",
     "bspline_basis_many",
     "bspline_basis_derivs_many",
+    "bspline_span_basis",
+    "fixed_order_sum",
     "greville_abscissae",
     "elevate_space",
     "bspline_curve_derivs",
@@ -152,16 +155,63 @@ def _nonzero_basis(knots: np.ndarray, p: int, us: np.ndarray,
     return lower[:, :p], vals
 
 
-def _scatter(tables, spans: np.ndarray, p: int, n: int) -> np.ndarray:
+def bspline_span_basis(space: BasisSpace, us, derivs: bool = False):
+    """The nonzero basis values at each parameter, and with ``derivs`` their
+    first derivatives.
+
+    Returns ``(first, tables)``: ``first[i]`` indexes the first of the
+    p + 1 basis functions supported on the knot span of ``us[i]``, and
+    ``tables`` is a list of (len(us), p + 1) arrays, the values and then,
+    with ``derivs``, the derivatives, column r for basis function
+    ``first + r``.  The derivatives come from the degree p - 1 values of
+    the same recursion by de Boor's formula
+    N'_{i,p} = p (N_{i,p-1} / d_i - N_{i+1,p-1} / d_{i+1}), where
+    d_i = t_{i+p} - t_i is the support length of N_{i,p-1}.  At degree 0
+    they are zero.  Every entry is computed from its own parameter alone.
+    """
+    us = _prepare_params(space, us)
+    kv, p = space.knots, space.degree
+    spans = _find_spans(kv, p, us)
+    lower, vals = _nonzero_basis(kv, p, us, spans)
+    if not derivs:
+        return spans - p, [vals]
+    # d for column r is t[span + r + 1] - t[span + r + 1 - p], summed from
+    # the same two differences as the last step's denominators
+    ends = spans[:, None] + np.arange(1, p + 1)
+    d = (kv[ends] - us[:, None]) + (us[:, None] - kv[ends - p])
+    quotients = (1.0 / d) * lower
+    # column r: p (quotients[r - 1] - quotients[r]), each missing term zero
+    ders = np.zeros_like(vals)
+    ders[:, 1:] = quotients
+    ders[:, :p] -= quotients
+    ders *= float(p)
+    return spans - p, [vals, ders]
+
+
+def fixed_order_sum(table: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Row-wise sum over r of ``table[:, r] * terms[:, r]``, added in the
+    order r = 0, 1, ... as separate element-wise operations.
+
+    ``table`` is (m, k) and ``terms`` (m, k, ...).  Each result row depends
+    only on its own inputs, never on how many rows are evaluated together.
+    """
+    table = table.reshape(table.shape + (1,) * (terms.ndim - 2))
+    total = table[:, 0] * terms[:, 0]
+    for r in range(1, table.shape[1]):
+        total += table[:, r] * terms[:, r]
+    return total
+
+
+def _scatter(first: np.ndarray, tables, n: int) -> np.ndarray:
     """Expand per-span tables, each (m, p+1), to full basis rows.
 
     Returns shape (m, len(tables), n); table k fills rows ``[:, k]``.
     """
-    m = spans.size
+    m = first.size
     out = np.zeros((m, len(tables), n))
     flat = out.reshape(-1)
-    cols = (np.arange(m) * (len(tables) * n) + spans - p)[:, None] \
-        + np.arange(p + 1)
+    cols = (np.arange(m) * (len(tables) * n) + first)[:, None] \
+        + np.arange(tables[0].shape[1])
     for table in tables:
         flat[cols] = table
         cols += n
@@ -174,37 +224,17 @@ def bspline_basis_many(space: BasisSpace, us) -> np.ndarray:
     Each parameter must lie inside the knot domain (a relative slack of
     1e-12 is forgiven and clipped).  Each row is non-negative and sums to 1.
     """
-    us = _prepare_params(space, us)
-    kv = space.knots
-    spans = _find_spans(kv, space.degree, us)
-    _, local = _nonzero_basis(kv, space.degree, us, spans)
-    return _scatter([local], spans, space.degree, space.n_basis)[:, 0]
+    return _scatter(*bspline_span_basis(space, us), space.n_basis)[:, 0]
 
 
 def bspline_basis_derivs_many(space: BasisSpace, us) -> np.ndarray:
     """Basis values and first derivatives, shape (len(us), 2, n_basis).
 
-    Row 0 of the middle axis holds the values, row 1 the derivatives.  These
-    come from the degree p - 1 values of the same recursion by de Boor's
-    formula N'_{i,p} = p (N_{i,p-1} / d_i - N_{i+1,p-1} / d_{i+1}), where
-    d_i = t_{i+p} - t_i is the support length of N_{i,p-1}.  At degree 0 the
-    derivatives are zero.
+    Row 0 of the middle axis holds the values, row 1 the derivatives, the
+    tables of ``bspline_span_basis`` spread over the whole basis.
     """
-    us = _prepare_params(space, us)
-    kv, p = space.knots, space.degree
-    spans = _find_spans(kv, p, us)
-    lower, vals = _nonzero_basis(kv, p, us, spans)
-    # d for column r is t[span + r + 1] - t[span + r + 1 - p], summed from
-    # the same two differences as the last step's denominators
-    ends = spans[:, None] + np.arange(1, p + 1)
-    d = (kv[ends] - us[:, None]) + (us[:, None] - kv[ends - p])
-    quotients = (1.0 / d) * lower
-    # column r: p (quotients[r - 1] - quotients[r]), each missing term zero
-    ders = np.zeros_like(vals)
-    ders[:, 1:] = quotients
-    ders[:, :p] -= quotients
-    ders *= float(p)
-    return _scatter([vals, ders], spans, p, space.n_basis)
+    return _scatter(*bspline_span_basis(space, us, derivs=True),
+                    space.n_basis)
 
 
 def greville_abscissae(space: BasisSpace) -> np.ndarray:
@@ -246,4 +276,6 @@ def bspline_curve_derivs(space: BasisSpace, control_points, ts) -> np.ndarray:
         raise SplineError(
             f"expected {space.n_basis} coefficient rows, got {controls.shape[0]}"
         )
-    return np.einsum("mkn,nd->mkd", bspline_basis_derivs_many(space, ts), controls)
+    first, tables = bspline_span_basis(space, ts, derivs=True)
+    near = controls[first[:, None] + np.arange(space.degree + 1)]
+    return np.stack([fixed_order_sum(table, near) for table in tables], axis=1)

@@ -1,10 +1,12 @@
 """Surface evaluation, frames, and the two-curve trimming map."""
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gibem.errors import DegenerateTrimError, GeometryError, SingularFrameError
 from gibem.geometry import (
+    _SPAN_BATCH,
     NurbsPatch,
     TrimmedPatch,
     TrimmingCurve,
@@ -12,7 +14,12 @@ from gibem.geometry import (
     build_quarter_cylinder,
     straight_trim_pair,
 )
-from gibem.splines import BasisSpace, unit_interval_space
+from gibem.splines import (
+    BasisSpace,
+    bspline_basis_derivs_many,
+    greville_abscissae,
+    unit_interval_space,
+)
 
 
 def point(patch, u, v):
@@ -283,3 +290,155 @@ def test_point_rows_do_not_depend_on_batch(quarter_cylinder, trimmed):
     for i in range(len(pts)):
         assert_allclose(batch[i], patch.points_at(pts[i:i + 1])[0],
                         rtol=0, atol=0)
+
+
+FRAME_FIELDS = ("positions", "tangents_u", "tangents_v", "normals", "areas")
+
+
+@st.composite
+def multi_span_spaces(draw, max_degree=4):
+    """Clamped spaces on [0, 1] of degree 1 to ``max_degree``, with up to
+    three interior knots a tenth or more apart, possibly repeated."""
+    degree = draw(st.integers(1, max_degree))
+    breaks = draw(st.lists(st.integers(1, 9), max_size=3, unique=True))
+    interior = []
+    for b in sorted(breaks):
+        interior += [b / 10] * draw(st.integers(1, degree))
+    return unit_interval_space(degree, interior)
+
+
+def greville_net(space_u, space_v, rng, rational):
+    """A net over the Greville grid, lifted randomly in z, so the patch maps
+    onto the unit square in x, y and its tangents never become parallel."""
+    uu, vv = np.meshgrid(greville_abscissae(space_u),
+                         greville_abscissae(space_v), indexing="ij")
+    net = np.stack([uu, vv, rng.uniform(-0.3, 0.3, uu.shape)], axis=-1)
+    weights = rng.uniform(0.5, 2.0, uu.shape) if rational else np.ones(uu.shape)
+    return net, weights
+
+
+def bulged_face():
+    """The top face of the unit cube bulged to z = 1.3 at a weight-0.8
+    centre, the curved face of ``scripts/compare_assembly.py``."""
+    net = np.array([[[i / 2, j / 2, 1.0] for j in range(3)] for i in range(3)])
+    net[1, 1, 2] = 1.3
+    weights = np.ones((3, 3))
+    weights[1, 1] = 0.8
+    return NurbsPatch(unit_interval_space(2), unit_interval_space(2), net, weights)
+
+
+@st.composite
+def nurbs_patches(draw):
+    space_u, space_v = draw(multi_span_spaces()), draw(multi_span_spaces())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net, weights = greville_net(space_u, space_v, rng, draw(st.booleans()))
+    return NurbsPatch(space_u, space_v, net, weights)
+
+
+@st.composite
+def curved_trims(draw, base):
+    """``base`` trimmed between two curves of degree 1 to 3 that run from
+    v = 0 to v = 1, one left of u = 0.4 and one right of u = 0.6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    curves = []
+    for lo, hi in ((0.0, 0.4), (0.6, 1.0)):
+        space = draw(multi_span_spaces(max_degree=3))
+        t = greville_abscissae(space)
+        curves.append(TrimmingCurve(
+            space, np.column_stack([rng.uniform(lo, hi, t.size), t])))
+    return TrimmedPatch(base, *curves)
+
+
+def sample_rows(patch, rng, count):
+    """``count`` random parameters, shuffled together with the corners and
+    rows that put every knot and Greville point of the patch (and of its
+    trim curves) in each coordinate."""
+    base = getattr(patch, "base", patch)
+    spaces = [base.space_u, base.space_v]
+    if patch is not base:
+        spaces += [patch.curve_a.space, patch.curve_b.space]
+    special = np.unique(np.concatenate(
+        [s.knots for s in spaces] + [greville_abscissae(s) for s in spaces]))
+    rows = np.concatenate([
+        [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+        np.column_stack([special, rng.permutation(special)]),
+        np.column_stack([rng.permutation(special), special]),
+        rng.uniform(0, 1, (count, 2)),
+    ])
+    return rows[rng.permutation(len(rows))]
+
+
+any_patch = st.one_of(
+    nurbs_patches(),
+    nurbs_patches().flatmap(curved_trims),
+    st.just(bulged_face()).flatmap(curved_trims),
+    st.just(bulged_face()),
+)
+
+
+def cube_top_face():
+    """The bilinear face (u, v) -> (u, v, 1) of the cube models."""
+    net = np.array([[[0.0, 0, 1], [0, 1, 1]], [[1, 0, 1], [1, 1, 1]]])
+    return NurbsPatch(unit_interval_space(1), unit_interval_space(1), net,
+                      np.ones((2, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_patch, st.integers(0, 2**32 - 1), st.integers(40, 120))
+@example(cube_top_face(), 0, 200)
+def test_every_row_equals_its_one_row_call(patch, seed, count):
+    params = sample_rows(patch, np.random.default_rng(seed), count)
+    try:
+        batch = patch.frames_at(params)
+    except SingularFrameError:
+        reject()
+    points = patch.points_at(params)
+    for i in range(len(params)):
+        assert np.array_equal(points[i], patch.points_at(params[i:i + 1])[0])
+        one = patch.frames_at(params[i:i + 1])
+        for name in FRAME_FIELDS:
+            assert np.array_equal(getattr(batch, name)[i],
+                                  getattr(one, name)[0]), (name, params[i])
+
+
+def test_batches_larger_than_one_gather_equal_small_batches():
+    patch = TrimmedPatch(bulged_face(), *straight_trim_pair(0.2, 0.9))
+    params = np.random.default_rng(4).uniform(0, 1, (2 * _SPAN_BATCH + 7, 2))
+    points, frames = patch.points_at(params), patch.frames_at(params)
+    for lo in range(0, len(params), 500):
+        rows = slice(lo, lo + 500)
+        assert np.array_equal(points[rows], patch.points_at(params[rows]))
+        part = patch.frames_at(params[rows])
+        for name in FRAME_FIELDS:
+            assert np.array_equal(getattr(frames, name)[rows], getattr(part, name))
+
+
+def dense_frames(patch, params):
+    """Position and u and v tangents from full basis tables, one contraction
+    over the whole control net per sum, each with the size of the terms it
+    sums: sum |N_a N_b| w (|x| + |position|) / W, entry by entry."""
+    du = bspline_basis_derivs_many(patch.space_u, params[:, 0])
+    dv = bspline_basis_derivs_many(patch.space_v, params[:, 1])
+    w, x = patch.weights, patch.control_points
+    bases = [(du[:, 0], dv[:, 0]), (du[:, 1], dv[:, 0]), (du[:, 0], dv[:, 1])]
+    den = [np.einsum("ma,mb,ab->m", a, b, w)[:, None] for a, b in bases]
+    num = [np.einsum("ma,mb,abk->mk", a, b, w[:, :, None] * x) for a, b in bases]
+    pos = num[0] / den[0]
+    out = [pos] + [(n - pos * d) / den[0] for n, d in zip(num[1:], den[1:])]
+    sizes = [(np.einsum("ma,mb,abk->mk", abs(a), abs(b), w[:, :, None] * abs(x))
+              + abs(pos) * np.einsum("ma,mb,ab->m", abs(a), abs(b), w)[:, None])
+             / den[0] for a, b in bases]
+    return out, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(nurbs_patches(), st.just(bulged_face())),
+       st.integers(0, 2**32 - 1))
+def test_rows_match_the_dense_formula(patch, seed):
+    params = sample_rows(patch, np.random.default_rng(seed), 50)
+    frames = patch.frames_at(params)
+    expected, sizes = dense_frames(patch, params)
+    got = (frames.positions, frames.tangents_u, frames.tangents_v)
+    for a, b, size in zip(got, expected, sizes):
+        assert (np.abs(a - b) <= 1e-14 * size).all()
+    assert np.array_equal(patch.points_at(params), frames.positions)

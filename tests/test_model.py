@@ -59,6 +59,22 @@ class TestFieldSpacePair:
             assert_allclose(batch[i], pair.values(params[i:i + 1])[0],
                             rtol=0, atol=0)
 
+    @pytest.mark.parametrize("orders, interior_u, interior_v", [
+        ((2, 2), [0.5], [0.25, 0.75]),
+        ((3, 4), [0.3, 0.3, 0.6], [0.2, 0.5]),
+        ((5, 1), [0.1, 0.4, 0.4, 0.9], [0.5]),
+    ])
+    def test_values_equal_the_einsum_outer_product(self, orders, interior_u,
+                                                  interior_v):
+        from gibem.splines import bspline_basis_many
+
+        pair = FieldSpacePair.from_orders(*orders, interior_u, interior_v)
+        params = np.random.default_rng(sum(orders)).uniform(0, 1, (200, 2))
+        bu = bspline_basis_many(pair.space_u, params[:, 0])
+        bv = bspline_basis_many(pair.space_v, params[:, 1])
+        dense = np.einsum("ma,mb->mab", bu, bv).reshape(len(params), -1)
+        assert np.array_equal(pair.values(params), dense)
+
     def test_elevated(self):
         pair = FieldSpacePair.from_orders(2)
         up = pair.elevated(4)

@@ -263,6 +263,21 @@ def test_curve_point_and_derivs():
     assert_allclose(ders[:, 1, :], [[0.0, 1.0], [0.0, 1.0]], atol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(basis_spaces(max_degree=4), st.integers(0, 2**32 - 1))
+def test_curve_rows_are_batch_independent_and_match_the_dense_sum(space, seed):
+    rng = np.random.default_rng(seed)
+    controls = rng.uniform(0, 1, (space.n_basis, 2))
+    ts = np.concatenate([space.knots, rng.uniform(0, 1, 100)])
+    ders = bspline_curve_derivs(space, controls, ts)
+    for i, t in enumerate(ts):
+        assert np.array_equal(ders[i], bspline_curve_derivs(space, controls, [t])[0])
+    table = bspline_basis_derivs_many(space, ts)
+    dense = np.einsum("mkn,nd->mkd", table, controls)
+    size = np.einsum("mkn,nd->mkd", abs(table), abs(controls))
+    assert (abs(ders - dense) <= 1e-14 * size).all()
+
+
 def test_coefficient_count_mismatch():
     space = unit_interval_space(2)
     with pytest.raises(SplineError, match="coefficient"):
