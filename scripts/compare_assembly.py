@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on ten models: the three
+``gibem.assembly.assemble(model, colloc)`` on eleven models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -20,9 +20,12 @@ tenth model, an order-3 cube, writes each flat face as a biquadratic patch
 with two knot spans per direction (knots 0, 0, 0, 0.5, 1, 1, 1, control
 points at the Greville abscissae 0, 0.25, 0.75, 1). The faces are the same
 flat squares, but surface evaluation reads the control net at span offsets
-other than 0, which no other model does. Only the two public calls are
-used, so trees whose internals differ can be
-compared; the script reads both the ``(matrix, rhs)`` tuple and
+other than 0, which no other model does. The eleventh is the
+``octant-trim`` workload with ``quadtree_max_depth=1``: its quad-trees hit
+the depth cap (the cap warning fires on it), so regions kept at the cap,
+around nodes and their eight mirror images, reach the compared matrix.
+Only the two public calls are used, so trees whose internals differ can
+be compared; the script reads both the ``(matrix, rhs)`` tuple and
 ``colloc.grids`` and the older form, a system object with ``matrix`` and
 ``rhs`` and the grids on ``colloc.dof_map``. For every model the script
 prints, per array (node positions, each patch's grid of node ids, the
@@ -104,6 +107,10 @@ models["two-span-cube-order3"] = dataclasses.replace(cube, patches=tuple(
     NurbsPatch(two_span, two_span, p.points_at(grid).reshape(4, 4, 3),
                np.ones((4, 4)), flip_normal=p.flip_normal)
     for p in cube.patches))
+
+octant = models["octant-trim"]
+models["octant-trim-depth1"] = dataclasses.replace(
+    octant, config=dataclasses.replace(octant.config, quadtree_max_depth=1))
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)

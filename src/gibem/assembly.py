@@ -23,8 +23,9 @@ and points, contracted with the basis values in one matrix product. A
 block holds at most BLOCK_PAIRS (point, node) pairs, so its memory does
 not grow with the model. The other pairs need triangle fans or quad-tree
 refined regions. Those of a whole block, over all mirror images, are
-planned first, then evaluated together in one frame and one basis call,
-and then integrated node by node.
+planned together, with one quad-tree refinement for all of them, then
+evaluated together in one frame and one basis call, and then integrated
+node by node.
 """
 from __future__ import annotations
 
@@ -140,7 +141,6 @@ class _PatchContext:
         self.rule = gauss_rule(cfg.gauss_order)
         self.singular_rule = gauss_rule(cfg.singular_gauss_order)
         self._region_data = {}
-        self._sample_memo = {}
 
         side = 17
         grid = np.linspace(0.0, 1.0, side)
@@ -154,49 +154,33 @@ class _PatchContext:
         )
         self.reject_radius = 3.0 * spacing + 1e-30
 
-        self.samples = region_samples(self.regions, self.sampler)
+        self.samples = region_samples(self.regions, patch.points_at)
         data = self.evaluate(self.regions, [])
-        base = [data[_key(region)] for region in self.regions]
+        base = [data[region] for region in self.regions]
         self.far = [np.concatenate(column) for column in zip(*base)]
         self.far_region = np.repeat(
             np.arange(len(base)), self.rule.order**2
         )
 
-    def sampler(self, params):
-        """``points_at`` for ``region_samples``: (r * 9, 2) parameters, one
-        region's sample grid per 9 rows, memoized per region; the misses are
-        mapped in one call."""
-        grids = params.reshape(-1, 9, 2)
-        keys = [grid.tobytes() for grid in grids]
-        missing = {key: grid for key, grid in zip(keys, grids)
-                   if key not in self._sample_memo}
-        if missing:
-            mapped = self.patch.points_at(
-                np.concatenate(list(missing.values()))
-            )
-            self._sample_memo.update(zip(missing, mapped.reshape(-1, 9, 3)))
-        return np.concatenate([self._sample_memo[key] for key in keys])
-
     def evaluate(self, regions, fans):
         """Quadrature data (positions, normals, weights, basis values) of
         ``regions`` and of ``fans``, (region, singular parameter) pairs, in
-        a dict keyed by ``_key``.
+        a dict keyed by region, and by (region, parameter tuple) for fans.
 
         Everything not evaluated before is evaluated in one ``frames_at``
         and one ``values`` call; fan rows subtract the basis values at their
         singular parameters, from one more ``values`` call. Regions are
         cached for the life of the context, fans are not.
         """
-        new_regions = {_key(region): region for region in regions
-                       if _key(region) not in self._region_data}
-        new_fans = {_key(*fan): fan for fan in fans}
+        new_regions = [region for region in dict.fromkeys(regions)
+                       if region not in self._region_data]
+        new_fans = list(dict.fromkeys((r, tuple(p)) for r, p in fans))
         data = {}
         if new_regions or new_fans:
-            quad = [region.gauss_points(self.rule)
-                    for region in new_regions.values()]
+            quad = [region.gauss_points(self.rule) for region in new_regions]
             quad += [
                 singular_quadrature_points(region, param, self.singular_rule)
-                for region, param in new_fans.values()
+                for region, param in new_fans
             ]
             params, weights = (np.concatenate(column) for column in zip(*quad))
             frames = self.patch.frames_at(params)
@@ -207,17 +191,17 @@ class _PatchContext:
             cuts = np.cumsum([len(w) for _, w in quad])[:-1]
             entries = list(zip(*(np.split(c, cuts) for c in columns)))
             # cached regions are copies: a view would keep the batch alive
-            for key, entry in zip(new_regions, entries):
-                self._region_data[key] = tuple(c.copy() for c in entry)
+            for region, entry in zip(new_regions, entries):
+                self._region_data[region] = tuple(c.copy() for c in entry)
             fan_entries = entries[len(new_regions):]
             if new_fans:
                 at = self.pair.values(
-                    np.array([param for _, param in new_fans.values()])
+                    np.array([param for _, param in new_fans])
                 )
                 for (_, _, _, basis), row in zip(fan_entries, at):
                     basis -= row
             data.update(zip(new_fans, fan_entries))
-        data.update((_key(r), self._region_data[_key(r)]) for r in regions)
+        data.update((r, self._region_data[r]) for r in regions)
         return data
 
     def nearest_seeds(self, targets):
@@ -253,11 +237,6 @@ class _PatchContext:
                 break
         dist = np.linalg.norm(self.patch.points_at(param[None])[0] - target)
         return param, dist
-
-
-def _key(region, param=()):
-    """Cache key of a region, or of a fan around ``param`` in it."""
-    return (region.u0, region.u1, region.v0, region.v1, *param)
 
 
 def _singular_params(source, aliases, ctx, target, seed, tol):
@@ -342,42 +321,48 @@ class _Rows:
 
 
 def _plan(ctx, aliases, sources, targets, cfg, tol):
-    """What one node block needs from one patch image before integrating.
+    """What one node block needs from one patch, over all mirror images.
 
-    ``aliases[i]`` holds the Greville parameters of node i on the patch,
-    ``sources[i]`` its position and ``targets[i]`` the position's image.
-    Returns the far mask of (node, base region) pairs, and for each node
-    not wholly far its index in the block, its fans as (region, singular
-    parameter) pairs and its quad-tree refined regions.
+    Row t is one (image, node) pair: ``aliases[t]`` holds the Greville
+    parameters of the node on the patch, ``sources[t]`` its position and
+    ``targets[t]`` the position's image. Returns the far mask of (row, base
+    region) pairs, and a dict from each row not wholly far, in row order,
+    to its fans as (region, singular parameter) pairs and its quad-tree
+    refined regions, from one ``quadtree_refine`` call for all rows.
     """
     far = far_mask(ctx.samples, targets, cfg.quadtree_threshold)
     seeds = ctx.nearest_seeds(targets)
-    near = []
-    for i, (alias, source) in enumerate(zip(aliases, sources)):
-        sing = _singular_params(source, alias, ctx, targets[i], seeds[i], tol)
+    near = {}
+    pairs = []
+    for t, (alias, source) in enumerate(zip(aliases, sources)):
+        sing = _singular_params(source, alias, ctx, targets[t], seeds[t], tol)
         if sing:
-            far[i] &= [
+            far[t] &= [
                 not any(r.contains(p, tol=1e-9) for p in sing)
                 for r in ctx.regions
             ]
-        if far[i].all():
+        if far[t].all():
             continue
-        regular = [region for region, skip in zip(ctx.regions, far[i])
+        regular = [region for region, skip in zip(ctx.regions, far[t])
                    if not skip]
         fans = []
         if sing:
             fans, regular = _split_singular(regular, sing)
-        regular = quadtree_refine(regular, targets[i], ctx.sampler,
-                                  cfg.quadtree_threshold,
-                                  cfg.quadtree_max_depth)
-        near.append((i, fans, regular))
+        near[t] = (fans, [])
+        pairs += [(t, region) for region in regular]
+    for t, region in quadtree_refine(pairs, targets, ctx.patch.points_at,
+                                     cfg.quadtree_threshold,
+                                     cfg.quadtree_max_depth):
+        near[t][1].append(region)
     return far, near
 
 
 def _engine(model, colloc):
     """Kernel blocks, row sums, nodal basis values and right-hand side (zero
-    without a load) of every row, before the closure; far pairs in blocks
-    of nodes, the rest per node."""
+    without a load) of every row, before the closure. One plan per patch
+    and node block covers all mirror images; then, image by image, near
+    rows are added node by node and far pairs in one batch, an order that
+    fixes the accumulated bits."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     contexts = [
@@ -395,26 +380,27 @@ def _engine(model, colloc):
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
             aliases = [greville[k][ids == n] for n in block]
-            plans = [
-                (mirror, *_plan(ctx, aliases, positions[block],
-                                positions[block] @ mirror.T, cfg,
-                                colloc.merge_tol))
-                for mirror in group
-            ]
-            pending = [entry for _, _, near in plans for entry in near]
+            local = positions[block]
+            targets = np.concatenate([local @ mirror.T for mirror in group])
+            far, near = _plan(ctx, aliases * len(group),
+                              np.tile(local, (len(group), 1)), targets, cfg,
+                              colloc.merge_tol)
             data = ctx.evaluate(
-                [region for _, _, regular in pending for region in regular],
-                [fan for _, fans, _ in pending for fan in fans],
+                [region for _, regular in near.values() for region in regular],
+                [fan for fans, _ in near.values() for fan in fans],
             )
-            for mirror, far, near in plans:
-                for i, fans, regular in near:
-                    parts = [data[_key(*fan)] for fan in fans]
-                    parts += [data[_key(region)] for region in regular]
-                    columns = (np.concatenate(c) for c in zip(*parts))
-                    rows.add(block[i:i + 1], *columns, mirror, ids)
-                if far.any():
+            far = far.reshape(len(group), len(block), -1)
+            for m, mirror in enumerate(group):
+                for t, (fans, regular) in near.items():
+                    if t // len(block) == m:
+                        parts = [data[(r, tuple(p))] for r, p in fans]
+                        parts += [data[region] for region in regular]
+                        columns = (np.concatenate(c) for c in zip(*parts))
+                        i = t % len(block)
+                        rows.add(block[i:i + 1], *columns, mirror, ids)
+                if far[m].any():
                     rows.add(block, *ctx.far, mirror, ids,
-                             used=far[:, ctx.far_region].T)
+                             used=far[m][:, ctx.far_region].T)
 
     # owner[n] is the flat (patch, Greville index) position of node n's owner
     _, owner = np.unique(

@@ -179,37 +179,44 @@ def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
     return size <= threshold * dist
 
 
-def quadtree_refine(regions, source_point, point_fn, threshold: float = 1.0,
-                    max_depth: int = 6) -> list[IntegrationRegion]:
-    """Split regions until their mapped size is below ``threshold`` times the
-    distance to ``source_point``.
+def quadtree_refine(pairs, sources, point_fn, threshold: float = 1.0,
+                    max_depth: int = 6) -> list:
+    """Split the region of each (source index, region) pair until its mapped
+    size is below ``threshold`` times the distance to ``sources[index]``.
 
     ``point_fn`` maps an (m, 2) parameter array to (m, 3) surface points.
-    Regions already containing the source must not be passed here; they are
-    the singular integration's job.  Regions that pass ``far_mask`` come
-    back unsplit, as the same objects.  Hitting the depth cap logs a
-    warning and keeps the region.
+    Per level, the distinct regions are mapped in one ``point_fn`` call and
+    all pairs are decided by one ``far_mask`` call.  Regions containing
+    their source are the singular integration's job, not this one's.  Kept
+    pairs come back sorted stably by source index, each source's regions in
+    level-by-level order; regions that pass ``far_mask`` come back unsplit,
+    as the same objects.  Hitting the depth cap logs a warning and keeps
+    the region.
     """
-    source = np.asarray(source_point, dtype=float).reshape(1, 3)
-    out: list[IntegrationRegion] = []
-    level = list(regions)
-    capped = 0
+    sources = np.asarray(sources, dtype=float).reshape(-1, 3)
+    out, capped, level = [], [], list(pairs)
     while level:
-        far = far_mask(region_samples(level, point_fn), source, threshold)[0]
+        distinct = dict.fromkeys(region for _, region in level)
+        column = {region: j for j, region in enumerate(distinct)}
+        far = far_mask(region_samples(distinct, point_fn), sources, threshold)
         deeper = []
-        for region, keep in zip(level, far):
+        for source, region in level:
+            keep = far[source, column[region]]
             if keep or region.depth >= max_depth:
-                capped += not keep
-                out.append(region)
+                if not keep:
+                    capped.append(source)
+                out.append((source, region))
             else:
-                deeper.extend(region.split())
+                deeper.extend((source, sub) for sub in region.split())
         level = deeper
     if capped:
         log.warning(
-            "quad-tree depth cap %d reached for %d region(s) near source %s",
-            max_depth, capped, np.array2string(source[0], precision=4),
+            "quad-tree depth cap %d reached for %d region(s) near sources %s",
+            max_depth, len(capped),
+            np.array2string(np.unique(sources[capped], axis=0), precision=4,
+                            max_line_width=np.inf),
         )
-    return out
+    return sorted(out, key=lambda pair: pair[0])
 
 
 def singular_quadrature_points(region: IntegrationRegion, source_param,

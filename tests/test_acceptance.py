@@ -218,14 +218,14 @@ def test_criterion_4_kernel_identities():
     total = np.zeros((3, 3))
     rule = gauss_rule(10)
     for patch in build_cube_model().patches:
-        regions = quadtree_refine(
-            [IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
+        pairs = quadtree_refine(
+            [(0, IntegrationRegion(0.0, 1.0, 0.0, 1.0))],
             source,
             patch.points_at,
             threshold=0.5,
             max_depth=8,
         )
-        for region in regions:
+        for _, region in pairs:
             params, wts = region.gauss_points(rule)
             frames = patch.frames_at(params)
             kernel = kelvin_T_many(

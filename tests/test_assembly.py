@@ -10,8 +10,13 @@ from gibem.assembly import (
     collocation_points,
     free_term_rigid_body,
     _engine,
+    _split_singular,
 )
-from gibem.errors import CollocationMismatchWarning, UnsupportedModelError
+from gibem.errors import (
+    CollocationMismatchWarning,
+    QuadratureError,
+    UnsupportedModelError,
+)
 from gibem.geometry import NurbsPatch, TrimmedPatch, straight_trim_pair
 from gibem.kernels import Material, kelvin_T_many
 from gibem.model import (
@@ -23,7 +28,7 @@ from gibem.model import (
     build_trimmed_cube_model,
     symmetry_group,
 )
-from gibem.quadrature import gauss_rule, region_partition
+from gibem.quadrature import IntegrationRegion, gauss_rule, region_partition
 from gibem.splines import unit_interval_space
 
 
@@ -237,6 +242,46 @@ def test_exterior_closure_maps_constants_to_themselves():
         const = np.zeros(len(matrix))
         const[direction::3] = 1.0
         assert_allclose(matrix @ const, const, atol=1e-12)
+
+
+class TestSplitSingular:
+    # two base regions side by side; together they cover [0, 1] x [0.25, 1]
+    LEFT = IntegrationRegion(0.0, 0.5, 0.25, 1.0)
+    RIGHT = IntegrationRegion(0.5, 1.0, 0.25, 1.0)
+
+    @pytest.mark.parametrize("params", [
+        [(0.1, 0.3), (0.4, 0.9)],
+        [(0.0, 0.25), (0.01, 0.26)],  # a corner and a point close to it
+        # on split lines and on the shared edge: in several regions each
+        [(0.25, 0.625), (0.25, 0.5), (0.5, 1.0)],
+    ])
+    def test_each_parameter_gets_its_own_regions(self, params):
+        params = [np.array(p) for p in params]
+        fans, regular = _split_singular([self.LEFT, self.RIGHT], params)
+        for region, param in fans:
+            inside = [p for p in params if region.contains(p, tol=1e-9)]
+            assert len(inside) == 1 and inside[0] is param
+        assert {id(param) for _, param in fans} == {id(p) for p in params}
+        assert not any(region.contains(p, tol=1e-9)
+                       for region in regular for p in params)
+
+        pieces = regular + [region for region, _ in fans]
+        assert len(set(pieces)) == len(pieces)
+        for piece in pieces:
+            assert 0.0 <= piece.u0 and piece.u1 <= 1.0
+            assert 0.25 <= piece.v0 and piece.v1 <= 1.0
+        for k, a in enumerate(pieces):
+            for b in pieces[k + 1:]:
+                overlap_u = min(a.u1, b.u1) - max(a.u0, b.u0)
+                overlap_v = min(a.v1, b.v1) - max(a.v0, b.v0)
+                assert overlap_u <= 0 or overlap_v <= 0
+        assert_allclose(sum(piece.area for piece in pieces), 0.75,
+                        rtol=1e-14)
+
+    def test_coincident_parameters_raise(self):
+        with pytest.raises(QuadratureError):
+            _split_singular([self.LEFT], [np.array([0.2, 0.4]),
+                                          np.array([0.2, 0.4])])
 
 
 @pytest.fixture(scope="module")

@@ -146,17 +146,24 @@ class TestSingularScheme:
             singular_quadrature_points(region, (0.9, 0.9), gauss_rule(4))
 
 
+def _refine_one(regions, source, point_fn, **kwargs):
+    """``quadtree_refine`` for a single source; its regions, in order."""
+    pairs = quadtree_refine([(0, region) for region in regions], [source],
+                            point_fn, **kwargs)
+    return [region for _, region in pairs]
+
+
 class TestQuadtree:
     def test_far_source_leaves_regions_alone(self, flat_patch):
         space = unit_interval_space(2)
         regions = region_partition(space, space)
-        refined = quadtree_refine(regions, [0.5, 0.5, 50.0], flat_patch.points_at)
+        refined = _refine_one(regions, [0.5, 0.5, 50.0], flat_patch.points_at)
         assert len(refined) == len(regions)
 
     def test_near_source_splits_and_preserves_area(self, flat_patch):
         space = unit_interval_space(2)
         regions = region_partition(space, space)
-        refined = quadtree_refine(regions, [0.5, 0.5, 0.05], flat_patch.points_at)
+        refined = _refine_one(regions, [0.5, 0.5, 0.05], flat_patch.points_at)
         assert len(refined) > len(regions)
         assert max(r.depth for r in refined) >= 2
         assert_allclose(sum(r.area for r in refined), 1.0, atol=1e-14)
@@ -164,12 +171,20 @@ class TestQuadtree:
     def test_depth_cap_warns(self, flat_patch, caplog):
         space = unit_interval_space(1)
         regions = region_partition(space, space)
+        source = np.array([0.5, 0.5, 1e-6])
         with caplog.at_level(logging.WARNING, logger="gibem.quadrature"):
-            refined = quadtree_refine(
-                regions, [0.5, 0.5, 1e-6], flat_patch.points_at, max_depth=3
+            refined = _refine_one(
+                regions, source, flat_patch.points_at, max_depth=3
             )
         assert max(r.depth for r in refined) == 3
-        assert any("depth cap" in rec.message for rec in caplog.records)
+        capped = np.count_nonzero(~far_mask(
+            region_samples(refined, flat_patch.points_at), source[None]
+        )[0])
+        [record] = [rec for rec in caplog.records
+                    if "depth cap" in rec.message]
+        # the benchmark's cap-hit counter reads this argument
+        assert capped > 0
+        assert record.args[1] == capped
 
     def test_improves_near_singular_integral(self, flat_patch):
         space = unit_interval_space(2)
@@ -188,7 +203,7 @@ class TestQuadtree:
         base = region_partition(space, space)
         reference = integrate([IntegrationRegion(0, 1, 0, 1)], 64)
         coarse_err = np.abs(integrate(base, 8) - reference).max()
-        refined = quadtree_refine(base, src, flat_patch.points_at)
+        refined = _refine_one(base, src, flat_patch.points_at)
         refined_err = np.abs(integrate(refined, 8) - reference).max()
         assert refined_err < coarse_err / 10.0
         assert refined_err < 1e-4
@@ -229,8 +244,8 @@ def test_quadtree_keeps_exactly_the_far_regions(cuts_u, cuts_v, target,
     far = far_mask(
         region_samples(regions, _CURVED.points_at), target[None], threshold
     )[0]
-    out = quadtree_refine(regions, target, _CURVED.points_at,
-                          threshold=threshold, max_depth=2)
+    out = _refine_one(regions, target, _CURVED.points_at,
+                      threshold=threshold, max_depth=2)
     kept = {id(region) for region in out}
     for region, is_far in zip(regions, far):
         assert (id(region) in kept) == bool(is_far)
@@ -243,9 +258,12 @@ def test_quadtree_keeps_exactly_the_far_regions(cuts_u, cuts_v, target,
 
 
 def _refine_region_by_region(regions, target, threshold, max_depth):
-    """Reference quad-tree: every region's samples mapped on their own."""
-    out, level = [], list(regions)
+    """Reference quad-tree: every region's samples mapped on their own.
+
+    Returns the kept regions and the regions visited at each level."""
+    out, level, visited = [], list(regions), []
     while level:
+        visited.append(level)
         deeper = []
         for region in level:
             samples = region_samples([region], _CURVED.points_at)
@@ -255,34 +273,55 @@ def _refine_region_by_region(regions, target, threshold, max_depth):
             else:
                 deeper.extend(region.split())
         level = deeper
-    return out
+    return out, visited
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     cuts_u=_cuts,
     cuts_v=_cuts,
-    target=st.tuples(*[st.floats(-0.5, 1.5)] * 2, st.floats(-0.3, 0.6)),
+    targets=st.lists(
+        st.tuples(*[st.floats(-0.5, 1.5)] * 2, st.floats(-0.3, 0.6)),
+        min_size=1, max_size=4,
+    ),
     threshold=st.floats(0.25, 4.0),
+    data=st.data(),
 )
-def test_quadtree_maps_each_level_in_one_call(cuts_u, cuts_v, target,
-                                              threshold):
+def test_quadtree_maps_each_level_in_one_call(cuts_u, cuts_v, targets,
+                                              threshold, data):
     regions = [
         IntegrationRegion(u0, u1, v0, v1)
         for u0, u1 in zip(cuts_u[:-1], cuts_u[1:])
         for v0, v1 in zip(cuts_v[:-1], cuts_v[1:])
     ]
-    target = np.array(target)
+    targets = np.array(targets)
+    # each target refines its own nonempty subset of the regions
+    chosen = [
+        data.draw(st.lists(st.sampled_from(regions), min_size=1,
+                           unique=True).map(
+            lambda picked: [r for r in regions if r in picked]))
+        for _ in targets
+    ]
+    pairs = [(k, region) for k, own in enumerate(chosen) for region in own]
+    # interleave the sources: the output is still grouped by source
+    pairs = [pairs[i] for i in data.draw(st.permutations(range(len(pairs))))]
+    pairs.sort(key=lambda pair: chosen[pair[0]].index(pair[1]))
     calls = []
 
     def point_fn(params):
         calls.append(len(params))
         return _CURVED.points_at(params)
 
-    out = quadtree_refine(regions, target, point_fn, threshold=threshold,
+    out = quadtree_refine(pairs, targets, point_fn, threshold=threshold,
                           max_depth=3)
-    assert len(calls) == max(r.depth for r in out) + 1
-    splits = (len(out) - len(regions)) // 3
-    assert sum(calls) == 9 * (len(regions) + 4 * splits)
-    expected = _refine_region_by_region(regions, target, threshold, 3)
-    assert out == expected
+    assert [k for k, _ in out] == sorted(k for k, _ in out)
+    levels = []
+    for k, target in enumerate(targets):
+        expected, visited = _refine_region_by_region(chosen[k], target,
+                                                     threshold, 3)
+        assert [region for j, region in out if j == k] == expected
+        for depth, level in enumerate(visited):
+            if depth == len(levels):
+                levels.append(set())
+            levels[depth].update(level)
+    assert calls == [9 * len(level) for level in levels]
