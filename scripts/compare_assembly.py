@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on eleven models: the three
+``gibem.assembly.assemble(model, colloc)`` on twelve models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -24,10 +24,15 @@ other than 0, which no other model does. The eleventh is the
 ``octant-trim`` workload with ``quadtree_max_depth=1``: its quad-trees hit
 the depth cap (the cap warning fires on it), so regions kept at the cap,
 around nodes and their eight mirror images, reach the compared matrix.
-Only the two public calls are used, so trees whose internals differ can
-be compared; the script reads both the ``(matrix, rhs)`` tuple and
-``colloc.grids`` and the older form, a system object with ``matrix`` and
-``rhs`` and the grids on ``colloc.dof_map``. For every model the script
+The twelfth, ``trimmed-bulged-order3``, is the order-3 trimmed cube split
+at 0.4 with the rational bulged top face as the base of both trimmed
+patches. It is the only model where node images are found on a curved
+patch by projection: 14 of the 24 images projected onto its trimmed
+patches lie on them, and the projections stop after one, two or seven
+Gauss-Newton steps. Only the two public calls are used, so trees whose
+internals differ can be compared; the script reads both the ``(matrix,
+rhs)`` tuple and ``colloc.grids`` and the older form, a system object
+with ``matrix`` and ``rhs`` and the grids on ``colloc.dof_map``. For every model the script
 prints, per array (node positions, each patch's grid of node ids, the
 closed matrix and the rhs), whether the two trees agree bit for bit and
 the largest difference relative to the largest BASE entry. The grids and
@@ -98,6 +103,11 @@ cube = build_cube_model(3, material, load)
 bulged = NurbsPatch(unit_interval_space(2), unit_interval_space(2), net, weights)
 models["bulged-cube-order3"] = dataclasses.replace(
     cube, patches=(cube.patches[0], bulged) + cube.patches[2:])
+trimmed = build_trimmed_cube_model(3, 0.4, material, load)
+models["trimmed-bulged-order3"] = dataclasses.replace(trimmed, patches=(
+    trimmed.patches[0],
+    *(dataclasses.replace(p, base=bulged) for p in trimmed.patches[1:3]),
+    *trimmed.patches[3:]))
 
 # each flat face again, as a two-span biquadratic net on the Greville grid
 two_span = BasisSpace([0.0, 0, 0, 0.5, 1, 1, 1], 2)

@@ -23,9 +23,9 @@ and points, contracted with the basis values in one matrix product. A
 block holds at most BLOCK_PAIRS (point, node) pairs, so its memory does
 not grow with the model. The other pairs need triangle fans or quad-tree
 refined regions. Those of a whole block, over all mirror images, are
-planned together, with one quad-tree refinement for all of them, then
-evaluated together in one frame and one basis call, and then integrated
-node by node.
+planned in arrays, with one projection, one region bounds test and one
+quad-tree refinement for all of them, then evaluated together in one
+frame and one basis call, and then integrated node by node.
 """
 from __future__ import annotations
 
@@ -41,13 +41,15 @@ from .errors import (
 )
 from .kernels import kelvin_T_many, kelvin_U_many
 from .model import symmetry_group
-from .quadrature import far_mask, gauss_rule, quadtree_refine, \
-    region_partition, region_samples, singular_quadrature_points
+from .quadrature import contains_mask, far_mask, gauss_rule, \
+    quadtree_refine, region_partition, region_samples, \
+    singular_quadrature_points
 
 __all__ = [
     "CollocationSet",
     "collocation_points",
     "assemble",
+    "node_values",
     "free_term_rigid_body",
 ]
 
@@ -148,10 +150,8 @@ class _PatchContext:
         self.seed_params = np.column_stack([uu.ravel(), vv.ravel()])
         self.seed_positions = patch.points_at(self.seed_params)
         cells = self.seed_positions.reshape(side, side, 3)
-        spacing = max(
-            np.linalg.norm(np.diff(cells, axis=0), axis=2).max(),
-            np.linalg.norm(np.diff(cells, axis=1), axis=2).max(),
-        )
+        spacing = max(np.linalg.norm(np.diff(cells, axis=a), axis=2).max()
+                      for a in (0, 1))
         self.reject_radius = 3.0 * spacing + 1e-30
 
         self.samples = region_samples(self.regions, patch.points_at)
@@ -204,51 +204,40 @@ class _PatchContext:
         data.update((r, self._region_data[r]) for r in regions)
         return data
 
-    def nearest_seeds(self, targets):
-        """Index of each target's nearest seed point, -1 where that seed is
-        beyond ``reject_radius``."""
+    def project(self, targets):
+        """Closest points on the patch to (m, 3) ``targets``: parameters
+        (m, 2) and distances (m,).
+
+        Each row starts at its nearest seed point and takes Gauss-Newton
+        steps (point inversion: Piegl & Tiller, *The NURBS Book*, sec. 6.1)
+        until its own step is below 1e-14. A row whose 2x2 normal system
+        is singular stays where it is. A row whose nearest seed lies beyond
+        ``reject_radius`` is not projected and gets distance inf.
+        """
         d2 = ((self.seed_positions[None] - targets[:, None]) ** 2).sum(axis=2)
-        best = d2.argmin(axis=1)
-        rejected = d2[np.arange(len(targets)), best] > self.reject_radius**2
-        return np.where(rejected, -1, best)
-
-    def project(self, target, seed):
-        """Closest point on the patch, Gauss-Newton from seed ``seed``."""
-        param = self.seed_params[seed].copy()
+        params = self.seed_params[d2.argmin(axis=1)]
+        seeded = d2.min(axis=1) <= self.reject_radius**2
+        active = np.flatnonzero(seeded)
         for _ in range(50):
-            frame = self.patch.frames_at(param[None])
-            tan_u, tan_v = frame.tangents_u[0], frame.tangents_v[0]
-            res = frame.positions[0] - target
-            grad = np.array([res @ tan_u, res @ tan_v])
-            hess = np.array(
-                [
-                    [tan_u @ tan_u, tan_u @ tan_v],
-                    [tan_u @ tan_v, tan_v @ tan_v],
-                ]
-            )
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
+            if not active.size:
                 break
-            new_param = np.clip(param + step, 0.0, 1.0)
-            moved = np.abs(new_param - param).max()
-            param = new_param
-            if moved < 1e-14:
-                break
-        dist = np.linalg.norm(self.patch.points_at(param[None])[0] - target)
-        return param, dist
-
-
-def _singular_params(source, aliases, ctx, target, seed, tol):
-    """Parameters on the patch of ``ctx`` where ``target``, an image of the
-    node at ``source``, lies: the node's ``aliases`` there when the image
-    is the node itself, else a projection closer than ``tol``."""
-    if len(aliases) and np.linalg.norm(target - source) < tol:
-        return list(aliases)
-    if seed < 0:
-        return []
-    param, dist = ctx.project(target, seed)
-    return [param] if dist < tol else []
+            frames = self.patch.frames_at(params[active])
+            tangents = np.stack([frames.tangents_u, frames.tangents_v], 1)
+            # matmul, not einsum: each row sums as the one-row res @ tan_u
+            grad = tangents @ (frames.positions - targets[active])[:, :, None]
+            hess = tangents @ tangents.transpose(0, 2, 1)
+            solvable = np.linalg.slogdet(hess).sign != 0.0
+            active = active[solvable]
+            step = np.linalg.solve(hess[solvable], -grad[solvable])[:, :, 0]
+            new = np.clip(params[active] + step, 0.0, 1.0)
+            moved = np.abs(new - params[active]).max(axis=1)
+            params[active] = new
+            active = active[moved >= 1e-14]
+        dist = np.full(len(targets), np.inf)
+        if seeded.any():  # an empty points_at call still costs its setup
+            dist[seeded] = np.linalg.norm(
+                self.patch.points_at(params[seeded]) - targets[seeded], axis=1)
+        return params, dist
 
 
 def _split_singular(regions, params, depth=0):
@@ -259,8 +248,8 @@ def _split_singular(regions, params, depth=0):
         )
     singular = []
     regular = []
-    for region in regions:
-        inside = [p for p in params if region.contains(p, tol=1e-9)]
+    for region, hits in zip(regions, contains_mask(params, regions).T):
+        inside = [p for p, hit in zip(params, hits) if hit]
         if not inside:
             regular.append(region)
         elif len(inside) == 1:
@@ -320,34 +309,35 @@ class _Rows:
             self.rhs[nodes] += np.einsum("m,mni->ni", weights, u_t)
 
 
-def _plan(ctx, aliases, sources, targets, cfg, tol):
+def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     """What one node block needs from one patch, over all mirror images.
 
-    Row t is one (image, node) pair: ``aliases[t]`` holds the Greville
-    parameters of the node on the patch, ``sources[t]`` its position and
-    ``targets[t]`` the position's image. Returns the far mask of (row, base
-    region) pairs, and a dict from each row not wholly far, in row order,
-    to its fans as (region, singular parameter) pairs and its quad-tree
-    refined regions, from one ``quadtree_refine`` call for all rows.
+    Row t is one (image, node) pair: ``sources[t]`` is the node's position
+    and ``targets[t]`` its image. ``alias_rows`` (sorted) and
+    ``alias_params`` give each row's node's Greville parameters on the
+    patch, its singular parameters when the image is the node itself; every
+    other row is projected onto the patch in one call, singular where that
+    lies closer than ``tol``. Returns the far mask of (row, base region)
+    pairs, less the regions holding a singular parameter, and a dict from
+    each row not wholly far, in row order, to its fans as (region, singular
+    parameter) pairs and its quad-tree refined regions, from one
+    ``quadtree_refine`` call for all rows.
     """
-    far = far_mask(ctx.samples, targets, cfg.quadtree_threshold)
-    seeds = ctx.nearest_seeds(targets)
-    near = {}
-    pairs = []
-    for t, (alias, source) in enumerate(zip(aliases, sources)):
-        sing = _singular_params(source, alias, ctx, targets[t], seeds[t], tol)
-        if sing:
-            far[t] &= [
-                not any(r.contains(p, tol=1e-9) for p in sing)
-                for r in ctx.regions
-            ]
-        if far[t].all():
-            continue
+    far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
+    aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
+    others = np.flatnonzero(
+        np.bincount(alias_rows[aliased], minlength=len(targets)) == 0)
+    params, dist = ctx.project(targets[others])
+    rows = np.concatenate([alias_rows[aliased], others[dist < tol]])
+    sing = np.concatenate([alias_params[aliased], params[dist < tol]])
+    np.logical_and.at(far, rows, ~contains_mask(sing, ctx.regions))
+    near, pairs = {}, []
+    for t in np.flatnonzero(~far.all(axis=1)):
         regular = [region for region, skip in zip(ctx.regions, far[t])
                    if not skip]
         fans = []
-        if sing:
-            fans, regular = _split_singular(regular, sing)
+        if t in rows:
+            fans, regular = _split_singular(regular, sing[rows == t])
         near[t] = (fans, [])
         pairs += [(t, region) for region in regular]
     for t, region in quadtree_refine(pairs, targets, ctx.patch.points_at,
@@ -379,10 +369,12 @@ def _engine(model, colloc):
         step = max(1, BLOCK_PAIRS // len(ctx.far_region))
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
-            aliases = [greville[k][ids == n] for n in block]
+            node, index = np.nonzero(ids == block[:, None])
+            images = len(block) * np.arange(len(group))[:, None]
             local = positions[block]
             targets = np.concatenate([local @ mirror.T for mirror in group])
-            far, near = _plan(ctx, aliases * len(group),
+            far, near = _plan(ctx, (node + images).ravel(),
+                              np.tile(greville[k][index], (len(group), 1)),
                               np.tile(local, (len(group), 1)), targets, cfg,
                               colloc.merge_tol)
             data = ctx.evaluate(
@@ -402,21 +394,28 @@ def _engine(model, colloc):
                     rows.add(block, *ctx.far, mirror, ids,
                              used=far[m][:, ctx.far_region].T)
 
+    return rows.t_blocks, rows.row_sums, node_values(model, colloc), \
+        rows.rhs.reshape(-1)
+
+
+def node_values(model, colloc):
+    """The (n, n) matrix whose row n gives, against the field coefficients
+    of one displacement component, that component at node n: the owner
+    patch's basis row at the owner's Greville parameters."""
     # owner[n] is the flat (patch, Greville index) position of node n's owner
     _, owner = np.unique(
         np.concatenate([grid.ravel() for grid in colloc.grids]),
         return_index=True,
     )
-    node_values = np.zeros((n_nodes, n_nodes))
+    values = np.zeros((len(colloc), len(colloc)))
     start = 0
-    for grid, pair, params in zip(colloc.grids, model.field_pairs, greville):
+    for grid, pair in zip(colloc.grids, model.field_pairs):
         owned = np.flatnonzero((owner >= start) & (owner < start + grid.size))
         if owned.size:
-            node_values[owned[:, None], grid.ravel()] = \
-                pair.values(params[owner[owned] - start])
+            values[owned[:, None], grid.ravel()] = \
+                pair.values(pair.greville_params()[owner[owned] - start])
         start += grid.size
-
-    return rows.t_blocks, rows.row_sums, node_values, rows.rhs.reshape(-1)
+    return values
 
 
 def free_term_rigid_body(t_blocks, row_sums, node_values, exterior=False):

@@ -25,6 +25,7 @@ __all__ = [
     "region_partition",
     "region_samples",
     "far_mask",
+    "contains_mask",
     "quadtree_refine",
     "singular_quadrature_points",
 ]
@@ -166,17 +167,25 @@ def region_samples(regions, point_fn) -> np.ndarray:
 
 
 def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
-    """The quad-tree's keep test for (n, 3) sources against region samples.
-
-    Entry (i, j) is True when region j's longest mapped edge is at most
-    ``threshold`` times the distance from source i to its nearest sample.
-    ``quadtree_refine`` decides through this function, so the two agree.
+    """The quad-tree's keep test, (..., 9, 3) region samples broadcast
+    against (..., 3) sources: True where the region's longest mapped edge
+    is at most ``threshold`` times the source's distance to its nearest
+    sample. ``quadtree_refine`` decides through this function, so the two
+    agree.
     """
-    edges = samples[:, [0, 2, 8, 6]] - samples[:, [2, 8, 6, 0]]
+    edges = samples[..., [0, 2, 8, 6], :] - samples[..., [2, 8, 6, 0], :]
     size = np.sqrt((edges * edges).sum(axis=-1)).max(axis=-1)
-    diff = samples[None] - sources[:, None, None]
+    diff = samples - sources[..., None, :]
     dist = np.sqrt((diff * diff).sum(axis=-1)).min(axis=-1)
     return size <= threshold * dist
+
+
+def contains_mask(params, regions) -> np.ndarray:
+    """Entry (i, j) is ``regions[j].contains(params[i], tol=1e-9)``."""
+    bounds = np.array([[r.u0, r.v0, r.u1, r.v1] for r in regions]) \
+        + [-1e-9, -1e-9, 1e-9, 1e-9]
+    params = np.asarray(params, dtype=float).reshape(-1, 1, 2)
+    return ((bounds[:, :2] <= params) & (params <= bounds[:, 2:])).all(axis=2)
 
 
 def quadtree_refine(pairs, sources, point_fn, threshold: float = 1.0,
@@ -186,22 +195,22 @@ def quadtree_refine(pairs, sources, point_fn, threshold: float = 1.0,
 
     ``point_fn`` maps an (m, 2) parameter array to (m, 3) surface points.
     Per level, the distinct regions are mapped in one ``point_fn`` call and
-    all pairs are decided by one ``far_mask`` call.  Regions containing
-    their source are the singular integration's job, not this one's.  Kept
-    pairs come back sorted stably by source index, each source's regions in
-    level-by-level order; regions that pass ``far_mask`` come back unsplit,
-    as the same objects.  Hitting the depth cap logs a warning and keeps
-    the region.
+    the level's pairs, and only those, are decided by one ``far_mask``
+    call.  Regions containing their source are the singular integration's
+    job, not this one's.  Kept pairs come back sorted stably by source
+    index, each source's regions in level-by-level order; regions that
+    pass ``far_mask`` come back unsplit, as the same objects.  Hitting the
+    depth cap logs a warning and keeps the region.
     """
     sources = np.asarray(sources, dtype=float).reshape(-1, 3)
     out, capped, level = [], [], list(pairs)
     while level:
-        distinct = dict.fromkeys(region for _, region in level)
-        column = {region: j for j, region in enumerate(distinct)}
-        far = far_mask(region_samples(distinct, point_fn), sources, threshold)
+        column = {}  # each distinct region's index, in first-seen order
+        cols = [column.setdefault(region, len(column)) for _, region in level]
+        far = far_mask(region_samples(column, point_fn)[cols],
+                       sources[[source for source, _ in level]], threshold)
         deeper = []
-        for source, region in level:
-            keep = far[source, column[region]]
+        for (source, region), keep in zip(level, far):
             if keep or region.depth >= max_depth:
                 if not keep:
                     capped.append(source)

@@ -4,8 +4,9 @@ The LU is written in numpy. Pure Neumann interior problems carry a
 rigid-motion nullspace. The modes that survive the declared mirror
 symmetries are pinned at the well-conditioned displacement components
 LAPACK's pivoted QR picks, and the reported coefficients are post-normalized
-by subtracting the best-fit surviving rigid motion. Exterior problems need
-neither step, the decay condition already removes the nullspace.
+by subtracting the best-fit surviving rigid motion, fitted in the field
+coefficient space. Exterior problems need neither step, the decay
+condition already removes the nullspace.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, SingularMatrixError
-from .assembly import assemble, collocation_points
+from .assembly import assemble, collocation_points, node_values
 from .model import reflection_matrix
 
 __all__ = [
@@ -174,18 +175,24 @@ def pin_rigid_motion(matrix, rhs, colloc, symmetry_planes=()):
     return matrix, rhs, rows
 
 
-def remove_rigid_motion(colloc, coefficients, symmetry_planes=()):
+def remove_rigid_motion(colloc, coefficients, symmetry_planes=(),
+                        values=None):
     """Subtract the best-fit surviving rigid motion from the coefficients.
 
-    ``colloc`` is anything with node ``positions``. Coefficients are
-    compared against rigid fields sampled at those positions; the
-    least-squares fit is removed. With flat patch geometry a rigid field's
-    exact coefficient vector equals its node samples, so this removes
-    pinning artifacts without touching the elastic part.
+    ``colloc`` is anything with node ``positions``, where the rigid modes
+    are sampled. ``values``, the matrix of ``assembly.node_values``, maps
+    those samples to the field coefficients of the rigid fields, and
+    the least-squares fit is removed in that space, which leaves the
+    elastic part alone on any patch geometry. Without it the node samples
+    stand in for the coefficients, which is exact only for affine patch
+    maps, as on flat faces.
     """
     z = rigid_modes(colloc.positions, symmetry_planes)
     if not z.shape[1]:
         return coefficients
+    if values is not None:
+        z = np.linalg.solve(values,
+                            z.reshape(len(values), -1)).reshape(z.shape)
     fit, *_ = np.linalg.lstsq(z, coefficients, rcond=None)
     return coefficients - z @ fit
 
@@ -200,7 +207,8 @@ def solve_model(model):
         )
     coeffs, residual = solve(matrix, rhs)
     if not model.exterior:
-        coeffs = remove_rigid_motion(colloc, coeffs, model.symmetry_planes)
+        coeffs = remove_rigid_motion(colloc, coeffs, model.symmetry_planes,
+                                     node_values(model, colloc))
     orders = tuple(pair.orders for pair in model.field_pairs)
     return Solution(coeffs, colloc, orders, residual)
 

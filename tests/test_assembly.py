@@ -1,4 +1,5 @@
 """Collocation merging, system assembly, free-term closure."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from gibem.assembly import (
     assemble,
     collocation_points,
     free_term_rigid_body,
+    _PatchContext,
     _engine,
     _split_singular,
 )
@@ -282,6 +284,119 @@ class TestSplitSingular:
         with pytest.raises(QuadratureError):
             _split_singular([self.LEFT], [np.array([0.2, 0.4]),
                                           np.array([0.2, 0.4])])
+
+
+def trimmed_bulged_model():
+    """The order-3 cube with its top face split at 0.4 into two trimmed
+    patches, whose base face bulges to z = 1.3 with centre weight 0.8."""
+    net = np.array([[[i / 2, j / 2, 1.0] for j in range(3)]
+                    for i in range(3)])
+    net[1, 1, 2] = 1.3
+    weights = np.ones((3, 3))
+    weights[1, 1] = 0.8
+    space = unit_interval_space(2)
+    bulged = NurbsPatch(space, space, net, weights)
+    model = build_trimmed_cube_model(3, 0.4)
+    patches = list(model.patches)
+    patches[1:3] = [dataclasses.replace(p, base=bulged) for p in patches[1:3]]
+    return dataclasses.replace(model, patches=tuple(patches))
+
+
+class _CountingPatch:
+    """A patch that counts ``frames_at`` calls, one per Gauss-Newton step."""
+
+    def __init__(self, patch):
+        self.patch = patch
+        self.calls = 0
+
+    def frames_at(self, params):
+        self.calls += 1
+        return self.patch.frames_at(params)
+
+    def points_at(self, params):
+        return self.patch.points_at(params)
+
+
+class _ParallelAt:
+    """A patch whose v tangent equals its u tangent at one parameter."""
+
+    def __init__(self, patch, param):
+        self.patch = patch
+        self.param = param
+
+    def frames_at(self, params):
+        frames = self.patch.frames_at(params)
+        bad = np.all(params == self.param, axis=1)[:, None]
+        return dataclasses.replace(frames, tangents_v=np.where(
+            bad, frames.tangents_u, frames.tangents_v))
+
+    def points_at(self, params):
+        return self.patch.points_at(params)
+
+
+def _one_row_inversion(patch, target, param):
+    """Reference Gauss-Newton point inversion of one target, with scalar
+    dot products; a singular normal system stops it where it is."""
+    for _ in range(50):
+        frame = patch.frames_at(param[None])
+        tan_u, tan_v = frame.tangents_u[0], frame.tangents_v[0]
+        res = frame.positions[0] - target
+        grad = np.array([res @ tan_u, res @ tan_v])
+        hess = np.array([[tan_u @ tan_u, tan_u @ tan_v],
+                         [tan_u @ tan_v, tan_v @ tan_v]])
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        new = np.clip(param + step, 0.0, 1.0)
+        moved = np.abs(new - param).max()
+        param = new
+        if moved < 1e-14:
+            break
+    return param
+
+
+class TestProjection:
+    def test_rows_match_one_row_projection(self):
+        model = trimmed_bulged_model()
+        ctx = _PatchContext(model.patches[2], model.field_pairs[2],
+                            model.config)
+        positions = collocation_points(model).positions
+        # every node, nodes lifted off the faces, and one far point
+        targets = np.concatenate([positions, positions + [0.05, -0.03, 0.1],
+                                  [[5.0, 5.0, 5.0]]])
+        params, dist = ctx.project(targets)
+        d2 = ((ctx.seed_positions[None] - targets[:, None]) ** 2).sum(2)
+        seeds = ctx.seed_params[d2.argmin(1)]
+        assert np.isinf(dist[-1]) and np.array_equal(params[-1], seeds[-1])
+        ctx.patch = _CountingPatch(ctx.patch)
+        steps = set()
+        for target, param, d, seed in zip(targets, params, dist, seeds):
+            ctx.patch.calls = 0
+            one_param, one_dist = ctx.project(target[None])
+            steps.add(ctx.patch.calls)
+            assert np.array_equal(one_param[0], param)
+            assert np.array_equal(one_dist[0], d)
+            if np.isfinite(d):
+                assert np.array_equal(
+                    _one_row_inversion(ctx.patch, target, seed), param)
+        assert {1, 2, 7} <= steps
+        on_patch = dist < 1e-9
+        assert on_patch.any() and not on_patch.all()
+
+    def test_singular_normal_system_keeps_its_seed(self):
+        model = single_patch_model()
+        ctx = _PatchContext(model.patches[0], model.field_pairs[0],
+                            model.config)
+        # the flat square maps (u, v) to (u, v, 0); seed points lie 1/16 apart
+        ctx.patch = _ParallelAt(ctx.patch, [0.5, 0.5])
+        targets = np.array([[0.27, 0.71, 0.1], [0.51, 0.5, 0.1],
+                            [0.9, 0.15, -0.05]])
+        params, dist = ctx.project(targets)
+        assert np.array_equal(params[1], [0.5, 0.5])
+        assert_allclose(dist[1], np.hypot(0.01, 0.1), rtol=1e-14)
+        assert_allclose(params[[0, 2]], targets[[0, 2], :2], atol=1e-15)
+        assert_allclose(dist[[0, 2]], [0.1, 0.05], rtol=1e-14)
 
 
 @pytest.fixture(scope="module")

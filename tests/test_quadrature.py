@@ -4,13 +4,14 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gibem.errors import QuadratureError
 from gibem.geometry import NurbsPatch
 from gibem.kernels import Material, kelvin_T_many
 from gibem.quadrature import (
     IntegrationRegion,
+    contains_mask,
     far_mask,
     gauss_rule,
     quadtree_refine,
@@ -146,6 +147,30 @@ class TestSingularScheme:
             singular_quadrature_points(region, (0.9, 0.9), gauss_rule(4))
 
 
+def test_contains_mask_matches_contains():
+    regions = [IntegrationRegion(0.1, 0.3, 0.7, 0.9),
+               *IntegrationRegion(0.0, 1.0 / 3.0, 0.2, 0.7).split()]
+    values = set()
+    for region in regions:
+        for edge in (region.u0, region.u1, region.v0, region.v1):
+            lo, hi = edge - 1e-9, edge + 1e-9
+            values |= {edge, lo, hi, np.nextafter(lo, -np.inf),
+                       np.nextafter(hi, np.inf)}
+    values = sorted(values)
+    params = np.array([(u, v) for u in values for v in values])
+    expected = [[region.contains(p, tol=1e-9) for region in regions]
+                for p in params]
+    mask = contains_mask(params, regions)
+    assert_array_equal(mask, expected)
+    # each corner is inside, one step beyond the slack is outside
+    outward = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    for j, region in enumerate(regions):
+        corners = region.corners()
+        assert contains_mask(corners, regions)[:, j].all()
+        beyond = np.nextafter(corners + 1e-9 * outward, np.inf * outward)
+        assert not contains_mask(beyond, regions)[:, j].any()
+
+
 def _refine_one(regions, source, point_fn, **kwargs):
     """``quadtree_refine`` for a single source; its regions, in order."""
     pairs = quadtree_refine([(0, region) for region in regions], [source],
@@ -178,7 +203,7 @@ class TestQuadtree:
             )
         assert max(r.depth for r in refined) == 3
         capped = np.count_nonzero(~far_mask(
-            region_samples(refined, flat_patch.points_at), source[None]
+            region_samples(refined, flat_patch.points_at), source[None, None]
         )[0])
         [record] = [rec for rec in caplog.records
                     if "depth cap" in rec.message]
@@ -242,7 +267,8 @@ def test_quadtree_keeps_exactly_the_far_regions(cuts_u, cuts_v, target,
     ]
     target = np.array(target)
     far = far_mask(
-        region_samples(regions, _CURVED.points_at), target[None], threshold
+        region_samples(regions, _CURVED.points_at), target[None, None],
+        threshold
     )[0]
     out = _refine_one(regions, target, _CURVED.points_at,
                       threshold=threshold, max_depth=2)
@@ -267,7 +293,7 @@ def _refine_region_by_region(regions, target, threshold, max_depth):
         deeper = []
         for region in level:
             samples = region_samples([region], _CURVED.points_at)
-            keep = far_mask(samples, target[None], threshold)[0, 0]
+            keep = far_mask(samples, target[None, None], threshold)[0, 0]
             if keep or region.depth >= max_depth:
                 out.append(region)
             else:

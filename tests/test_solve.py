@@ -1,4 +1,5 @@
 """Linear solve, rigid-mode handling, evaluation, refinement driver."""
+import dataclasses
 import itertools
 from functools import partial
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from gibem.errors import (
     ParameterDomainError,
     SingularMatrixError,
 )
+from gibem.geometry import NurbsPatch, TrimmedPatch, TrimmingCurve
 from gibem.kernels import Material
 from gibem.model import (
     BoundaryModel,
@@ -37,6 +39,7 @@ from gibem.solve import (
     solve,
     solve_model,
 )
+from gibem.splines import unit_interval_space
 
 UNIAXIAL_SCALE = 1e-3  # z displacement of the unit cube at sigma_z/E = 1/1000
 
@@ -223,6 +226,57 @@ class TestRigidModes:
         plain = SimpleNamespace(positions=colloc.positions.copy())
         assert np.array_equal(remove_rigid_motion(plain, coeffs, planes),
                               remove_rigid_motion(colloc, coeffs, planes))
+
+
+def bulged_cube(order):
+    """The cube with its top face bulged to z = 1.3 (a biquadratic net)."""
+    net = np.array([[[i / 2, j / 2, 1.0] for j in range(3)]
+                    for i in range(3)])
+    net[1, 1, 2] = 1.3
+    cube = build_cube_model(order)
+    top = NurbsPatch(unit_interval_space(2), unit_interval_space(2), net,
+                     np.ones((3, 3)), flip_normal=cube.patches[1].flip_normal)
+    return dataclasses.replace(
+        cube, patches=(cube.patches[0], top) + cube.patches[2:])
+
+
+def quadratic_trim_cube(order):
+    """The flat cube with its top face split along the quadratic trim curve
+    through (0.4, 0), (0.6, 0.5), (0.4, 1)."""
+    cube = build_trimmed_cube_model(order)
+    line = unit_interval_space(1)
+    curve = TrimmingCurve(unit_interval_space(2),
+                          np.array([[0.4, 0.0], [0.6, 0.5], [0.4, 1.0]]))
+    left = TrimmingCurve(line, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    right = TrimmingCurve(line, np.array([[1.0, 0.0], [1.0, 1.0]]))
+    top = cube.patches[1].base
+    halves = (TrimmedPatch(top, left, curve), TrimmedPatch(top, curve, right))
+    return dataclasses.replace(
+        cube, patches=(cube.patches[0], *halves) + cube.patches[3:])
+
+
+@pytest.mark.parametrize("build, order, bound", [
+    *[(bulged_cube, order, 1e-8) for order in (2, 3, 4, 5)],
+    # the pinned solution itself is only this accurate here
+    *[(quadratic_trim_cube, order, 1e-6) for order in (2, 3, 4)],
+])
+def test_removal_keeps_the_solution_on_curved_maps(build, order, bound):
+    """Neither model's patch maps are all affine, so node samples of a
+    rigid field are not the field's coefficients; the removal must still
+    leave the uniaxial solution, checked at points."""
+    model = build(order)
+    sol = solve_model(model)
+    rng = np.random.default_rng(order)
+    points, diffs = [], []
+    for k, patch in enumerate(model.patches):
+        params = rng.uniform(0.0, 1.0, (50, 2))
+        points.append(patch.points_at(params))
+        diffs.append(evaluate_displacement_many(model, sol, k, params)
+                     - analytic_uniaxial(points[-1]))
+    # the pinned gauge differs from the exact field by a rigid motion
+    diff = remove_rigid_motion(SimpleNamespace(
+        positions=np.concatenate(points)), np.concatenate(diffs).ravel())
+    assert np.abs(diff).max() / UNIAXIAL_SCALE <= bound
 
 
 class TestPatchTest:
