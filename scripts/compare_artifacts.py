@@ -14,15 +14,20 @@ same for both trees. Every file of the two trees is compared byte for
 byte, model files included; in ``report.json`` only the value of
 ``runtime_seconds`` is ignored. The script prints one line per file and
 exits with status 1 when any file differs or exists in one tree only.
+When a ``coefficients.csv`` differs, the next line gives the largest
+change of a displacement coefficient relative to the largest BASE one.
 """
 
 import argparse
+import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,6 +63,17 @@ def run_cli(src, seed, work):
             for path in sorted(work.rglob("*")) if path.is_file()}
 
 
+def coefficient_change(base, new):
+    """Largest |NEW - BASE| over the ux, uy, uz columns of two
+    coefficients.csv files, relative to the largest |BASE| there."""
+    a, b = (np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1,
+                       usecols=(4, 5, 6)) for data in (base, new))
+    if a.shape != b.shape:
+        return f"node tables differ: {a.shape} and {b.shape}"
+    change = np.abs(b - a).max() / np.abs(a).max()
+    return f"max coefficient change {change:.2e} relative to BASE"
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -83,6 +99,9 @@ def main():
             equal, size = a == b, str(len(a))
         all_equal &= equal
         print(f"{str(name):<46}{size:>12}  {equal}")
+        if name.name == "coefficients.csv" and None not in (a, b) \
+                and not equal:
+            print("  " + coefficient_change(a, b))
     return 0 if all_equal else 1
 
 

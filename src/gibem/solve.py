@@ -1,12 +1,11 @@
 """Dense solve, rigid-mode handling, field evaluation, refinement driver.
 
 The LU is written in numpy. Pure Neumann interior problems carry a
-rigid-motion nullspace. The modes that survive the declared mirror
-symmetries are pinned at the well-conditioned displacement components
-LAPACK's pivoted QR picks, and the reported coefficients are post-normalized
-by subtracting the best-fit surviving rigid motion, fitted in the field
-coefficient space. Exterior problems need neither step, the decay
-condition already removes the nullspace.
+rigid-motion nullspace. The field-space modes that survive the declared
+mirror symmetries border the system as constraints, so the solution is
+the one orthogonal to every rigid field (Blazquez, Mantic, Paris & Canas,
+IJNME 1996). Exterior problems need no constraint, the decay condition
+already removes the nullspace.
 """
 from __future__ import annotations
 
@@ -34,7 +33,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Displacement coefficients plus solve metadata."""
+    """Displacement coefficients plus solve metadata. ``residual`` is the
+    relative residual of the system solved, bordered for interior models."""
 
     coefficients: np.ndarray
     colloc: object
@@ -131,86 +131,53 @@ def rigid_modes(positions, symmetry_planes=()):
     return np.column_stack([col.ravel() for col in cols])
 
 
-def pin_rigid_motion(matrix, rhs, colloc, symmetry_planes=()):
-    """Replace a well-chosen set of rows by zero-displacement constraints.
+def pin_rigid_motion(matrix, rhs, modes):
+    """Border the system with the rigid modes given as field coefficients.
 
-    One row per surviving rigid mode is overwritten with an identity row.
-    The rows are picked by column-pivoted QR on the mode value matrix so
-    the constrained mode combinations stay well conditioned. The QR copies
-    LAPACK dlaqp2, which geqp3 runs for these k <= 6 rows: symmetric models
-    have exact ties, and the rows chosen move the answer at the level of
-    the discretisation error, so ties must break as in geqp3.
+    ``modes`` (n, k) is orthonormalised to Z, so the border's scale does
+    not depend on model units, and the returned system
+    [[A, Z], [Z^T, 0]] [x; lambda] = [b; 0] has one solution whose first n
+    entries are orthogonal to every mode. Without modes the system comes
+    back unchanged.
     """
-    a = rigid_modes(colloc.positions, symmetry_planes).T
-    if not len(a):
-        return matrix, rhs, ()
-    cols = np.arange(a.shape[1])
-    vn1 = np.linalg.norm(a, axis=0)
-    vn2 = vn1.copy()
-    for i in range(min(a.shape)):
-        p = i + int(vn1[i:].argmax())
-        a[:, [i, p]] = a[:, [p, i]]
-        cols[[i, p]] = cols[[p, i]]
-        vn1[p], vn2[p] = vn1[i], vn2[i]
-        alpha, x = a[i, i], a[i + 1:, i]
-        xnorm = np.linalg.norm(x)
-        if xnorm != 0.0:  # one Householder step, dlarfg then dlarf
-            beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
-            v = np.concatenate([[1.0], x / (alpha - beta)])
-            rest = a[i:, i + 1:]
-            rest -= np.outer((beta - alpha) / beta * v, v @ rest)
-        # downdate the partial norms as in LAPACK Working Note 176
-        j = np.flatnonzero(vn1[i + 1:]) + i + 1
-        temp = np.maximum(1.0 - (np.abs(a[i, j]) / vn1[j]) ** 2, 0.0)
-        stale = j[temp * (vn1[j] / vn2[j]) ** 2 <= np.finfo(float).eps ** 0.5]
-        vn1[j] *= np.sqrt(temp)
-        vn1[stale] = vn2[stale] = np.linalg.norm(a[i + 1:, stale], axis=0)
-    rows = tuple(int(r) for r in cols[:len(a)])
-    matrix = matrix.copy()
-    rhs = rhs.copy()
-    for r in rows:
-        matrix[r, :] = 0.0
-        matrix[r, r] = 1.0
-        rhs[r] = 0.0
-    return matrix, rhs, rows
+    k = modes.shape[1]
+    if not k:
+        return matrix, rhs
+    z = np.linalg.qr(modes)[0]
+    return (np.block([[matrix, z], [z.T, np.zeros((k, k))]]),
+            np.concatenate([rhs, np.zeros(k)]))
 
 
-def remove_rigid_motion(colloc, coefficients, symmetry_planes=(),
-                        values=None):
-    """Subtract the best-fit surviving rigid motion from the coefficients.
+def remove_rigid_motion(colloc, displacements, symmetry_planes=()):
+    """Subtract the best-fit surviving rigid motion from displacements.
 
-    ``colloc`` is anything with node ``positions``, where the rigid modes
-    are sampled. ``values``, the matrix of ``assembly.node_values``, maps
-    those samples to the field coefficients of the rigid fields, and
-    the least-squares fit is removed in that space, which leaves the
-    elastic part alone on any patch geometry. Without it the node samples
-    stand in for the coefficients, which is exact only for affine patch
-    maps, as on flat faces.
+    ``colloc`` is anything with ``positions`` (m, 3), and ``displacements``
+    the flattened (3m,) values there. This compares a field with an exact
+    one up to a rigid motion; node samples stand in for field coefficients
+    only where the patch maps are affine.
     """
     z = rigid_modes(colloc.positions, symmetry_planes)
     if not z.shape[1]:
-        return coefficients
-    if values is not None:
-        z = np.linalg.solve(values,
-                            z.reshape(len(values), -1)).reshape(z.shape)
-    fit, *_ = np.linalg.lstsq(z, coefficients, rcond=None)
-    return coefficients - z @ fit
+        return displacements
+    fit, *_ = np.linalg.lstsq(z, displacements, rcond=None)
+    return displacements - z @ fit
 
 
 def solve_model(model):
-    """Collocate, assemble, solve, and normalize one model."""
+    """Collocate, assemble and solve one model. An interior model's system
+    is bordered with the field coefficients of its surviving rigid modes,
+    mapped from their node samples by ``assembly.node_values``."""
     colloc = collocation_points(model)
     matrix, rhs = assemble(model, colloc)
+    n = len(rhs)
     if not model.exterior:
-        matrix, rhs, _ = pin_rigid_motion(
-            matrix, rhs, colloc, model.symmetry_planes
-        )
+        modes = rigid_modes(colloc.positions, model.symmetry_planes)
+        modes = np.linalg.solve(node_values(model, colloc),
+                                modes.reshape(len(colloc), -1))
+        matrix, rhs = pin_rigid_motion(matrix, rhs, modes.reshape(n, -1))
     coeffs, residual = solve(matrix, rhs)
-    if not model.exterior:
-        coeffs = remove_rigid_motion(colloc, coeffs, model.symmetry_planes,
-                                     node_values(model, colloc))
     orders = tuple(pair.orders for pair in model.field_pairs)
-    return Solution(coeffs, colloc, orders, residual)
+    return Solution(coeffs[:n], colloc, orders, residual)
 
 
 def evaluate_displacement(model, solution, patch_index, u, v):
