@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on twelve models: the three
+``gibem.assembly.assemble(model, colloc)`` on thirteen models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -29,10 +29,16 @@ at 0.4 with the rational bulged top face as the base of both trimmed
 patches. It is the only model where node images are found on a curved
 patch by projection: 14 of the 24 images projected onto its trimmed
 patches lie on them, and the projections stop after one, two or seven
-Gauss-Newton steps. Only the two public calls are used, so trees whose
-internals differ can be compared; the script reads both the ``(matrix,
-rhs)`` tuple and ``colloc.grids`` and the older form, a system object
-with ``matrix`` and ``rhs`` and the grids on ``colloc.dof_map``. For every model the script
+Gauss-Newton steps. The thirteenth, ``seam-cube-order2``, is the cube's
+bottom and top faces plus one bilinear wall wrapped around the four
+sides, whose first and last control columns coincide; its order-2 field
+has a double knot at each vertical edge. The wall's first and last
+Greville columns merge into the same nodes, so its grid holds each of
+them twice and both copies' kernel contributions reach the matrix. Only
+the two public calls are used, so trees whose internals differ can be
+compared; the script reads both the ``(matrix, rhs)`` tuple and
+``colloc.grids`` and the older form, a system object with ``matrix`` and
+``rhs`` and the grids on ``colloc.dof_map``. For every model the script
 prints, per array (node positions, each patch's grid of node ids, the
 closed matrix and the rhs), whether the two trees agree bit for bit and
 the largest difference relative to the largest BASE entry. The grids and
@@ -59,8 +65,8 @@ import numpy as np
 out, seed, perfbench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 sys.path.insert(0, perfbench)
 from workloads import WORKLOADS, build_model, draw_stress
-from gibem import (BasisSpace, LoadState, Material, NurbsPatch,
-                   build_cube_model, build_trimmed_cube_model,
+from gibem import (BasisSpace, FieldSpacePair, LoadState, Material,
+                   NurbsPatch, build_cube_model, build_trimmed_cube_model,
                    unit_interval_space)
 from gibem.assembly import assemble, collocation_points
 
@@ -121,6 +127,19 @@ models["two-span-cube-order3"] = dataclasses.replace(cube, patches=tuple(
 octant = models["octant-trim"]
 models["octant-trim-depth1"] = dataclasses.replace(
     octant, config=dataclasses.replace(octant.config, quadtree_max_depth=1))
+
+# the four side faces as one wall closing on itself at u = 0 and u = 1
+ring = np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1], [0, 0]])
+wall = NurbsPatch(BasisSpace([0.0, 0, 0.25, 0.5, 0.75, 1, 1], 1),
+                  unit_interval_space(1),
+                  np.stack([np.column_stack([ring, np.full(5, z)])
+                            for z in (0.0, 1.0)], axis=1), np.ones((5, 2)))
+seam = build_cube_model(2, material, load)
+field = FieldSpacePair.from_orders(2, interior_u=[0.25, 0.25, 0.5, 0.5,
+                                                  0.75, 0.75])
+models["seam-cube-order2"] = dataclasses.replace(
+    seam, patches=seam.patches[:2] + (wall,),
+    field_pairs=seam.field_pairs[:2] + (field,))
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)

@@ -27,9 +27,7 @@ from .assembly import assemble, collocation_points
 from .solve import (
     Solution,
     elevate_model_order,
-    evaluate_displacement,
     evaluate_displacement_many,
-    refinement_study,
     solve_model,
 )
 from .modelio import (
@@ -60,11 +58,9 @@ __all__ = [
     "build_trimmed_cube_model",
     "collocation_points",
     "elevate_model_order",
-    "evaluate_displacement",
     "evaluate_displacement_many",
     "greville_abscissae",
     "parse_model",
-    "refinement_study",
     "solve_model",
     "straight_trim_pair",
     "unit_interval_space",

@@ -4,8 +4,8 @@ Each patch contributes a tensor grid of collocation points at the Greville
 parameters of its field spaces. Points that coincide in global coordinates
 are merged into one node, and the three displacement components of a node
 form three consecutive rows/columns of the dense system. The stages pass
-plain arrays: a ``CollocationSet`` holds the node positions and each
-patch's grid of node ids, and ``assemble`` returns ``(matrix, rhs)``.
+plain arrays: a ``CollocationSet`` holds the node positions, node id grids
+and nodal basis values, and ``assemble`` returns ``(matrix, rhs)``.
 
 The traction kernel is strongly singular, so rows are built in two parts.
 Away from the collocation point the integrand is smooth and handled by
@@ -64,14 +64,16 @@ class CollocationSet:
 
     ``positions`` (n, 3), read-only, holds each node's mean point.
     ``grids[k]`` is the (n_u, n_v) grid of node ids at patch k's Greville
-    parameters, flat index a * n_v + b. A node's aliases are the Greville
-    points whose grid entry is that node; the first of them in flat
-    (patch, index) order is its owner, used for nodal field values.
+    parameters, flat index a * n_v + b, twice a node where the patch closes
+    on itself. A node's aliases are the Greville points whose grid entry is
+    that node; the first of them in flat (patch, index) order is its owner.
+    ``node_values``, read-only, is ``node_values(model, grids)``.
     """
 
     positions: np.ndarray
     grids: tuple
     merge_tol: float
+    node_values: np.ndarray
 
     def __len__(self):
         return len(self.positions)
@@ -87,7 +89,7 @@ def collocation_points(model):
     Points closer than the merge tolerance, directly or through a chain of
     such points, become one node. Nodes are numbered in the order of their
     first point in the flat (patch, Greville index) order, and that point is
-    the node's owner.
+    the node's owner. The nodal basis values are built here, once per set.
     """
     tol = model.config.resolved_merge_tol(model.bbox_diagonal())
     positions = np.concatenate([
@@ -125,7 +127,9 @@ def collocation_points(model):
     cuts = np.cumsum([pair.n_u * pair.n_v for pair in model.field_pairs])
     grids = tuple(ids.reshape(pair.n_u, pair.n_v) for ids, pair
                   in zip(np.split(node_of, cuts[:-1]), model.field_pairs))
-    return CollocationSet(means, grids, tol)
+    values = node_values(model, grids)
+    values.flags.writeable = False
+    return CollocationSet(means, grids, tol, values)
 
 
 class _PatchContext:
@@ -298,8 +302,9 @@ class _Rows:
         contrib = contrib.reshape(len(nodes), 3, 3, -1)
         self.row_sums[nodes] += contrib.sum(axis=3)
         view = self.t_blocks.reshape(len(self.positions), 3, -1, 3)
-        view[nodes[:, None], :, ids, :] += \
-            contrib.transpose(0, 3, 1, 2) * np.diag(mirror)
+        # unbuffered: ids repeats a node where the patch closes on itself
+        np.add.at(view, (nodes[:, None], slice(None), ids, slice(None)),
+                  contrib.transpose(0, 3, 1, 2) * np.diag(mirror))
         if self.load is not None:
             tractions = self.load.traction(normals, self.sign)
             traction = [c[:, None] for c in tractions.T]
@@ -348,11 +353,11 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
 
 
 def _engine(model, colloc):
-    """Kernel blocks, row sums, nodal basis values and right-hand side (zero
-    without a load) of every row, before the closure. One plan per patch
-    and node block covers all mirror images; then, image by image, near
-    rows are added node by node and far pairs in one batch, an order that
-    fixes the accumulated bits."""
+    """Kernel blocks, row sums and right-hand side (zero without a load) of
+    every row, before the closure. One plan per patch and node block covers
+    all mirror images; then, image by image, near rows are added node by
+    node and far pairs in one batch, an order that fixes the accumulated
+    bits."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     contexts = [
@@ -394,26 +399,24 @@ def _engine(model, colloc):
                     rows.add(block, *ctx.far, mirror, ids,
                              used=far[m][:, ctx.far_region].T)
 
-    return rows.t_blocks, rows.row_sums, node_values(model, colloc), \
-        rows.rhs.reshape(-1)
+    return rows.t_blocks, rows.row_sums, rows.rhs.reshape(-1)
 
 
-def node_values(model, colloc):
+def node_values(model, grids):
     """The (n, n) matrix whose row n gives, against the field coefficients
     of one displacement component, that component at node n: the owner
     patch's basis row at the owner's Greville parameters."""
     # owner[n] is the flat (patch, Greville index) position of node n's owner
-    _, owner = np.unique(
-        np.concatenate([grid.ravel() for grid in colloc.grids]),
-        return_index=True,
-    )
-    values = np.zeros((len(colloc), len(colloc)))
+    _, owner = np.unique(np.concatenate([grid.ravel() for grid in grids]),
+                         return_index=True)
+    values = np.zeros((len(owner), len(owner)))
     start = 0
-    for grid, pair in zip(colloc.grids, model.field_pairs):
+    for grid, pair in zip(grids, model.field_pairs):
         owned = np.flatnonzero((owner >= start) & (owner < start + grid.size))
         if owned.size:
-            values[owned[:, None], grid.ravel()] = \
-                pair.values(pair.greville_params()[owner[owned] - start])
+            params = pair.greville_params()[owner[owned] - start]
+            # unbuffered: two basis functions of a node both count
+            np.add.at(values, (owned[:, None], grid.ravel()), pair.values(params))
         start += grid.size
     return values
 
@@ -454,6 +457,6 @@ def assemble(model, colloc=None):
             "only supported when mirror images close them (set closed=True "
             "in that case)"
         )
-    t_blocks, row_sums, node_values, rhs = _engine(model, colloc)
-    return free_term_rigid_body(t_blocks, row_sums, node_values,
+    t_blocks, row_sums, rhs = _engine(model, colloc)
+    return free_term_rigid_body(t_blocks, row_sums, colloc.node_values,
                                 model.exterior), rhs

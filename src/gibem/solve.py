@@ -1,4 +1,4 @@
-"""Dense solve, rigid-mode handling, field evaluation, refinement driver.
+"""Dense solve, rigid-mode handling, field evaluation, order elevation.
 
 The LU is written in numpy. Pure Neumann interior problems carry a
 rigid-motion nullspace. The field-space modes that survive the declared
@@ -9,13 +9,12 @@ already removes the nullspace.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError, SingularMatrixError
-from .assembly import assemble, collocation_points, node_values
+from .assembly import assemble, collocation_points
 from .model import reflection_matrix
 
 __all__ = [
@@ -25,9 +24,8 @@ __all__ = [
     "rigid_modes",
     "pin_rigid_motion",
     "remove_rigid_motion",
-    "evaluate_displacement",
+    "evaluate_displacement_many",
     "elevate_model_order",
-    "refinement_study",
 ]
 
 
@@ -166,23 +164,20 @@ def remove_rigid_motion(colloc, displacements, symmetry_planes=()):
 def solve_model(model):
     """Collocate, assemble and solve one model. An interior model's system
     is bordered with the field coefficients of its surviving rigid modes,
-    mapped from their node samples by ``assembly.node_values``."""
+    mapped from their node samples by the collocation set's
+    ``node_values``."""
     colloc = collocation_points(model)
     matrix, rhs = assemble(model, colloc)
     n = len(rhs)
     if not model.exterior:
         modes = rigid_modes(colloc.positions, model.symmetry_planes)
-        modes = np.linalg.solve(node_values(model, colloc),
-                                modes.reshape(len(colloc), -1))
+        if modes.shape[1]:  # three mirror planes leave none to map
+            modes = np.linalg.solve(colloc.node_values,
+                                    modes.reshape(len(colloc), -1))
         matrix, rhs = pin_rigid_motion(matrix, rhs, modes.reshape(n, -1))
     coeffs, residual = solve(matrix, rhs)
     orders = tuple(pair.orders for pair in model.field_pairs)
     return Solution(coeffs[:n], colloc, orders, residual)
-
-
-def evaluate_displacement(model, solution, patch_index, u, v):
-    """Displacement vector at field parameters (u, v) of one patch."""
-    return evaluate_displacement_many(model, solution, patch_index, [[u, v]])[0]
 
 
 def evaluate_displacement_many(model, solution, patch_index, params):
@@ -215,38 +210,3 @@ def elevate_model_order(model, new_order):
         for pair in model.field_pairs
     ]
     return model.with_field_pairs(pairs)
-
-
-def refinement_study(model, orders, probe=None, csv_path=None):
-    """Solve at several field orders and report a probe functional.
-
-    probe is (patch_index, u, v); the functional is the displacement
-    magnitude there. Returns rows (order, dof_count, functional, residual)
-    and optionally writes them as CSV.
-    """
-    orders = list(orders)
-    if orders != sorted(orders) or len(set(orders)) != len(orders):
-        raise ModelError(f"orders must be strictly increasing, got {orders}")
-    if probe is None:
-        probe = (0, 0.5, 0.5)
-    patch_index, u, v = probe
-
-    current = max(max(pair.orders) for pair in model.field_pairs)
-    rows = []
-    for order in orders:
-        if order < current:
-            raise ModelError(
-                f"cannot lower field order from {current} to {order}"
-            )
-        stage = model if order == current else elevate_model_order(model, order)
-        sol = solve_model(stage)
-        disp = evaluate_displacement(stage, sol, patch_index, u, v)
-        rows.append((order, sol.dof_count, float(np.linalg.norm(disp)),
-                     sol.residual))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["order", "dof_count", "functional", "residual"])
-            for row in rows:
-                writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
-    return rows

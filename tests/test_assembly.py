@@ -181,8 +181,8 @@ class TestCubeAssembly:
 
     def test_face_center_free_term_is_half(self, cube_system):
         model, colloc, _ = cube_system
-        t_blocks, row_sums, node_values, _ = _engine(model, colloc)
-        matrix = free_term_rigid_body(t_blocks, row_sums, node_values)
+        t_blocks, row_sums, _ = _engine(model, colloc)
+        matrix = free_term_rigid_body(t_blocks, row_sums, colloc.node_values)
         for n in range(len(colloc)):
             if alias_count(colloc, n) == 1:
                 assert_allclose(-row_sums[n], 0.5 * np.eye(3), atol=1e-5)
@@ -193,7 +193,7 @@ class TestCubeAssembly:
 
     def test_corner_free_term_differs_from_half(self, cube_system):
         model, colloc, _ = cube_system
-        _, row_sums, _, _ = _engine(model, colloc)
+        _, row_sums, _ = _engine(model, colloc)
         corner = next(
             n for n in range(len(colloc))
             if alias_count(colloc, n) == 3

@@ -33,11 +33,7 @@ from gibem.modelio import (
     write_trace,
     write_vtk,
 )
-from gibem.solve import (
-    evaluate_displacement,
-    evaluate_displacement_many,
-    solve_model,
-)
+from gibem.solve import evaluate_displacement_many, solve_model
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +358,8 @@ class TestTrace:
         )
         assert_allclose(positions, expected_pos, rtol=0.0, atol=0.0)
         expected = np.array([
-            evaluate_displacement(model, solution, 1, 0.0, t)[2] for t in ts
+            evaluate_displacement_many(model, solution, 1, [[0.0, t]])[0][2]
+            for t in ts
         ])
         assert_allclose(values, expected, rtol=0.0, atol=0.0)
 

@@ -1,4 +1,5 @@
-"""Linear solve, rigid-mode handling, evaluation, refinement driver."""
+"""Linear solve, rigid-mode handling, field evaluation, order elevation,
+and the patch test on flat, curved, trimmed and seam-closed models."""
 import dataclasses
 from types import SimpleNamespace
 
@@ -8,7 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from gibem.assembly import assemble, collocation_points, node_values
+import gibem.assembly
+from gibem.assembly import assemble, collocation_points
 from gibem.errors import (
     ModelError,
     ParameterDomainError,
@@ -28,16 +30,14 @@ from gibem.model import (
 from gibem.solve import (
     _lu_factor,
     elevate_model_order,
-    evaluate_displacement,
     evaluate_displacement_many,
     pin_rigid_motion,
-    refinement_study,
     remove_rigid_motion,
     rigid_modes,
     solve,
     solve_model,
 )
-from gibem.splines import unit_interval_space
+from gibem.splines import BasisSpace, unit_interval_space
 
 UNIAXIAL_SCALE = 1e-3  # z displacement of the unit cube at sigma_z/E = 1/1000
 
@@ -159,8 +159,8 @@ class TestRigidModes:
     @staticmethod
     def field_modes(model, colloc):
         modes = rigid_modes(colloc.positions, model.symmetry_planes)
-        values = node_values(model, colloc)
-        return np.linalg.solve(values, modes.reshape(len(colloc), -1)
+        return np.linalg.solve(colloc.node_values,
+                               modes.reshape(len(colloc), -1)
                                ).reshape(3 * len(colloc), -1)
 
     def test_pinning_makes_cube_solvable(self):
@@ -253,6 +253,23 @@ def quadratic_trim_cube(order):
         cube, patches=(cube.patches[0], *halves) + cube.patches[3:])
 
 
+def seam_cube(order):
+    """The unit cube from its bottom and top faces and one bilinear wall
+    wrapped around the four sides, whose first and last control columns
+    coincide. The wall's field has a C0 knot at each vertical edge, and its
+    first and last Greville columns merge into the same nodes."""
+    cube = build_cube_model(order)
+    ring = np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1], [0, 0]])
+    net = np.stack([np.column_stack([ring, np.full(5, z)])
+                    for z in (0.0, 1.0)], axis=1)
+    wall = NurbsPatch(BasisSpace([0, 0, 0.25, 0.5, 0.75, 1, 1], 1),
+                      unit_interval_space(1), net, np.ones((5, 2)))
+    field = FieldSpacePair.from_orders(
+        order, interior_u=np.repeat([0.25, 0.5, 0.75], order))
+    return dataclasses.replace(cube, patches=cube.patches[:2] + (wall,),
+                               field_pairs=cube.field_pairs[:2] + (field,))
+
+
 @pytest.mark.parametrize("build, order, bound", [
     *[(bulged_cube, order, 3e-10) for order in (2, 3, 4, 5)],
     # the solution itself is only this accurate here: 1.4e-7 at order 2
@@ -302,6 +319,26 @@ class TestPatchTest:
         assert rel < 1e-6
         assert sol.residual < 1e-10
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_seam_patch_passes_the_patch_test(self, order):
+        # the wall's grid holds each seam node twice, and both copies'
+        # kernel contributions and basis values must count
+        model = seam_cube(order)
+        grid = collocation_points(model).grids[2]
+        assert np.array_equal(grid[0], grid[-1])
+        rel, _ = patch_test_error(model)
+        assert rel <= 1e-8
+
+
+def test_solve_builds_node_values_once(monkeypatch):
+    built = []
+    build = gibem.assembly.node_values
+    monkeypatch.setattr(gibem.assembly, "node_values",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    sol = solve_model(build_cube_model(order=2))
+    assert len(built) == 1
+    assert sol.colloc.node_values is built[0]
+
 
 @pytest.fixture(scope="module")
 def cube_solution():
@@ -316,7 +353,8 @@ class TestEvaluate:
         const = np.tile([0.3, -0.1, 0.7], len(sol.colloc))
         forged = type(sol)(const, sol.colloc, sol.field_orders, 0.0)
         for patch in range(6):
-            u = evaluate_displacement(model, forged, patch, 0.37, 0.81)
+            u = evaluate_displacement_many(model, forged, patch,
+                                           [[0.37, 0.81]])[0]
             assert_allclose(u, [0.3, -0.1, 0.7], atol=1e-13)
 
     def test_brute_force_oracle(self):
@@ -338,14 +376,15 @@ class TestEvaluate:
             for b in range(pair.n_v):
                 expected += bu[a] * bv[b] * coeffs.reshape(-1, 3)[grid[a, b]]
         assert_allclose(
-            evaluate_displacement(model, sol, 2, u, v), expected, atol=1e-14
+            evaluate_displacement_many(model, sol, 2, [[u, v]])[0], expected,
+            atol=1e-14,
         )
 
     def test_unknown_patch(self):
         model = build_cube_model(order=2)
         sol = solve_model(model)
         with pytest.raises(ModelError):
-            evaluate_displacement(model, sol, 6, 0.5, 0.5)
+            evaluate_displacement_many(model, sol, 6, [[0.5, 0.5]])
 
     @pytest.mark.parametrize("params", [
         [[0.5, 0.5, 9.0]],  # a third column used to be dropped
@@ -373,7 +412,7 @@ class TestEvaluate:
     def test_nan_parameter_is_a_domain_error(self, cube_solution):
         model, sol = cube_solution
         with pytest.raises(ParameterDomainError):
-            evaluate_displacement(model, sol, 1, np.nan, 0.5)
+            evaluate_displacement_many(model, sol, 1, [[np.nan, 0.5]])
 
 
 @pytest.fixture(scope="module", params=["cube", "trimmed"])
@@ -390,7 +429,7 @@ class TestBatchIndependence:
     def assert_rows_match(model, solution, patch, params):
         batch = evaluate_displacement_many(model, solution, patch, params)
         single = np.array([
-            evaluate_displacement(model, solution, patch, u, v)
+            evaluate_displacement_many(model, solution, patch, [[u, v]])[0]
             for u, v in params
         ])
         assert batch.shape == (len(params), 3)
@@ -439,22 +478,3 @@ class TestRefinement:
         assert raised.field_pairs[0] is pairs[0]
         assert raised.field_pairs[1] is pairs[1]
         assert all(pair.orders == (3, 3) for pair in raised.field_pairs[2:])
-
-    def test_study_reports_expected_dofs(self, tmp_path):
-        model = build_cube_model(order=2)
-        out = tmp_path / "study.csv"
-        rows = refinement_study(model, [2, 3], probe=(1, 0.5, 0.5),
-                                csv_path=out)
-        assert [r[0] for r in rows] == [2, 3]
-        assert [r[1] for r in rows] == [78, 168]
-        # the probe sits mid-face on the top; the exact solution is linear,
-        # so both orders resolve it and the functional barely moves
-        assert abs(rows[0][2] - rows[1][2]) < 1e-8
-        text = out.read_text().splitlines()
-        assert text[0] == "order,dof_count,functional,residual"
-        assert len(text) == 3
-
-    def test_study_rejects_unsorted_orders(self):
-        model = build_cube_model(order=2)
-        with pytest.raises(ModelError):
-            refinement_study(model, [3, 2])
