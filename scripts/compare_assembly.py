@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on thirteen models: the three
+``gibem.assembly.assemble(model, colloc)`` on fourteen models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -34,16 +34,18 @@ bottom and top faces plus one bilinear wall wrapped around the four
 sides, whose first and last control columns coincide; its order-2 field
 has a double knot at each vertical edge. The wall's first and last
 Greville columns merge into the same nodes, so its grid holds each of
-them twice and both copies' kernel contributions reach the matrix. Only
-the two public calls are used, so trees whose internals differ can be
-compared; the script reads both the ``(matrix, rhs)`` tuple and
-``colloc.grids`` and the older form, a system object with ``matrix`` and
-``rhs`` and the grids on ``colloc.dof_map``. For every model the script
-prints, per array (node positions, each patch's grid of node ids, the
-closed matrix and the rhs), whether the two trees agree bit for bit and
-the largest difference relative to the largest BASE entry. The grids and
-the model's Greville parameters determine every node's aliases, so equal
-grids mean equal aliases. It exits with status 1 when any array differs.
+them twice and both copies' kernel contributions reach the matrix. The
+fourteenth, ``octant-trim-depth0``, is the ``octant-trim`` workload with
+``quadtree_max_depth=0``: the quad-tree keeps every near base region
+whole, so it is the only model whose base regions are integrated row by
+row as near regions and not only in the far batches. Only the two public
+calls are used, so trees whose internals differ can be compared. For
+every model the script prints, per array (node positions, each patch's
+grid of node ids, the closed matrix and the rhs), whether the two trees
+agree bit for bit and the largest difference relative to the largest
+BASE entry. The grids and the model's Greville parameters determine every
+node's aliases, so equal grids mean equal aliases. It exits with status 1
+when any array differs.
 """
 
 import argparse
@@ -125,8 +127,10 @@ models["two-span-cube-order3"] = dataclasses.replace(cube, patches=tuple(
     for p in cube.patches))
 
 octant = models["octant-trim"]
-models["octant-trim-depth1"] = dataclasses.replace(
-    octant, config=dataclasses.replace(octant.config, quadtree_max_depth=1))
+for depth in (1, 0):
+    config = dataclasses.replace(octant.config, quadtree_max_depth=depth)
+    models[f"octant-trim-depth{depth}"] = dataclasses.replace(
+        octant, config=config)
 
 # the four side faces as one wall closing on itself at u = 0 and u = 1
 ring = np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1], [0, 0]])
@@ -143,13 +147,9 @@ models["seam-cube-order2"] = dataclasses.replace(
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)
-    system = assemble(model, colloc)
-    # older trees return a system object and keep the grids on colloc.dof_map
-    matrix, rhs = system if isinstance(system, tuple) else \
-        (system.matrix, system.rhs)
-    grids = getattr(colloc, "grids", None) or colloc.dof_map.grids
+    matrix, rhs = assemble(model, colloc)
     arrays[name + "/positions"] = colloc.positions
-    for k, grid in enumerate(grids):
+    for k, grid in enumerate(colloc.grids):
         arrays[name + f"/grid{k}"] = grid
     arrays[name + "/matrix"] = matrix
     arrays[name + "/rhs"] = rhs

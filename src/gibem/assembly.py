@@ -133,11 +133,11 @@ def collocation_points(model):
 
 
 class _PatchContext:
-    """Per-patch scratch data shared across matrix rows.
+    """One patch's quadrature data, alive for the patch's turn in _engine.
 
     ``far`` holds the base regions' Gauss data (positions, normals, weights,
     basis values) concatenated, as the points of the far-field batch; point
-    p lies in base region far_region[p].
+    p lies in base region far_region[p]. It alone holds the base regions.
     """
 
     def __init__(self, patch, pair, cfg):
@@ -159,22 +159,27 @@ class _PatchContext:
         self.reject_radius = 3.0 * spacing + 1e-30
 
         self.samples = region_samples(self.regions, patch.points_at)
-        data = self.evaluate(self.regions, [])
-        base = [data[region] for region in self.regions]
-        self.far = [np.concatenate(column) for column in zip(*base)]
-        self.far_region = np.repeat(
-            np.arange(len(base)), self.rule.order**2
-        )
+        quad = [region.gauss_points(self.rule) for region in self.regions]
+        self.far = self._columns(*(np.concatenate(c) for c in zip(*quad)))
+        self.far_region = np.repeat(np.arange(len(quad)), self.rule.order**2)
+
+    def _columns(self, params, weights):
+        """Positions, normals, weights times areas and basis values."""
+        frames = self.patch.frames_at(params)
+        columns = [frames.positions, frames.normals, weights * frames.areas]
+        del frames  # free the tangents before the basis batch is built
+        return columns + [self.pair.values(params)]
 
     def evaluate(self, regions, fans):
         """Quadrature data (positions, normals, weights, basis values) of
         ``regions`` and of ``fans``, (region, singular parameter) pairs, in
         a dict keyed by region, and by (region, parameter tuple) for fans.
 
-        Everything not evaluated before is evaluated in one ``frames_at``
-        and one ``values`` call; fan rows subtract the basis values at their
-        singular parameters, from one more ``values`` call. Regions are
-        cached for the life of the context, fans are not.
+        Everything not evaluated before is evaluated in one ``_columns``
+        call; fan rows subtract the basis values at their singular
+        parameters, from one more ``values`` call. The cache starts empty
+        and keeps regions, in practice quad-tree refined ones, for the life
+        of the context; fans are not kept.
         """
         new_regions = [region for region in dict.fromkeys(regions)
                        if region not in self._region_data]
@@ -186,12 +191,7 @@ class _PatchContext:
                 singular_quadrature_points(region, param, self.singular_rule)
                 for region, param in new_fans
             ]
-            params, weights = (np.concatenate(column) for column in zip(*quad))
-            frames = self.patch.frames_at(params)
-            columns = [frames.positions, frames.normals,
-                       weights * frames.areas]
-            del frames  # free the tangents before the basis batch is built
-            columns.append(self.pair.values(params))
+            columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
             cuts = np.cumsum([len(w) for _, w in quad])[:-1]
             entries = list(zip(*(np.split(c, cuts) for c in columns)))
             # cached regions are copies: a view would keep the batch alive
@@ -354,22 +354,19 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
 
 def _engine(model, colloc):
     """Kernel blocks, row sums and right-hand side (zero without a load) of
-    every row, before the closure. One plan per patch and node block covers
-    all mirror images; then, image by image, near rows are added node by
-    node and far pairs in one batch, an order that fixes the accumulated
-    bits."""
+    every row, before the closure. Each patch's context is built at its turn
+    and dropped before the next one. One plan per patch and node block
+    covers all mirror images; then, image by image, near rows are added node
+    by node and far pairs in one batch, an order that fixes the bits."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
-    contexts = [
-        _PatchContext(patch, pair, cfg)
-        for patch, pair in zip(model.patches, model.field_pairs)
-    ]
-    greville = [pair.greville_params() for pair in model.field_pairs]
     positions = colloc.positions
     rows = _Rows(positions, model.material, model.load, cfg.excavation_sign)
     n_nodes = len(positions)
 
-    for k, ctx in enumerate(contexts):
+    for k, (patch, pair) in enumerate(zip(model.patches, model.field_pairs)):
+        ctx = _PatchContext(patch, pair, cfg)
+        greville = pair.greville_params()
         ids = colloc.grids[k].ravel()
         step = max(1, BLOCK_PAIRS // len(ctx.far_region))
         for start in range(0, n_nodes, step):
@@ -379,7 +376,7 @@ def _engine(model, colloc):
             local = positions[block]
             targets = np.concatenate([local @ mirror.T for mirror in group])
             far, near = _plan(ctx, (node + images).ravel(),
-                              np.tile(greville[k][index], (len(group), 1)),
+                              np.tile(greville[index], (len(group), 1)),
                               np.tile(local, (len(group), 1)), targets, cfg,
                               colloc.merge_tol)
             data = ctx.evaluate(
@@ -398,6 +395,7 @@ def _engine(model, colloc):
                 if far[m].any():
                     rows.add(block, *ctx.far, mirror, ids,
                              used=far[m][:, ctx.far_region].T)
+        del ctx, data  # the next patch's data is built without this one's
 
     return rows.t_blocks, rows.row_sums, rows.rhs.reshape(-1)
 

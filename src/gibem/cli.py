@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from .errors import (
     GibemError,
     ModelError,
@@ -45,7 +47,7 @@ def _error_code(exc) -> str:
         return "MODEL_FORMAT"
     if isinstance(exc, UnsupportedModelError):
         return "UNSUPPORTED_MODEL"
-    if isinstance(exc, SingularMatrixError):
+    if isinstance(exc, (SingularMatrixError, LinAlgError)):
         return "SINGULAR_MATRIX"
     if isinstance(exc, ModelError):
         return "MODEL"
@@ -184,7 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (GibemError, OSError) as exc:
+    except (GibemError, LinAlgError, OSError) as exc:
         print(f"gibem error {_error_code(exc)}: {exc}", file=sys.stderr)
         return 1
 

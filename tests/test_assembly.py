@@ -1,6 +1,8 @@
 """Collocation merging, system assembly, free-term closure."""
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -244,6 +246,33 @@ def test_exterior_closure_maps_constants_to_themselves():
         const = np.zeros(len(matrix))
         const[direction::3] = 1.0
         assert_allclose(matrix @ const, const, atol=1e-12)
+
+
+def test_engine_holds_one_patch_context_at_a_time(monkeypatch):
+    model = build_trimmed_cube_model(2, 0.4)
+    colloc = collocation_points(model)
+    contexts, alive = [], []
+    init = _PatchContext.__init__
+
+    def counting_init(self, *args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in contexts))
+        init(self, *args)
+        contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(_PatchContext, "__init__", counting_init)
+    _engine(model, colloc)
+    assert alive == [0] * len(model.patches)
+
+
+def test_base_regions_are_held_only_in_the_far_batch():
+    model = build_trimmed_cube_model(3, 0.4)
+    ctx = _PatchContext(model.patches[1], model.field_pairs[1], model.config)
+    assert ctx._region_data == {}
+    for k, region in enumerate(ctx.regions):
+        data = ctx.evaluate([region], [])[region]
+        for column, far in zip(data, ctx.far, strict=True):
+            assert np.array_equal(column, far[ctx.far_region == k])
 
 
 class TestSplitSingular:

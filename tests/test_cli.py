@@ -5,6 +5,7 @@ import logging
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gibem.cli import LOG_LEVEL_ENV, _configure_logging, main
@@ -168,6 +169,17 @@ def test_open_model_reports_unsupported(tmp_path, capsys):
     write_model(model, path)
     assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "UNSUPPORTED_MODEL" in capsys.readouterr().err
+
+
+def test_singular_solve_reports_code(cube_path, tmp_path, capsys,
+                                     monkeypatch):
+    def singular(model):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("gibem.cli.solve_model", singular)
+    assert run_solve(cube_path, tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["gibem error SINGULAR_MATRIX: Singular matrix"]
 
 
 def test_identical_runs_write_identical_csv(cube_path, tmp_path):
