@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on fourteen models: the three
+``gibem.assembly.assemble(model, colloc)`` on fifteen models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -38,14 +38,19 @@ them twice and both copies' kernel contributions reach the matrix. The
 fourteenth, ``octant-trim-depth0``, is the ``octant-trim`` workload with
 ``quadtree_max_depth=0``: the quad-tree keeps every near base region
 whole, so it is the only model whose base regions are integrated row by
-row as near regions and not only in the far batches. Only the two public
-calls are used, so trees whose internals differ can be compared. For
-every model the script prints, per array (node positions, each patch's
-grid of node ids, the closed matrix and the rhs), whether the two trees
-agree bit for bit and the largest difference relative to the largest
-BASE entry. The grids and the model's Greville parameters determine every
-node's aliases, so equal grids mean equal aliases. It exits with status 1
-when any array differs.
+row as near regions and not only in the far batches. The fifteenth,
+``half-cube-xy-order3``, is the order-3 unit cube without its z = 0
+face, closed by the ``xy`` plane into [0, 1]^2 x [-1, 1]: the only model
+with one mirror plane, so a group of two images, and the only mirror
+model whose load has a shear, sigma_xy (the drawn stress less the two
+shears the plane forbids). Only the two public calls are used, so
+trees whose internals differ can be compared. For every model the
+script prints, per array (node positions, each patch's grid of node
+ids, the closed matrix and the rhs), whether the two trees agree bit for
+bit and the largest difference relative to the largest BASE entry. The
+grids and the model's Greville parameters determine every node's
+aliases, so equal grids mean equal aliases. It exits with status 1 when
+any array differs.
 """
 
 import argparse
@@ -144,6 +149,14 @@ field = FieldSpacePair.from_orders(2, interior_u=[0.25, 0.25, 0.5, 0.5,
 models["seam-cube-order2"] = dataclasses.replace(
     seam, patches=seam.patches[:2] + (wall,),
     field_pairs=seam.field_pairs[:2] + (field,))
+
+# [0, 1]^2 x [-1, 1]: the unit cube less its z = 0 face, closed by the xy
+# plane, under the drawn stress without the shears that plane forbids
+half = build_cube_model(3, material, LoadState(
+    load.virgin_stress * [1.0, 1, 1, 1, 0, 0]))
+models["half-cube-xy-order3"] = dataclasses.replace(
+    half, patches=half.patches[1:], field_pairs=half.field_pairs[1:],
+    symmetry_planes=("xy",))
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)

@@ -26,6 +26,13 @@ refined regions. Those of a whole block, over all mirror images, are
 planned in arrays, with one projection, one region bounds test and one
 quad-tree refinement for all of them, then evaluated together in one
 frame and one basis call, and then integrated node by node.
+
+A node x on a mirror plane has one target under two images M and M':
+R x = x for R = M M'. The second image's kernel inputs are the first's
+with signs flipped, so, bit for bit, its kernel integrals are the first's
+times r_i r_j on entry (i, j) and its rhs the first's times r_i, where
+r_i = R_ii. Each distinct (image, node) target is therefore planned and
+integrated once.
 """
 from __future__ import annotations
 
@@ -278,13 +285,15 @@ class _Rows:
         self.row_sums = np.zeros((n_nodes, 3, 3))
         self.rhs = np.zeros((n_nodes, 3))
 
-    def add(self, nodes, points, normals, weights, basis, mirror, ids,
-            used=None):
-        """Integrate the kernels of ``nodes`` over one patch image.
+    def integrate(self, nodes, points, normals, weights, basis, mirror,
+                  used=None):
+        """The kernel integrals of ``nodes`` over one patch image: per node
+        the (3, 3, f) kernel block against the patch fields and the (3,)
+        rhs, zero without a load.
 
         ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``basis``
-        (m, f), the values of the patch fields ``ids``, are the quadrature
-        data of the patch before ``mirror``, a diagonal reflection, maps it.
+        (m, f), the values of the patch fields, are the quadrature data of
+        the patch before ``mirror``, a diagonal reflection, maps it.
         ``used`` (m, len(nodes)) marks the pairs to integrate, all by
         default; the others get a unit offset and a zero normal and
         traction, so that their kernel and traction are exactly zero.
@@ -299,30 +308,42 @@ class _Rows:
             normal = [np.where(used, c, 0.0) for c in normal]
         kernel = kelvin_T_many(diff, normal, self.material)
         contrib = kernel.reshape(len(basis), -1).T @ (weights[:, None] * basis)
-        contrib = contrib.reshape(len(nodes), 3, 3, -1)
-        self.row_sums[nodes] += contrib.sum(axis=3)
-        view = self.t_blocks.reshape(len(self.positions), 3, -1, 3)
-        # unbuffered: ids repeats a node where the patch closes on itself
-        np.add.at(view, (nodes[:, None], slice(None), ids, slice(None)),
-                  contrib.transpose(0, 3, 1, 2) * np.diag(mirror))
+        rhs = np.zeros((len(nodes), 3))
         if self.load is not None:
             tractions = self.load.traction(normals, self.sign)
             traction = [c[:, None] for c in tractions.T]
             if used is not None:
                 traction = [np.where(used, c, 0.0) for c in traction]
             u_t = kelvin_U_many(diff, self.material, traction)
-            self.rhs[nodes] += np.einsum("m,mni->ni", weights, u_t)
+            rhs = np.einsum("m,mni->ni", weights, u_t)
+        return contrib.reshape(len(nodes), 3, 3, -1), rhs
+
+    def scatter(self, nodes, parts, ids, mirror, flip):
+        """Add ``parts`` of ``integrate`` to the rows of ``nodes`` and the
+        columns of the patch fields ``ids`` under ``mirror``, with entry
+        (i, j) of each kernel block times flip[:, i] * flip[:, j] and
+        component i of the rhs times flip[:, i]."""
+        contrib, rhs = parts
+        sign = flip[:, :, None] * flip[:, None]
+        self.row_sums[nodes] += contrib.sum(axis=3) * sign
+        view = self.t_blocks.reshape(len(self.positions), 3, -1, 3)
+        # unbuffered: ids repeats a node where the patch closes on itself
+        np.add.at(view, (nodes[:, None], slice(None), ids, slice(None)),
+                  contrib.transpose(0, 3, 1, 2)
+                  * (sign * np.diag(mirror))[:, None])
+        self.rhs[nodes] += rhs * flip
 
 
 def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     """What one node block needs from one patch, over all mirror images.
 
-    Row t is one (image, node) pair: ``sources[t]`` is the node's position
-    and ``targets[t]`` its image. ``alias_rows`` (sorted) and
-    ``alias_params`` give each row's node's Greville parameters on the
-    patch, its singular parameters when the image is the node itself; every
-    other row is projected onto the patch in one call, singular where that
-    lies closer than ``tol``. Returns the far mask of (row, base region)
+    Row t is one distinct (image, node) target, planned once however many
+    images repeat it: ``sources[t]`` is the node's position and
+    ``targets[t]`` its image. ``alias_rows`` (sorted) and ``alias_params``
+    give each row's node's Greville parameters on the patch, its singular
+    parameters when the image is the node itself; every other row is
+    projected onto the patch in one call, singular where that lies closer
+    than ``tol``. Returns the far mask of (row, base region)
     pairs, less the regions holding a singular parameter, and a dict from
     each row not wholly far, in row order, to its fans as (region, singular
     parameter) pairs and its quad-tree refined regions, from one
@@ -355,14 +376,23 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
 def _engine(model, colloc):
     """Kernel blocks, row sums and right-hand side (zero without a load) of
     every row, before the closure. Each patch's context is built at its turn
-    and dropped before the next one. One plan per patch and node block
-    covers all mirror images; then, image by image, near rows are added node
-    by node and far pairs in one batch, an order that fixes the bits."""
+    and dropped before the next one. Per node block, one plan covers the
+    distinct (image, node) targets of all images; then, image by image, near
+    rows are added node by node and far pairs in one batch over the image's
+    distinct rows, an order that fixes the bits. A row whose target repeats
+    that of an earlier image M, the first, scatters M's parts at its own
+    place in that order, with the signs r of the module docstring."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     positions = colloc.positions
     rows = _Rows(positions, model.material, model.load, cfg.excavation_sign)
     n_nodes = len(positions)
+    targets = np.stack([positions @ mirror.T for mirror in group])
+    # first[m, n]: the first image giving node n image m's target
+    first = (targets[:, None] == targets).all(axis=3).argmax(axis=1)
+    own = first == np.arange(len(group))[:, None]
+    signs = np.array([np.diag(mirror) for mirror in group])
+    flip = signs[first] * signs[:, None]
 
     for k, (patch, pair) in enumerate(zip(model.patches, model.field_pairs)):
         ctx = _PatchContext(patch, pair, cfg)
@@ -372,29 +402,46 @@ def _engine(model, colloc):
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
             node, index = np.nonzero(ids == block[:, None])
-            images = len(block) * np.arange(len(group))[:, None]
-            local = positions[block]
-            targets = np.concatenate([local @ mirror.T for mirror in group])
-            far, near = _plan(ctx, (node + images).ravel(),
-                              np.tile(greville[index], (len(group), 1)),
-                              np.tile(local, (len(group), 1)), targets, cfg,
-                              colloc.merge_tol)
+            mine = own[:, block]
+            # plan rows: the distinct (image, node) rows in row-major order
+            slot = np.cumsum(mine).reshape(mine.shape) - 1
+            uses = slot[first[:, block], np.arange(len(block))]
+            hit = mine[:, node]
+            far, near = _plan(ctx, slot[:, node][hit],
+                              greville[index[np.nonzero(hit)[1]]],
+                              positions[block[np.nonzero(mine)[1]]],
+                              targets[:, block][mine], cfg, colloc.merge_tol)
             data = ctx.evaluate(
                 [region for _, regular in near.values() for region in regular],
                 [fan for fans, _ in near.values() for fan in fans],
             )
-            far = far.reshape(len(group), len(block), -1)
+            parts = {}
+            far_parts = [np.zeros((len(far), 3, 3, len(ids))),
+                         np.zeros((len(far), 3))]
             for m, mirror in enumerate(group):
-                for t, (fans, regular) in near.items():
-                    if t // len(block) == m:
-                        parts = [data[(r, tuple(p))] for r, p in fans]
-                        parts += [data[region] for region in regular]
-                        columns = (np.concatenate(c) for c in zip(*parts))
-                        i = t % len(block)
-                        rows.add(block[i:i + 1], *columns, mirror, ids)
-                if far[m].any():
-                    rows.add(block, *ctx.far, mirror, ids,
-                             used=far[m][:, ctx.far_region].T)
+                for i, t in enumerate(uses[m]):
+                    if t not in near:
+                        continue
+                    if t not in parts:  # row (m, i) is the first to use t
+                        fans, regular = near[t]
+                        columns = [data[(r, tuple(p))] for r, p in fans]
+                        columns += [data[region] for region in regular]
+                        parts[t] = rows.integrate(
+                            block[i:i + 1],
+                            *(np.concatenate(c) for c in zip(*columns)),
+                            mirror)
+                    rows.scatter(block[i:i + 1], parts[t], ids, mirror,
+                                 flip[m, block[i]][None])
+                distinct = slot[m][mine[m]]
+                if far[distinct].any():
+                    integrals = rows.integrate(
+                        block[mine[m]], *ctx.far, mirror,
+                        used=far[distinct][:, ctx.far_region].T)
+                    for store, part in zip(far_parts, integrals):
+                        store[distinct] = part
+                if far[uses[m]].any():
+                    rows.scatter(block, [p[uses[m]] for p in far_parts], ids,
+                                 mirror, flip[m, block])
         del ctx, data  # the next patch's data is built without this one's
 
     return rows.t_blocks, rows.row_sums, rows.rhs.reshape(-1)

@@ -13,6 +13,7 @@ from gibem.assembly import (
     collocation_points,
     free_term_rigid_body,
     _PatchContext,
+    _Rows,
     _engine,
     _split_singular,
 )
@@ -504,3 +505,47 @@ class TestOctantAssembly:
         again_matrix, again_rhs = assemble(model, colloc)
         assert np.array_equal(matrix, again_matrix)
         assert np.array_equal(rhs, again_rhs)
+
+    def test_each_distinct_target_reaches_the_kernel_once(self, octant_system,
+                                                          monkeypatch):
+        """A node on a mirror plane has the same target under two images.
+        Per patch, each (node, target) row is integrated once as a near row
+        and once in a far batch, and the far kernel pairs are the patch's
+        far points times the distinct targets."""
+        model, colloc, _ = octant_system
+        group = symmetry_group(model.symmetry_planes)
+        distinct = {(n, tuple(x @ mirror.T))
+                    for n, x in enumerate(colloc.positions) for mirror in group}
+        assert len(distinct) < len(colloc) * len(group)
+        patches, calls = [], []
+        init, integrate = _PatchContext.__init__, _Rows.integrate
+
+        def counting_init(self, *args):
+            init(self, *args)
+            patches.append(len(self.far_region))
+
+        def recording_integrate(self, nodes, *args, used=None):
+            calls.append([len(patches) - 1, used is None,
+                          self.positions[nodes] @ args[-1].T, nodes])
+            return integrate(self, nodes, *args, used=used)
+
+        def counting_kernel(diff, normals, material):
+            calls[-1].append(np.broadcast(*diff, *normals).size)
+            return kelvin_T_many(diff, normals, material)
+
+        monkeypatch.setattr(_PatchContext, "__init__", counting_init)
+        monkeypatch.setattr(_Rows, "integrate", recording_integrate)
+        monkeypatch.setattr("gibem.assembly.kelvin_T_many", counting_kernel)
+        _engine(model, colloc)
+
+        assert len(patches) == len(model.patches)
+        for k, far_points in enumerate(patches):
+            for near in (True, False):
+                rows = [(n, tuple(target)) for patch, is_near, targets, nodes, _
+                        in calls if (patch, is_near) == (k, near)
+                        for n, target in zip(nodes, targets)]
+                assert len(rows) == len(set(rows))
+                assert set(rows) <= distinct
+            far_pairs = sum(pairs for patch, is_near, *_, pairs in calls
+                            if (patch, is_near) == (k, False))
+            assert far_pairs == far_points * len(distinct)

@@ -1,6 +1,7 @@
 """Fundamental solution kernels and their invariances."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gibem.errors import KernelSingularityError, ModelError
@@ -239,3 +240,31 @@ def test_batch_rows_match_one_row_batches(mat):
     for i in range(25):
         assert_allclose(U[i], U_at(src, pts[i], mat), atol=0)
         assert_allclose(T[i], T_at(src, pts[i], nrm[i], mat), atol=0)
+
+
+coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+vector = st.tuples(coordinate, coordinate, coordinate).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane=st.integers(0, 2), source=vector, point=vector, normal=vector,
+       traction=vector, nu=st.floats(-0.9, 0.45))
+def test_reflection_across_a_plane_through_the_source_flips_signs_exactly(
+        plane, source, point, normal, traction, nu):
+    """A source on the plane x_k = 0 sees the reflected field point, normal
+    and traction through the reflected kernels, R T R and R (U t), bit for
+    bit: every product in the kernels flips sign as a whole."""
+    source[plane] = 0.0
+    assume(np.linalg.norm(point - source) > 1e-3)
+    mat = Material(1000.0, nu)
+    flip = np.ones(3)
+    flip[plane] = -1.0
+    columns = [c[:, None] for c in (point - source, normal, traction)]
+    mirrored = [c[:, None] for c in (flip * point - source, flip * normal,
+                                     flip * traction)]
+    T = kelvin_T_many(columns[0], columns[1], mat)
+    assert np.array_equal(kelvin_T_many(mirrored[0], mirrored[1], mat),
+                          T * flip[:, None] * flip)
+    U_t = kelvin_U_many(columns[0], mat, columns[2])
+    assert np.array_equal(kelvin_U_many(mirrored[0], mat, mirrored[2]),
+                          U_t * flip)

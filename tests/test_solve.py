@@ -319,6 +319,26 @@ class TestPatchTest:
         assert rel < 1e-6
         assert sol.residual < 1e-10
 
+    def test_half_cube_under_shear_with_one_mirror_plane(self):
+        # [0, 1]^2 x [-1, 1]: the unit cube less its z = 0 face, closed by
+        # the xy plane, which allows the shear sigma_xy that three planes
+        # forbid; nodes at z = 0 have one target for both images
+        material = Material(1000.0, 0.25)
+        load = LoadState(np.array([0.5, -0.3, 1.0, 0.8, 0.0, 0.0]))
+        cube = build_cube_model(3, material, load)
+        model = dataclasses.replace(
+            cube, patches=cube.patches[1:], field_pairs=cube.field_pairs[1:],
+            symmetry_planes=("xy",))
+        sol = solve_model(model)
+        sigma = load.stress_matrix()
+        strain = (1.25 * sigma - 0.25 * np.trace(sigma) * np.eye(3)) / 1000.0
+        exact = sol.colloc.positions @ strain
+        diff = remove_rigid_motion(sol.colloc, sol.coefficients - exact.ravel(),
+                                   model.symmetry_planes)
+        # measured 8.2e-10, with or without the on-plane image reuse
+        assert np.abs(diff).max() / np.abs(exact).max() <= 2e-9
+        assert sol.residual < 1e-10
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_seam_patch_passes_the_patch_test(self, order):
         # the wall's grid holds each seam node twice, and both copies'
