@@ -47,7 +47,9 @@ shears the plane forbids). Only the two public calls are used, so
 trees whose internals differ can be compared. For every model the
 script prints, per array (node positions, each patch's grid of node
 ids, the closed matrix and the rhs), whether the two trees agree bit for
-bit and the largest difference relative to the largest BASE entry. The
+bit and the largest difference relative to the largest BASE entry, and
+a closing line gives the largest of those over all models for the matrix
+and for the rhs. The
 grids and the model's Greville parameters determine every node's
 aliases, so equal grids mean equal aliases. It exits with status 1 when
 any array differs.
@@ -196,6 +198,7 @@ def main():
         new = run_assembly(args.new_src, args.seed, Path(tmp) / "new.npz")
 
     all_equal = True
+    worst = {"matrix": 0.0, "rhs": 0.0}
     print(f"{'model':<24}{'array':<15}{'array_equal':<13}max rel diff")
     for key in base:
         model, array = key.split("/")
@@ -206,8 +209,13 @@ def main():
             rel = f"shapes {a.shape} vs {b.shape}"
         else:
             scale = np.abs(a).max()
-            rel = f"{np.abs(a - b).max() / scale if scale else 0.0:.3e}"
+            diff = np.abs(a - b).max() / scale if scale else 0.0
+            if array in worst:
+                worst[array] = max(worst[array], diff)
+            rel = f"{diff:.3e}"
         print(f"{model:<24}{array:<15}{str(equal):<13}{rel}")
+    print(f"largest max rel diff over all models: matrix "
+          f"{worst['matrix']:.3e}, rhs {worst['rhs']:.3e}")
     return 0 if all_equal else 1
 
 

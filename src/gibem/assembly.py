@@ -19,13 +19,16 @@ completed) closed surface produces no traction.
 Most (node, region) pairs are far: the quad-tree keeps the region whole,
 and its Gauss data is the same for every node. Per patch and mirror image
 those pairs are integrated as a batch: one masked kernel block over nodes
-and points, contracted with the basis values in one matrix product. A
-block holds at most BLOCK_PAIRS (point, node) pairs, so its memory does
-not grow with the model. The other pairs need triangle fans or quad-tree
-refined regions. Those of a whole block, over all mirror images, are
-planned in arrays, with one projection, one region bounds test and one
-quad-tree refinement for all of them, then evaluated together in one
-frame and one basis call, and then integrated node by node.
+and points, contracted with the weighted basis values in one matrix
+product. A block holds at most BLOCK_PAIRS (point, node) pairs, so its
+memory does not grow with the model. A row whose every far region is
+small next to its distance takes the batch at ``gauss_order - 2`` (from
+order 8), the others the one at ``gauss_order``: the order-by-distance
+rule of Lachat & Watson (IJNME 1976). The other pairs need triangle fans
+or quad-tree refined regions. Those of a whole block, over all mirror
+images, are planned in arrays, with one projection, one region bounds test
+and one quad-tree refinement for all of them, then evaluated together in
+one frame and one basis call, and then integrated node by node.
 
 A node x on a mirror plane has one target under two images M and M':
 R x = x for R = M M'. The second image's kernel inputs are the first's
@@ -48,9 +51,9 @@ from .errors import (
 )
 from .kernels import kelvin_T_many, kelvin_U_many
 from .model import symmetry_group
-from .quadrature import contains_mask, far_mask, gauss_rule, \
+from .quadrature import contains_mask, gauss_rule, keep_whole, \
     quadtree_refine, region_partition, region_samples, \
-    singular_quadrature_points
+    singular_quadrature_points, size_and_distance
 
 __all__ = [
     "CollocationSet",
@@ -63,6 +66,16 @@ __all__ = [
 # Far-field kernel blocks hold at most this many (point, node) pairs, 9
 # doubles each; a patch with more Gauss points is taken one node at a time.
 BLOCK_PAIRS = 8192
+
+# Rows whose far regions all have size <= LOW_ORDER_RATIO * dist take
+# gauss_order - LOW_ORDER_DROP when that is at least LOW_ORDER_MIN. On the
+# models of scripts/compare_assembly.py (gauss_order 8) this moves matrix
+# and rhs by at most 2.3e-15 of their largest entry, and at gauss_order 9
+# and 10 on cube-far and octant-trim by at most 2.1e-15; 0.25 or 0.3 move
+# the matrix 1.1e-14 to 3.0e-14, and a lower order of 5 (4) 6.9e-13 (2.2e-10).
+LOW_ORDER_RATIO = 0.2
+LOW_ORDER_DROP = 2
+LOW_ORDER_MIN = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +155,11 @@ def collocation_points(model):
 class _PatchContext:
     """One patch's quadrature data, alive for the patch's turn in _engine.
 
-    ``far`` holds the base regions' Gauss data (positions, normals, weights,
-    basis values) concatenated, as the points of the far-field batch; point
-    p lies in base region far_region[p]. It alone holds the base regions.
+    ``far(order)`` is the far-field batch ``(columns, region)`` at
+    ``order``: the base regions' Gauss data (positions, normals, weights,
+    weighted basis values) concatenated, point p in base region region[p].
+    Each order's batch is built at its first use and kept; the batches alone
+    hold the base regions.
     """
 
     def __init__(self, patch, pair, cfg):
@@ -154,6 +169,7 @@ class _PatchContext:
         self.rule = gauss_rule(cfg.gauss_order)
         self.singular_rule = gauss_rule(cfg.singular_gauss_order)
         self._region_data = {}
+        self._far = {}
 
         side = 17
         grid = np.linspace(0.0, 1.0, side)
@@ -166,9 +182,16 @@ class _PatchContext:
         self.reject_radius = 3.0 * spacing + 1e-30
 
         self.samples = region_samples(self.regions, patch.points_at)
-        quad = [region.gauss_points(self.rule) for region in self.regions]
-        self.far = self._columns(*(np.concatenate(c) for c in zip(*quad)))
-        self.far_region = np.repeat(np.arange(len(quad)), self.rule.order**2)
+
+    def far(self, order):
+        if order not in self._far:
+            rule = gauss_rule(order)
+            quad = [region.gauss_points(rule) for region in self.regions]
+            columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
+            columns[3] *= columns[2][:, None]
+            self._far[order] = (
+                columns, np.repeat(np.arange(len(quad)), rule.order**2))
+        return self._far[order]
 
     def _columns(self, params, weights):
         """Positions, normals, weights times areas and basis values."""
@@ -178,15 +201,15 @@ class _PatchContext:
         return columns + [self.pair.values(params)]
 
     def evaluate(self, regions, fans):
-        """Quadrature data (positions, normals, weights, basis values) of
+        """Quadrature data (positions, normals, weights, weighted basis) of
         ``regions`` and of ``fans``, (region, singular parameter) pairs, in
         a dict keyed by region, and by (region, parameter tuple) for fans.
 
         Everything not evaluated before is evaluated in one ``_columns``
         call; fan rows subtract the basis values at their singular
-        parameters, from one more ``values`` call. The cache starts empty
-        and keeps regions, in practice quad-tree refined ones, for the life
-        of the context; fans are not kept.
+        parameters, from one more ``values`` call, before weighting. The
+        cache starts empty and keeps regions, in practice quad-tree refined
+        ones, for the life of the context; fans are not kept.
         """
         new_regions = [region for region in dict.fromkeys(regions)
                        if region not in self._region_data]
@@ -201,9 +224,6 @@ class _PatchContext:
             columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
             cuts = np.cumsum([len(w) for _, w in quad])[:-1]
             entries = list(zip(*(np.split(c, cuts) for c in columns)))
-            # cached regions are copies: a view would keep the batch alive
-            for region, entry in zip(new_regions, entries):
-                self._region_data[region] = tuple(c.copy() for c in entry)
             fan_entries = entries[len(new_regions):]
             if new_fans:
                 at = self.pair.values(
@@ -211,6 +231,10 @@ class _PatchContext:
                 )
                 for (_, _, _, basis), row in zip(fan_entries, at):
                     basis -= row
+            columns[3] *= columns[2][:, None]  # in place: entries are views
+            # cached regions are copies: a view would keep the batch alive
+            for region, entry in zip(new_regions, entries):
+                self._region_data[region] = tuple(c.copy() for c in entry)
             data.update(zip(new_fans, fan_entries))
         data.update((r, self._region_data[r]) for r in regions)
         return data
@@ -285,19 +309,21 @@ class _Rows:
         self.row_sums = np.zeros((n_nodes, 3, 3))
         self.rhs = np.zeros((n_nodes, 3))
 
-    def integrate(self, nodes, points, normals, weights, basis, mirror,
+    def integrate(self, nodes, points, normals, weights, weighted, mirror,
                   used=None):
         """The kernel integrals of ``nodes`` over one patch image: per node
         the (3, 3, f) kernel block against the patch fields and the (3,)
         rhs, zero without a load.
 
-        ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``basis``
-        (m, f), the values of the patch fields, are the quadrature data of
-        the patch before ``mirror``, a diagonal reflection, maps it.
+        ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``weighted``
+        (m, f), the patch fields' values times weights, are the quadrature
+        data of the patch before ``mirror``, a diagonal reflection, maps it.
         ``used`` (m, len(nodes)) marks the pairs to integrate, all by
         default; the others get a unit offset and a zero normal and
         traction, so that their kernel and traction are exactly zero.
         """
+        if used is not None and used.all():
+            used = None
         sources = self.positions[nodes]
         points = points @ mirror.T
         normals = normals @ mirror.T
@@ -307,7 +333,7 @@ class _Rows:
             diff = [np.where(used, c, 1.0) for c in diff]
             normal = [np.where(used, c, 0.0) for c in normal]
         kernel = kelvin_T_many(diff, normal, self.material)
-        contrib = kernel.reshape(len(basis), -1).T @ (weights[:, None] * basis)
+        contrib = kernel.reshape(len(weighted), -1).T @ weighted
         rhs = np.zeros((len(nodes), 3))
         if self.load is not None:
             tractions = self.load.traction(normals, self.sign)
@@ -343,13 +369,17 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     give each row's node's Greville parameters on the patch, its singular
     parameters when the image is the node itself; every other row is
     projected onto the patch in one call, singular where that lies closer
-    than ``tol``. Returns the far mask of (row, base region)
-    pairs, less the regions holding a singular parameter, and a dict from
-    each row not wholly far, in row order, to its fans as (region, singular
-    parameter) pairs and its quad-tree refined regions, from one
-    ``quadtree_refine`` call for all rows.
+    than ``tol``. Returns the far mask of (row, base region) pairs, less
+    the regions holding a singular parameter; each row's far Gauss order:
+    ``gauss_order - LOW_ORDER_DROP`` when that is at least
+    ``LOW_ORDER_MIN`` and all the row's far regions pass ``keep_whole`` at
+    ``LOW_ORDER_RATIO``, ``gauss_order`` otherwise, and 0 with no far
+    region; and a dict from each row not wholly far, in row
+    order, to its fans as (region, singular parameter) pairs and its
+    quad-tree refined regions, from one ``quadtree_refine`` call for all.
     """
-    far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
+    size, gap = size_and_distance(ctx.samples, targets[:, None])
+    far = keep_whole(size, gap, cfg.quadtree_threshold)
     aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
     others = np.flatnonzero(
         np.bincount(alias_rows[aliased], minlength=len(targets)) == 0)
@@ -357,6 +387,10 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     rows = np.concatenate([alias_rows[aliased], others[dist < tol]])
     sing = np.concatenate([alias_params[aliased], params[dist < tol]])
     np.logical_and.at(far, rows, ~contains_mask(sing, ctx.regions))
+    low = cfg.gauss_order - LOW_ORDER_DROP
+    small = (keep_whole(size, gap, LOW_ORDER_RATIO) | ~far).all(axis=1)
+    order = np.where(small & (low >= LOW_ORDER_MIN), low, cfg.gauss_order)
+    order[~far.any(axis=1)] = 0
     near, pairs = {}, []
     for t in np.flatnonzero(~far.all(axis=1)):
         regular = [region for region, skip in zip(ctx.regions, far[t])
@@ -370,7 +404,7 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
                                      cfg.quadtree_threshold,
                                      cfg.quadtree_max_depth):
         near[t][1].append(region)
-    return far, near
+    return far, order, near
 
 
 def _engine(model, colloc):
@@ -378,9 +412,10 @@ def _engine(model, colloc):
     every row, before the closure. Each patch's context is built at its turn
     and dropped before the next one. Per node block, one plan covers the
     distinct (image, node) targets of all images; then, image by image, near
-    rows are added node by node and far pairs in one batch over the image's
-    distinct rows, an order that fixes the bits. A row whose target repeats
-    that of an earlier image M, the first, scatters M's parts at its own
+    rows are added node by node and far pairs in one call per far Gauss
+    order over the image's distinct rows at that order, ``gauss_order``
+    first, an order that fixes the bits. A row whose target repeats that
+    of an earlier image M, the first, scatters M's parts at its own
     place in that order, with the signs r of the module docstring."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
@@ -398,7 +433,7 @@ def _engine(model, colloc):
         ctx = _PatchContext(patch, pair, cfg)
         greville = pair.greville_params()
         ids = colloc.grids[k].ravel()
-        step = max(1, BLOCK_PAIRS // len(ctx.far_region))
+        step = max(1, BLOCK_PAIRS // (len(ctx.regions) * cfg.gauss_order**2))
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
             node, index = np.nonzero(ids == block[:, None])
@@ -407,10 +442,10 @@ def _engine(model, colloc):
             slot = np.cumsum(mine).reshape(mine.shape) - 1
             uses = slot[first[:, block], np.arange(len(block))]
             hit = mine[:, node]
-            far, near = _plan(ctx, slot[:, node][hit],
-                              greville[index[np.nonzero(hit)[1]]],
-                              positions[block[np.nonzero(mine)[1]]],
-                              targets[:, block][mine], cfg, colloc.merge_tol)
+            far, order, near = _plan(
+                ctx, slot[:, node][hit], greville[index[np.nonzero(hit)[1]]],
+                positions[block[np.nonzero(mine)[1]]],
+                targets[:, block][mine], cfg, colloc.merge_tol)
             data = ctx.evaluate(
                 [region for _, regular in near.values() for region in regular],
                 [fan for fans, _ in near.values() for fan in fans],
@@ -432,11 +467,14 @@ def _engine(model, colloc):
                             mirror)
                     rows.scatter(block[i:i + 1], parts[t], ids, mirror,
                                  flip[m, block[i]][None])
-                distinct = slot[m][mine[m]]
-                if far[distinct].any():
+                for q in sorted(set(order[slot[m][mine[m]]]) - {0},
+                                reverse=True):
+                    at_q = mine[m] & (order[slot[m]] == q)
+                    distinct = slot[m][at_q]
+                    columns, region = ctx.far(q)
                     integrals = rows.integrate(
-                        block[mine[m]], *ctx.far, mirror,
-                        used=far[distinct][:, ctx.far_region].T)
+                        block[at_q], *columns, mirror,
+                        used=far[distinct][:, region].T)
                     for store, part in zip(far_parts, integrals):
                         store[distinct] = part
                 if far[uses[m]].any():

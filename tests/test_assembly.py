@@ -6,9 +6,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gibem.assembly import (
+    LOW_ORDER_RATIO,
     assemble,
     collocation_points,
     free_term_rigid_body,
@@ -33,7 +35,12 @@ from gibem.model import (
     build_trimmed_cube_model,
     symmetry_group,
 )
-from gibem.quadrature import IntegrationRegion, gauss_rule, region_partition
+from gibem.quadrature import (
+    IntegrationRegion,
+    far_mask,
+    gauss_rule,
+    region_partition,
+)
 from gibem.splines import unit_interval_space
 
 
@@ -269,11 +276,24 @@ def test_engine_holds_one_patch_context_at_a_time(monkeypatch):
 def test_base_regions_are_held_only_in_the_far_batch():
     model = build_trimmed_cube_model(3, 0.4)
     ctx = _PatchContext(model.patches[1], model.field_pairs[1], model.config)
-    assert ctx._region_data == {}
+    assert ctx._region_data == {} and ctx._far == {}
+    order = model.config.gauss_order
+    columns, region_of = ctx.far(order)
     for k, region in enumerate(ctx.regions):
         data = ctx.evaluate([region], [])[region]
-        for column, far in zip(data, ctx.far, strict=True):
-            assert np.array_equal(column, far[ctx.far_region == k])
+        for column, far in zip(data, columns, strict=True):
+            assert np.array_equal(column, far[region_of == k])
+    # the lower-order batch holds the same regions at its own Gauss points
+    columns, region_of = ctx.far(order - 2)
+    assert list(ctx._far) == [order, order - 2]
+    rule = gauss_rule(order - 2)
+    for k, region in enumerate(ctx.regions):
+        points, normals, weights, basis = ctx._columns(
+            *region.gauss_points(rule))
+        for column, far in zip((points, normals, weights,
+                                weights[:, None] * basis), columns,
+                               strict=True):
+            assert np.array_equal(column, far[region_of == k])
 
 
 class TestSplitSingular:
@@ -510,8 +530,11 @@ class TestOctantAssembly:
                                                           monkeypatch):
         """A node on a mirror plane has the same target under two images.
         Per patch, each (node, target) row is integrated once as a near row
-        and once in a far batch, and the far kernel pairs are the patch's
-        far points times the distinct targets."""
+        and, when a base region is far from it, once in a far batch: at
+        the lower order when every far region's size is at most
+        LOW_ORDER_RATIO times its distance, else at gauss_order. The far
+        kernel pairs are the sum, over those targets, of the far points at
+        the target's order."""
         model, colloc, _ = octant_system
         group = symmetry_group(model.symmetry_planes)
         distinct = {(n, tuple(x @ mirror.T))
@@ -522,11 +545,12 @@ class TestOctantAssembly:
 
         def counting_init(self, *args):
             init(self, *args)
-            patches.append(len(self.far_region))
+            patches.append((self.samples, len(self.regions)))
 
         def recording_integrate(self, nodes, *args, used=None):
             calls.append([len(patches) - 1, used is None,
-                          self.positions[nodes] @ args[-1].T, nodes])
+                          self.positions[nodes] @ args[-1].T, nodes,
+                          len(args[0])])
             return integrate(self, nodes, *args, used=used)
 
         def counting_kernel(diff, normals, material):
@@ -539,13 +563,93 @@ class TestOctantAssembly:
         _engine(model, colloc)
 
         assert len(patches) == len(model.patches)
-        for k, far_points in enumerate(patches):
+        order = model.config.gauss_order
+        low_rows = 0
+        for k, (samples, n_regions) in enumerate(patches):
             for near in (True, False):
-                rows = [(n, tuple(target)) for patch, is_near, targets, nodes, _
+                rows = [(n, tuple(target))
+                        for patch, is_near, targets, nodes, *_
                         in calls if (patch, is_near) == (k, near)
                         for n, target in zip(nodes, targets)]
                 assert len(rows) == len(set(rows))
                 assert set(rows) <= distinct
+            expected = {}
+            for n, target in distinct:
+                keep = far_mask(samples, np.array(target),
+                                model.config.quadtree_threshold)
+                if keep.any():
+                    small = far_mask(samples, np.array(target),
+                                     LOW_ORDER_RATIO)[keep].all()
+                    expected[n, target] = n_regions * (
+                        order - 2 if small else order)**2
+            seen = {(n, tuple(target)): points
+                    for patch, is_near, targets, nodes, points, _ in calls
+                    if (patch, is_near) == (k, False)
+                    for n, target in zip(nodes, targets)}
+            assert seen == expected
             far_pairs = sum(pairs for patch, is_near, *_, pairs in calls
                             if (patch, is_near) == (k, False))
-            assert far_pairs == far_points * len(distinct)
+            assert far_pairs == sum(expected.values())
+            low_rows += sum(points == n_regions * (order - 2)**2
+                            for points in expected.values())
+        assert low_rows > 0
+
+
+@pytest.fixture(scope="module")
+def order5_cube():
+    model = build_cube_model(order=5)
+    return model, collocation_points(model)
+
+
+@pytest.mark.parametrize("system", ["octant_system", "order5_cube"])
+def test_graded_far_order_matches_the_flat_order(system, request,
+                                                 monkeypatch):
+    model, colloc, *_ = request.getfixturevalue(system)
+    graded = assemble(model, colloc)
+    monkeypatch.setattr("gibem.assembly.LOW_ORDER_RATIO", 0.0)
+    flat = assemble(model, colloc)
+    assert not np.array_equal(graded[0], flat[0])
+    for got, want in zip(graded, flat):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("gauss_order", [3, 6, 7, 8, 9])
+def test_lower_far_order_starts_at_gauss_order_eight(gauss_order,
+                                                     octant_system,
+                                                     monkeypatch):
+    """The lower far order is gauss_order - 2 and at least 6, the lowest
+    whose drift is at round-off; below that one far batch is built. The
+    octant has rows at the lower order, so both are built from order 8."""
+    model, _, _ = octant_system
+    model = dataclasses.replace(model, config=dataclasses.replace(
+        model.config, gauss_order=gauss_order))
+    built = []
+    far = _PatchContext.far
+
+    def recording_far(self, order):
+        if order not in self._far:
+            built.append(order)
+        return far(self, order)
+
+    monkeypatch.setattr(_PatchContext, "far", recording_far)
+    _engine(model, collocation_points(model))
+    lower = {gauss_order - 2} if gauss_order >= 8 else set()
+    assert set(built) == {gauss_order} | lower
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_regions=st.integers(1, 6),
+       n_sources=st.integers(1, 4), threshold=st.floats(0.0, 4.0))
+def test_far_mask_is_the_inline_keep_test(seed, n_regions, n_sources,
+                                          threshold):
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-1.0, 1.0, (n_regions, 9, 3))
+    # sources on sample points too: distance exactly zero
+    sources = np.concatenate([rng.uniform(-2.0, 2.0, (n_sources, 3)),
+                              samples[0, :1]])[:, None]
+    edges = samples[..., [0, 2, 8, 6], :] - samples[..., [2, 8, 6, 0], :]
+    size = np.sqrt((edges * edges).sum(axis=-1)).max(axis=-1)
+    diff = samples - sources[..., None, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1)).min(axis=-1)
+    assert_array_equal(far_mask(samples, sources, threshold),
+                       size <= threshold * dist)
