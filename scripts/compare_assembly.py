@@ -51,8 +51,11 @@ bit and the largest difference relative to the largest BASE entry, and
 a closing line gives the largest of those over all models for the matrix
 and for the rhs. The
 grids and the model's Greville parameters determine every node's
-aliases, so equal grids mean equal aliases. It exits with status 1 when
-any array differs.
+aliases, so equal grids mean equal aliases. A second table gives, per
+model and tree, the traction-kernel (point, node) pairs that ``assemble``
+evaluates, counted by wrapping ``gibem.assembly.kelvin_T_many``, so that a
+change of work shows next to the drift. It exits with status 1 when any
+array differs; the pair counts do not count towards that.
 """
 
 import argparse
@@ -77,8 +80,19 @@ from workloads import WORKLOADS, build_model, draw_stress
 from gibem import (BasisSpace, FieldSpacePair, LoadState, Material,
                    NurbsPatch, build_cube_model, build_trimmed_cube_model,
                    unit_interval_space)
+import gibem.assembly
 from gibem.assembly import assemble, collocation_points
 
+pairs = [0]
+kernel = gibem.assembly.kelvin_T_many
+
+
+def counting_kernel(diff, normals, material):
+    pairs[0] += np.broadcast(*diff).size
+    return kernel(diff, normals, material)
+
+
+gibem.assembly.kelvin_T_many = counting_kernel
 models = {name: build_model(w, seed) for name, w in WORKLOADS.items()}
 rng = np.random.default_rng(seed)
 material = Material(1000.0, float(rng.uniform(0.0, 0.4)))
@@ -162,7 +176,9 @@ models["half-cube-xy-order3"] = dataclasses.replace(
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)
+    pairs[0] = 0
     matrix, rhs = assemble(model, colloc)
+    arrays[name + "/kernel_pairs"] = pairs[0]
     arrays[name + "/positions"] = colloc.positions
     for k, grid in enumerate(colloc.grids):
         arrays[name + f"/grid{k}"] = grid
@@ -200,8 +216,12 @@ def main():
     all_equal = True
     worst = {"matrix": 0.0, "rhs": 0.0}
     print(f"{'model':<24}{'array':<15}{'array_equal':<13}max rel diff")
+    pairs = []
     for key in base:
         model, array = key.split("/")
+        if array == "kernel_pairs":
+            pairs.append((model, int(base[key]), int(new[key])))
+            continue
         a, b = base[key], new[key]
         equal = a.shape == b.shape and np.array_equal(a, b)
         all_equal &= equal
@@ -216,6 +236,9 @@ def main():
         print(f"{model:<24}{array:<15}{str(equal):<13}{rel}")
     print(f"largest max rel diff over all models: matrix "
           f"{worst['matrix']:.3e}, rhs {worst['rhs']:.3e}")
+    print(f"\n{'model':<24}{'kernel pairs, base':>20}{'new':>12}{'change':>9}")
+    for model, a, b in pairs:
+        print(f"{model:<24}{a:>20,}{b:>12,}{(b - a) / a:>+9.1%}")
     return 0 if all_equal else 1
 
 

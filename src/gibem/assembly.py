@@ -21,14 +21,16 @@ and its Gauss data is the same for every node. Per patch and mirror image
 those pairs are integrated as a batch: one masked kernel block over nodes
 and points, contracted with the weighted basis values in one matrix
 product. A block holds at most BLOCK_PAIRS (point, node) pairs, so its
-memory does not grow with the model. A row whose every far region is
-small next to its distance takes the batch at ``gauss_order - 2`` (from
-order 8), the others the one at ``gauss_order``: the order-by-distance
-rule of Lachat & Watson (IJNME 1976). The other pairs need triangle fans
-or quad-tree refined regions. Those of a whole block, over all mirror
-images, are planned in arrays, with one projection, one region bounds test
-and one quad-tree refinement for all of them, then evaluated together in
-one frame and one basis call, and then integrated node by node.
+memory does not grow with the model. The Greville regions only put nodes
+on region corners for the fans, so a row whose base regions are all far,
+on a patch that passes the same keep test as one region and that no
+interior knot cuts, integrates the whole unit square at COARSE_ORDER
+instead: the order picked by distance, after Lachat & Watson (IJNME 1976).
+The other pairs need triangle fans or quad-tree refined regions. Those of
+a whole block, over all mirror images, are planned in arrays, with one
+projection, one region bounds test and one quad-tree refinement for all of
+them, then evaluated together in one frame and one basis call, and then
+integrated row by row.
 
 A node x on a mirror plane has one target under two images M and M':
 R x = x for R = M M'. The second image's kernel inputs are the first's
@@ -51,9 +53,9 @@ from .errors import (
 )
 from .kernels import kelvin_T_many, kelvin_U_many
 from .model import symmetry_group
-from .quadrature import contains_mask, gauss_rule, keep_whole, \
-    quadtree_refine, region_partition, region_samples, \
-    singular_quadrature_points, size_and_distance
+from .quadrature import IntegrationRegion, contains_mask, far_mask, \
+    gauss_rule, quadtree_refine, region_partition, region_samples, \
+    singular_quadrature_points
 
 __all__ = [
     "CollocationSet",
@@ -67,15 +69,11 @@ __all__ = [
 # doubles each; a patch with more Gauss points is taken one node at a time.
 BLOCK_PAIRS = 8192
 
-# Rows whose far regions all have size <= LOW_ORDER_RATIO * dist take
-# gauss_order - LOW_ORDER_DROP when that is at least LOW_ORDER_MIN. On the
-# models of scripts/compare_assembly.py (gauss_order 8) this moves matrix
-# and rhs by at most 2.3e-15 of their largest entry, and at gauss_order 9
-# and 10 on cube-far and octant-trim by at most 2.1e-15; 0.25 or 0.3 move
-# the matrix 1.1e-14 to 3.0e-14, and a lower order of 5 (4) 6.9e-13 (2.2e-10).
-LOW_ORDER_RATIO = 0.2
-LOW_ORDER_DROP = 2
-LOW_ORDER_MIN = 6
+# Gauss order of the whole-patch far batch. Against a far batch at order 20
+# its rows agree to 6.6e-16 of the largest matrix entry on the order-2 cube,
+# the order-2 trimmed cube, cube-far and octant-trim; order 12 gives 2.2e-14
+# to 1.6e-13, so 14 is the lowest order at round-off.
+COARSE_ORDER = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,11 +153,14 @@ def collocation_points(model):
 class _PatchContext:
     """One patch's quadrature data, alive for the patch's turn in _engine.
 
-    ``far(order)`` is the far-field batch ``(columns, region)`` at
-    ``order``: the base regions' Gauss data (positions, normals, weights,
-    weighted basis values) concatenated, point p in base region region[p].
-    Each order's batch is built at its first use and kept; the batches alone
-    hold the base regions.
+    ``far(whole)`` is a far-field batch ``(columns, region)``, Gauss data
+    (positions, normals, weights, weighted basis values) concatenated with
+    point p in region region[p]: the base regions at ``gauss_order``, or
+    with ``whole`` the unit square at COARSE_ORDER. Each is built at its
+    first use and kept; the batches alone hold the base regions.
+    ``whole_samples``, the patch's 3x3 samples (seed grid rows 0, 8, 16),
+    is None where an interior knot of the field spaces, base surface or
+    trim curves cuts the patch.
     """
 
     def __init__(self, patch, pair, cfg):
@@ -182,16 +183,26 @@ class _PatchContext:
         self.reject_radius = 3.0 * spacing + 1e-30
 
         self.samples = region_samples(self.regions, patch.points_at)
+        spaces = [pair.space_u, pair.space_v]
+        if hasattr(patch, "base"):  # a TrimmedPatch
+            spaces += [patch.curve_a.space, patch.curve_b.space]
+            patch = patch.base
+        spaces += [patch.space_u, patch.space_v]
+        smooth = all(len(space.breakpoints()[0]) == 2 for space in spaces)
+        self.whole_samples = cells[::8, ::8].reshape(9, 3) if smooth else None
 
-    def far(self, order):
-        if order not in self._far:
-            rule = gauss_rule(order)
-            quad = [region.gauss_points(rule) for region in self.regions]
+    def far(self, whole):
+        if whole not in self._far:
+            regions, rule = self.regions, self.rule
+            if whole:
+                regions = [IntegrationRegion(0.0, 1.0, 0.0, 1.0)]
+                rule = gauss_rule(COARSE_ORDER)
+            quad = [region.gauss_points(rule) for region in regions]
             columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
             columns[3] *= columns[2][:, None]
-            self._far[order] = (
+            self._far[whole] = (
                 columns, np.repeat(np.arange(len(quad)), rule.order**2))
-        return self._far[order]
+        return self._far[whole]
 
     def _columns(self, params, weights):
         """Positions, normals, weights times areas and basis values."""
@@ -369,17 +380,15 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     give each row's node's Greville parameters on the patch, its singular
     parameters when the image is the node itself; every other row is
     projected onto the patch in one call, singular where that lies closer
-    than ``tol``. Returns the far mask of (row, base region) pairs, less
-    the regions holding a singular parameter; each row's far Gauss order:
-    ``gauss_order - LOW_ORDER_DROP`` when that is at least
-    ``LOW_ORDER_MIN`` and all the row's far regions pass ``keep_whole`` at
-    ``LOW_ORDER_RATIO``, ``gauss_order`` otherwise, and 0 with no far
-    region; and a dict from each row not wholly far, in row
-    order, to its fans as (region, singular parameter) pairs and its
+    than ``tol``. Returns three things. The rows that take the whole patch:
+    those whose base regions are all far, on a patch with
+    ``whole_samples`` that passes ``far_mask`` as one region. The far mask
+    of (row, base region) pairs for the other rows, less the regions
+    holding a singular parameter. And a dict from each row not wholly far,
+    in row order, to its fans as (region, singular parameter) pairs and its
     quad-tree refined regions, from one ``quadtree_refine`` call for all.
     """
-    size, gap = size_and_distance(ctx.samples, targets[:, None])
-    far = keep_whole(size, gap, cfg.quadtree_threshold)
+    far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
     aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
     others = np.flatnonzero(
         np.bincount(alias_rows[aliased], minlength=len(targets)) == 0)
@@ -387,10 +396,10 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     rows = np.concatenate([alias_rows[aliased], others[dist < tol]])
     sing = np.concatenate([alias_params[aliased], params[dist < tol]])
     np.logical_and.at(far, rows, ~contains_mask(sing, ctx.regions))
-    low = cfg.gauss_order - LOW_ORDER_DROP
-    small = (keep_whole(size, gap, LOW_ORDER_RATIO) | ~far).all(axis=1)
-    order = np.where(small & (low >= LOW_ORDER_MIN), low, cfg.gauss_order)
-    order[~far.any(axis=1)] = 0
+    whole = np.zeros(len(targets), dtype=bool)
+    if ctx.whole_samples is not None:
+        whole = far.all(axis=1) & far_mask(ctx.whole_samples, targets,
+                                           cfg.quadtree_threshold)
     near, pairs = {}, []
     for t in np.flatnonzero(~far.all(axis=1)):
         regular = [region for region, skip in zip(ctx.regions, far[t])
@@ -404,19 +413,20 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
                                      cfg.quadtree_threshold,
                                      cfg.quadtree_max_depth):
         near[t][1].append(region)
-    return far, order, near
+    return whole, far & ~whole[:, None], near
 
 
 def _engine(model, colloc):
     """Kernel blocks, row sums and right-hand side (zero without a load) of
     every row, before the closure. Each patch's context is built at its turn
     and dropped before the next one. Per node block, one plan covers the
-    distinct (image, node) targets of all images; then, image by image, near
-    rows are added node by node and far pairs in one call per far Gauss
-    order over the image's distinct rows at that order, ``gauss_order``
-    first, an order that fixes the bits. A row whose target repeats that
-    of an earlier image M, the first, scatters M's parts at its own
-    place in that order, with the signs r of the module docstring."""
+    distinct (image, node) targets of all images. Each near row is
+    integrated once, then, image by image, the image's whole-patch rows in
+    one far call and its other far rows in one masked call, all added into
+    one pair of per-row arrays. One scatter per image then adds the rows
+    of the block's nodes: a node whose target repeats that of an earlier
+    image, the first, takes that image's row, complete by then, with the
+    signs r of the module docstring."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     positions = colloc.positions
@@ -433,53 +443,51 @@ def _engine(model, colloc):
         ctx = _PatchContext(patch, pair, cfg)
         greville = pair.greville_params()
         ids = colloc.grids[k].ravel()
-        step = max(1, BLOCK_PAIRS // (len(ctx.regions) * cfg.gauss_order**2))
+        points = len(ctx.regions) * cfg.gauss_order**2
+        if ctx.whole_samples is not None:  # the larger batch bounds a block
+            points = max(points, COARSE_ORDER**2)
+        step = max(1, BLOCK_PAIRS // points)
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
             node, index = np.nonzero(ids == block[:, None])
             mine = own[:, block]
-            # plan rows: the distinct (image, node) rows in row-major order
+            # plan rows: the distinct (image, node) rows in row-major order,
+            # row t the image image[t] of node block[local[t]]
+            image, local = np.nonzero(mine)
             slot = np.cumsum(mine).reshape(mine.shape) - 1
             uses = slot[first[:, block], np.arange(len(block))]
             hit = mine[:, node]
-            far, order, near = _plan(
+            whole, far, near = _plan(
                 ctx, slot[:, node][hit], greville[index[np.nonzero(hit)[1]]],
-                positions[block[np.nonzero(mine)[1]]],
-                targets[:, block][mine], cfg, colloc.merge_tol)
+                positions[block[local]], targets[image, block[local]], cfg,
+                colloc.merge_tol)
             data = ctx.evaluate(
                 [region for _, regular in near.values() for region in regular],
                 [fan for fans, _ in near.values() for fan in fans],
             )
-            parts = {}
-            far_parts = [np.zeros((len(far), 3, 3, len(ids))),
-                         np.zeros((len(far), 3))]
+            parts = [np.zeros((len(image), 3, 3, len(ids))),
+                     np.zeros((len(image), 3))]
+            for t, (fans, regular) in near.items():
+                columns = [data[(r, tuple(p))] for r, p in fans]
+                columns += [data[region] for region in regular]
+                integrals = rows.integrate(
+                    block[local[t]:local[t] + 1],
+                    *(np.concatenate(c) for c in zip(*columns)),
+                    group[image[t]])
+                for store, part in zip(parts, integrals):
+                    store[t] = part[0]
             for m, mirror in enumerate(group):
-                for i, t in enumerate(uses[m]):
-                    if t not in near:
-                        continue
-                    if t not in parts:  # row (m, i) is the first to use t
-                        fans, regular = near[t]
-                        columns = [data[(r, tuple(p))] for r, p in fans]
-                        columns += [data[region] for region in regular]
-                        parts[t] = rows.integrate(
-                            block[i:i + 1],
-                            *(np.concatenate(c) for c in zip(*columns)),
-                            mirror)
-                    rows.scatter(block[i:i + 1], parts[t], ids, mirror,
-                                 flip[m, block[i]][None])
-                for q in sorted(set(order[slot[m][mine[m]]]) - {0},
-                                reverse=True):
-                    at_q = mine[m] & (order[slot[m]] == q)
-                    distinct = slot[m][at_q]
-                    columns, region = ctx.far(q)
-                    integrals = rows.integrate(
-                        block[at_q], *columns, mirror,
-                        used=far[distinct][:, region].T)
-                    for store, part in zip(far_parts, integrals):
-                        store[distinct] = part
-                if far[uses[m]].any():
-                    rows.scatter(block, [p[uses[m]] for p in far_parts], ids,
-                                 mirror, flip[m, block])
+                for batch, at in ((True, whole), (False, far.any(axis=1))):
+                    at = at & (image == m)
+                    if at.any():
+                        columns, region = ctx.far(batch)
+                        used = None if batch else far[at][:, region].T
+                        integrals = rows.integrate(block[local[at]], *columns,
+                                                   mirror, used=used)
+                        for store, part in zip(parts, integrals):
+                            store[at] += part
+                rows.scatter(block, [p[uses[m]] for p in parts], ids, mirror,
+                             flip[m, block])
         del ctx, data  # the next patch's data is built without this one's
 
     return rows.t_blocks, rows.row_sums, rows.rhs.reshape(-1)

@@ -24,8 +24,6 @@ __all__ = [
     "gauss_rule",
     "region_partition",
     "region_samples",
-    "size_and_distance",
-    "keep_whole",
     "far_mask",
     "contains_mask",
     "quadtree_refine",
@@ -168,26 +166,17 @@ def region_samples(regions, point_fn) -> np.ndarray:
     return point_fn(params).reshape(len(regions), len(_SAMPLE_GRID), 3)
 
 
-def size_and_distance(samples, sources):
-    """Longest mapped edge of (..., 9, 3) region samples, and distance of
-    (..., 3) sources, broadcast against them, to the nearest sample."""
+def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
+    """The quad-tree's keep test on (..., 9, 3) region samples and (..., 3)
+    sources, broadcast against them: True where the region's longest mapped
+    edge is at most ``threshold`` times the distance from the source to the
+    nearest sample. ``quadtree_refine`` and assembly decide through it, so
+    they agree."""
     edges = samples[..., [0, 2, 8, 6], :] - samples[..., [2, 8, 6, 0], :]
     size = np.sqrt((edges * edges).sum(axis=-1)).max(axis=-1)
     diff = samples - sources[..., None, :]
     dist = np.sqrt((diff * diff).sum(axis=-1)).min(axis=-1)
-    return size, dist
-
-
-def keep_whole(size, dist, threshold: float = 1.0) -> np.ndarray:
-    """The quad-tree's keep test on ``size_and_distance``'s arrays: True
-    where the region's size is at most ``threshold`` times its distance."""
     return size <= threshold * dist
-
-
-def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
-    """``keep_whole`` of (..., 9, 3) region samples and (..., 3) sources.
-    ``quadtree_refine`` decides through it, so the two agree."""
-    return keep_whole(*size_and_distance(samples, sources), threshold)
 
 
 def contains_mask(params, regions) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gibem.assembly import (
-    LOW_ORDER_RATIO,
+    COARSE_ORDER,
     assemble,
     collocation_points,
     free_term_rigid_body,
@@ -40,8 +40,9 @@ from gibem.quadrature import (
     far_mask,
     gauss_rule,
     region_partition,
+    region_samples,
 )
-from gibem.splines import unit_interval_space
+from gibem.splines import BasisSpace, unit_interval_space
 
 
 def flat_square(x0=0.0, y0=0.0, z0=0.0):
@@ -277,23 +278,21 @@ def test_base_regions_are_held_only_in_the_far_batch():
     model = build_trimmed_cube_model(3, 0.4)
     ctx = _PatchContext(model.patches[1], model.field_pairs[1], model.config)
     assert ctx._region_data == {} and ctx._far == {}
-    order = model.config.gauss_order
-    columns, region_of = ctx.far(order)
+    columns, region_of = ctx.far(False)
     for k, region in enumerate(ctx.regions):
         data = ctx.evaluate([region], [])[region]
         for column, far in zip(data, columns, strict=True):
             assert np.array_equal(column, far[region_of == k])
-    # the lower-order batch holds the same regions at its own Gauss points
-    columns, region_of = ctx.far(order - 2)
-    assert list(ctx._far) == [order, order - 2]
-    rule = gauss_rule(order - 2)
-    for k, region in enumerate(ctx.regions):
-        points, normals, weights, basis = ctx._columns(
-            *region.gauss_points(rule))
-        for column, far in zip((points, normals, weights,
-                                weights[:, None] * basis), columns,
-                               strict=True):
-            assert np.array_equal(column, far[region_of == k])
+    # the whole-patch batch is the unit square as one region
+    columns, region_of = ctx.far(True)
+    assert list(ctx._far) == [False, True]
+    assert not region_of.any()
+    points, normals, weights, basis = ctx._columns(
+        *IntegrationRegion(0.0, 1.0, 0.0, 1.0).gauss_points(
+            gauss_rule(COARSE_ORDER)))
+    for column, far in zip((points, normals, weights,
+                            weights[:, None] * basis), columns, strict=True):
+        assert np.array_equal(column, far)
 
 
 class TestSplitSingular:
@@ -530,25 +529,28 @@ class TestOctantAssembly:
                                                           monkeypatch):
         """A node on a mirror plane has the same target under two images.
         Per patch, each (node, target) row is integrated once as a near row
-        and, when a base region is far from it, once in a far batch: at
-        the lower order when every far region's size is at most
-        LOW_ORDER_RATIO times its distance, else at gauss_order. The far
-        kernel pairs are the sum, over those targets, of the far points at
-        the target's order."""
+        and, when a base region is far from it, once in one far batch: the
+        whole patch at COARSE_ORDER when every base region is far and the
+        whole patch passes the keep test as one region, else the base
+        regions at gauss_order. The far kernel pairs are the sum, over those
+        targets, of the points of the target's batch."""
         model, colloc, _ = octant_system
         group = symmetry_group(model.symmetry_planes)
         distinct = {(n, tuple(x @ mirror.T))
                     for n, x in enumerate(colloc.positions) for mirror in group}
         assert len(distinct) < len(colloc) * len(group)
-        patches, calls = [], []
+        contexts, calls = [], []
         init, integrate = _PatchContext.__init__, _Rows.integrate
 
         def counting_init(self, *args):
             init(self, *args)
-            patches.append((self.samples, len(self.regions)))
+            contexts.append(self)
 
         def recording_integrate(self, nodes, *args, used=None):
-            calls.append([len(patches) - 1, used is None,
+            ctx = contexts[-1]
+            kind = next((whole for whole, (columns, _) in ctx._far.items()
+                         if columns[0] is args[0]), "near")
+            calls.append([len(contexts) - 1, kind,
                           self.positions[nodes] @ args[-1].T, nodes,
                           len(args[0])])
             return integrate(self, nodes, *args, used=used)
@@ -562,79 +564,103 @@ class TestOctantAssembly:
         monkeypatch.setattr("gibem.assembly.kelvin_T_many", counting_kernel)
         _engine(model, colloc)
 
-        assert len(patches) == len(model.patches)
-        order = model.config.gauss_order
-        low_rows = 0
-        for k, (samples, n_regions) in enumerate(patches):
+        assert len(contexts) == len(model.patches)
+        threshold = model.config.quadtree_threshold
+        base_points = model.config.gauss_order**2
+        kinds = []
+        for k, ctx in enumerate(contexts):
             for near in (True, False):
                 rows = [(n, tuple(target))
-                        for patch, is_near, targets, nodes, *_
-                        in calls if (patch, is_near) == (k, near)
+                        for patch, kind, targets, nodes, *_
+                        in calls if (patch, kind == "near") == (k, near)
                         for n, target in zip(nodes, targets)]
                 assert len(rows) == len(set(rows))
                 assert set(rows) <= distinct
+            whole_samples = region_samples(
+                [IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
+                ctx.patch.points_at)[0]
             expected = {}
             for n, target in distinct:
-                keep = far_mask(samples, np.array(target),
-                                model.config.quadtree_threshold)
-                if keep.any():
-                    small = far_mask(samples, np.array(target),
-                                     LOW_ORDER_RATIO)[keep].all()
-                    expected[n, target] = n_regions * (
-                        order - 2 if small else order)**2
-            seen = {(n, tuple(target)): points
-                    for patch, is_near, targets, nodes, points, _ in calls
-                    if (patch, is_near) == (k, False)
+                keep = far_mask(ctx.samples, np.array(target), threshold)
+                if keep.all() and far_mask(whole_samples, np.array(target),
+                                           threshold):
+                    expected[n, target] = True, COARSE_ORDER**2
+                elif keep.any():
+                    expected[n, target] = False, len(keep) * base_points
+            seen = {(n, tuple(target)): (kind, points)
+                    for patch, kind, targets, nodes, points, _ in calls
+                    if patch == k and kind != "near"
                     for n, target in zip(nodes, targets)}
             assert seen == expected
-            far_pairs = sum(pairs for patch, is_near, *_, pairs in calls
-                            if (patch, is_near) == (k, False))
-            assert far_pairs == sum(expected.values())
-            low_rows += sum(points == n_regions * (order - 2)**2
-                            for points in expected.values())
-        assert low_rows > 0
+            far_pairs = sum(pairs for patch, kind, *_, pairs in calls
+                            if patch == k and kind != "near")
+            assert far_pairs == sum(points for _, points in expected.values())
+            kinds += [kind for kind, _ in expected.values()]
+        assert True in kinds and False in kinds
 
 
-@pytest.fixture(scope="module")
-def order5_cube():
-    model = build_cube_model(order=5)
-    return model, collocation_points(model)
+@pytest.mark.parametrize("order", [2, 5])
+def test_whole_patch_rows_match_an_order_20_batch(order, monkeypatch):
+    """Rows that take the whole patch at COARSE_ORDER are at round-off
+    from the same rows at order 20."""
+    model = build_cube_model(order=order)
+    colloc = collocation_points(model)
+    coarse = assemble(model, colloc)
+    monkeypatch.setattr("gibem.assembly.COARSE_ORDER", 20)
+    fine = assemble(model, colloc)
+    assert not np.array_equal(coarse[0], fine[0])
+    for got, want in zip(coarse, fine):
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("system", ["octant_system", "order5_cube"])
-def test_graded_far_order_matches_the_flat_order(system, request,
-                                                 monkeypatch):
-    model, colloc, *_ = request.getfixturevalue(system)
-    graded = assemble(model, colloc)
-    monkeypatch.setattr("gibem.assembly.LOW_ORDER_RATIO", 0.0)
-    flat = assemble(model, colloc)
-    assert not np.array_equal(graded[0], flat[0])
-    for got, want in zip(graded, flat):
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("gauss_order", [3, 6, 7, 8, 9])
-def test_lower_far_order_starts_at_gauss_order_eight(gauss_order,
-                                                     octant_system,
-                                                     monkeypatch):
-    """The lower far order is gauss_order - 2 and at least 6, the lowest
-    whose drift is at round-off; below that one far batch is built. The
-    octant has rows at the lower order, so both are built from order 8."""
-    model, _, _ = octant_system
-    model = dataclasses.replace(model, config=dataclasses.replace(
-        model.config, gauss_order=gauss_order))
+def test_knots_inside_a_patch_keep_it_from_the_whole_patch_batch(
+        monkeypatch):
+    """The top face's field has an interior knot and the wall's base
+    surface and field have them at the seams: neither builds a whole-patch
+    batch. The bottom face, one smooth piece, does."""
+    cube = build_cube_model(3)
+    ring = np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1], [0, 0]])
+    wall = NurbsPatch(
+        BasisSpace([0, 0, 0.25, 0.5, 0.75, 1, 1], 1), unit_interval_space(1),
+        np.stack([np.column_stack([ring, np.full(5, z)]) for z in (0.0, 1.0)],
+                 axis=1), np.ones((5, 2)))
+    fields = (cube.field_pairs[0],
+              FieldSpacePair.from_orders(3, interior_u=(0.5,)),
+              FieldSpacePair.from_orders(
+                  3, interior_u=np.repeat([0.25, 0.5, 0.75], 3)))
+    model = dataclasses.replace(cube, patches=cube.patches[:2] + (wall,),
+                                field_pairs=fields)
     built = []
     far = _PatchContext.far
 
-    def recording_far(self, order):
-        if order not in self._far:
-            built.append(order)
-        return far(self, order)
+    def recording_far(self, whole):
+        built.append((self.patch, whole))
+        return far(self, whole)
 
     monkeypatch.setattr(_PatchContext, "far", recording_far)
     _engine(model, collocation_points(model))
-    lower = {gauss_order - 2} if gauss_order >= 8 else set()
-    assert set(built) == {gauss_order} | lower
+    assert {patch for patch, whole in built if whole} == {cube.patches[0]}
+    assert {patch for patch, whole in built if not whole} == set(model.patches)
+
+
+def test_far_blocks_keep_to_block_pairs(monkeypatch):
+    """A block of several nodes sizes its far calls by the larger batch
+    the patch can use: on the order-1 cube the whole patch's
+    COARSE_ORDER**2 points, not its one base region's gauss_order**2,
+    which would take all 8 nodes in one block and 4 rows per whole-patch
+    call, 784 pairs."""
+    model = build_cube_model(1)
+    pairs = []
+
+    def counting_kernel(diff, normals, material):
+        if diff[0].shape[1] > 1:
+            pairs.append(np.broadcast(*diff).size)
+        return kelvin_T_many(diff, normals, material)
+
+    monkeypatch.setattr("gibem.assembly.BLOCK_PAIRS", 600)
+    monkeypatch.setattr("gibem.assembly.kelvin_T_many", counting_kernel)
+    _engine(model, collocation_points(model))
+    assert pairs and max(pairs) <= 600
 
 
 @settings(max_examples=60, deadline=None)
