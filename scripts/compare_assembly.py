@@ -37,8 +37,8 @@ Greville columns merge into the same nodes, so its grid holds each of
 them twice and both copies' kernel contributions reach the matrix. The
 fourteenth, ``octant-trim-depth0``, is the ``octant-trim`` workload with
 ``quadtree_max_depth=0``: the quad-tree keeps every near base region
-whole, so it is the only model whose base regions are integrated row by
-row as near regions and not only in the far batches. The fifteenth,
+whole, so it is the only model where a near row integrates every base
+region unrefined, its near ones as well as its far ones. The fifteenth,
 ``half-cube-xy-order3``, is the order-3 unit cube without its z = 0
 face, closed by the ``xy`` plane into [0, 1]^2 x [-1, 1]: the only model
 with one mirror plane, so a group of two images, and the only mirror

@@ -16,21 +16,22 @@ part is restored through the free-term closure, which fixes each diagonal
 block from the requirement that a rigid translation of the (mirror
 completed) closed surface produces no traction.
 
-Most (node, region) pairs are far: the quad-tree keeps the region whole,
-and its Gauss data is the same for every node. Per patch and mirror image
-those pairs are integrated as a batch: one masked kernel block over nodes
-and points, contracted with the weighted basis values in one matrix
+A row is far from a patch when the quad-tree keeps each base region whole;
+then its Gauss data is the same as every other far row's. Per patch and
+mirror image the far rows are integrated as a batch: one kernel block over
+nodes and points, contracted with the weighted basis values in one matrix
 product. A block holds at most BLOCK_PAIRS (point, node) pairs, so its
 memory does not grow with the model. The Greville regions only put nodes
-on region corners for the fans, so a row whose base regions are all far,
-on a patch that passes the same keep test as one region and that no
-interior knot cuts, integrates the whole unit square at COARSE_ORDER
-instead: the order picked by distance, after Lachat & Watson (IJNME 1976).
-The other pairs need triangle fans or quad-tree refined regions. Those of
-a whole block, over all mirror images, are planned in arrays, with one
-projection, one region bounds test and one quad-tree refinement for all of
-them, then evaluated together in one frame and one basis call, and then
-integrated row by row.
+on region corners for the fans, so a far row, on a patch that passes the
+same keep test as one region and that no interior knot cuts, integrates
+the whole unit square at COARSE_ORDER instead: the order picked by
+distance, after Lachat & Watson (IJNME 1976). Every other row is near: it
+needs triangle fans or quad-tree refined regions for some base regions.
+The near rows of a whole block, over all mirror images, are planned in
+arrays, with one projection, one region bounds test and one quad-tree
+refinement for all of them, then evaluated together in one frame and one
+basis call, and then integrated row by row, each row's far base regions
+with the rest.
 
 A node x on a mirror plane has one target under two images M and M':
 R x = x for R = M M'. The second image's kernel inputs are the first's
@@ -153,14 +154,13 @@ def collocation_points(model):
 class _PatchContext:
     """One patch's quadrature data, alive for the patch's turn in _engine.
 
-    ``far(whole)`` is a far-field batch ``(columns, region)``, Gauss data
-    (positions, normals, weights, weighted basis values) concatenated with
-    point p in region region[p]: the base regions at ``gauss_order``, or
-    with ``whole`` the unit square at COARSE_ORDER. Each is built at its
-    first use and kept; the batches alone hold the base regions.
-    ``whole_samples``, the patch's 3x3 samples (seed grid rows 0, 8, 16),
-    is None where an interior knot of the field spaces, base surface or
-    trim curves cuts the patch.
+    ``greville`` and ``whole`` are the far-field batches, Gauss data
+    (positions, normals, weights, weighted basis values) as four
+    concatenated columns, built with the context: ``greville`` the base
+    regions at ``gauss_order``, region after region, and ``whole`` the unit
+    square at COARSE_ORDER. ``whole`` and ``whole_samples``, the patch's
+    3x3 samples (seed grid rows 0, 8, 16), are None where an interior knot
+    of the field spaces, base surface or trim curves cuts the patch.
     """
 
     def __init__(self, patch, pair, cfg):
@@ -169,8 +169,6 @@ class _PatchContext:
         self.regions = region_partition(pair.space_u, pair.space_v)
         self.rule = gauss_rule(cfg.gauss_order)
         self.singular_rule = gauss_rule(cfg.singular_gauss_order)
-        self._region_data = {}
-        self._far = {}
 
         side = 17
         grid = np.linspace(0.0, 1.0, side)
@@ -190,19 +188,21 @@ class _PatchContext:
         spaces += [patch.space_u, patch.space_v]
         smooth = all(len(space.breakpoints()[0]) == 2 for space in spaces)
         self.whole_samples = cells[::8, ::8].reshape(9, 3) if smooth else None
+        self.whole = None
+        if smooth:
+            self.whole = self._batch([IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
+                                     gauss_rule(COARSE_ORDER))
+        self.greville = self._batch(self.regions, self.rule)
+        # the base regions' entries are views: no region is held twice
+        cuts = np.arange(1, len(self.regions)) * self.rule.order**2
+        self._region_data = dict(zip(self.regions, zip(
+            *(np.split(column, cuts) for column in self.greville))))
 
-    def far(self, whole):
-        if whole not in self._far:
-            regions, rule = self.regions, self.rule
-            if whole:
-                regions = [IntegrationRegion(0.0, 1.0, 0.0, 1.0)]
-                rule = gauss_rule(COARSE_ORDER)
-            quad = [region.gauss_points(rule) for region in regions]
-            columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
-            columns[3] *= columns[2][:, None]
-            self._far[whole] = (
-                columns, np.repeat(np.arange(len(quad)), rule.order**2))
-        return self._far[whole]
+    def _batch(self, regions, rule):
+        quad = [region.gauss_points(rule) for region in regions]
+        columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
+        columns[3] *= columns[2][:, None]
+        return columns
 
     def _columns(self, params, weights):
         """Positions, normals, weights times areas and basis values."""
@@ -219,8 +219,9 @@ class _PatchContext:
         Everything not evaluated before is evaluated in one ``_columns``
         call; fan rows subtract the basis values at their singular
         parameters, from one more ``values`` call, before weighting. The
-        cache starts empty and keeps regions, in practice quad-tree refined
-        ones, for the life of the context; fans are not kept.
+        cache starts with views of the base regions in ``greville`` and
+        keeps the quad-tree refined regions for the life of the context;
+        fans are not kept.
         """
         new_regions = [region for region in dict.fromkeys(regions)
                        if region not in self._region_data]
@@ -320,8 +321,7 @@ class _Rows:
         self.row_sums = np.zeros((n_nodes, 3, 3))
         self.rhs = np.zeros((n_nodes, 3))
 
-    def integrate(self, nodes, points, normals, weights, weighted, mirror,
-                  used=None):
+    def integrate(self, nodes, points, normals, weights, weighted, mirror):
         """The kernel integrals of ``nodes`` over one patch image: per node
         the (3, 3, f) kernel block against the patch fields and the (3,)
         rhs, zero without a load.
@@ -329,29 +329,19 @@ class _Rows:
         ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``weighted``
         (m, f), the patch fields' values times weights, are the quadrature
         data of the patch before ``mirror``, a diagonal reflection, maps it.
-        ``used`` (m, len(nodes)) marks the pairs to integrate, all by
-        default; the others get a unit offset and a zero normal and
-        traction, so that their kernel and traction are exactly zero.
         """
-        if used is not None and used.all():
-            used = None
         sources = self.positions[nodes]
         points = points @ mirror.T
         normals = normals @ mirror.T
         diff = [points[:, None, k] - sources[None, :, k] for k in range(3)]
-        normal = [c[:, None] for c in normals.T]
-        if used is not None:
-            diff = [np.where(used, c, 1.0) for c in diff]
-            normal = [np.where(used, c, 0.0) for c in normal]
-        kernel = kelvin_T_many(diff, normal, self.material)
+        kernel = kelvin_T_many(diff, [c[:, None] for c in normals.T],
+                               self.material)
         contrib = kernel.reshape(len(weighted), -1).T @ weighted
         rhs = np.zeros((len(nodes), 3))
         if self.load is not None:
             tractions = self.load.traction(normals, self.sign)
-            traction = [c[:, None] for c in tractions.T]
-            if used is not None:
-                traction = [np.where(used, c, 0.0) for c in traction]
-            u_t = kelvin_U_many(diff, self.material, traction)
+            u_t = kelvin_U_many(diff, self.material,
+                                [c[:, None] for c in tractions.T])
             rhs = np.einsum("m,mni->ni", weights, u_t)
         return contrib.reshape(len(nodes), 3, 3, -1), rhs
 
@@ -380,13 +370,16 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     give each row's node's Greville parameters on the patch, its singular
     parameters when the image is the node itself; every other row is
     projected onto the patch in one call, singular where that lies closer
-    than ``tol``. Returns three things. The rows that take the whole patch:
-    those whose base regions are all far, on a patch with
-    ``whole_samples`` that passes ``far_mask`` as one region. The far mask
-    of (row, base region) pairs for the other rows, less the regions
-    holding a singular parameter. And a dict from each row not wholly far,
-    in row order, to its fans as (region, singular parameter) pairs and its
-    quad-tree refined regions, from one ``quadtree_refine`` call for all.
+    than ``tol``. A base region is far from a row when ``far_mask`` keeps
+    it and it holds none of the row's singular parameters. Returns three
+    things, one for each way a row is integrated. The rows that take the
+    whole patch: those whose base regions are all far, on a patch with
+    ``whole`` that passes ``far_mask`` as one region. The other rows whose
+    base regions are all far, which take the Greville batch. And a dict
+    from each near row, every other row, in row order, to its fans as
+    (region, singular parameter) pairs and its regions: its far base
+    regions, then its quad-tree refined regions, from one
+    ``quadtree_refine`` call for all.
     """
     far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
     aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
@@ -396,37 +389,39 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     rows = np.concatenate([alias_rows[aliased], others[dist < tol]])
     sing = np.concatenate([alias_params[aliased], params[dist < tol]])
     np.logical_and.at(far, rows, ~contains_mask(sing, ctx.regions))
+    wholly_far = far.all(axis=1)
     whole = np.zeros(len(targets), dtype=bool)
-    if ctx.whole_samples is not None:
-        whole = far.all(axis=1) & far_mask(ctx.whole_samples, targets,
-                                           cfg.quadtree_threshold)
+    if ctx.whole is not None:
+        whole = wholly_far & far_mask(ctx.whole_samples, targets,
+                                      cfg.quadtree_threshold)
     near, pairs = {}, []
-    for t in np.flatnonzero(~far.all(axis=1)):
+    for t in np.flatnonzero(~wholly_far):
         regular = [region for region, skip in zip(ctx.regions, far[t])
                    if not skip]
         fans = []
         if t in rows:
             fans, regular = _split_singular(regular, sing[rows == t])
-        near[t] = (fans, [])
+        near[t] = (fans, [region for region, skip in zip(ctx.regions, far[t])
+                          if skip])
         pairs += [(t, region) for region in regular]
     for t, region in quadtree_refine(pairs, targets, ctx.patch.points_at,
                                      cfg.quadtree_threshold,
                                      cfg.quadtree_max_depth):
         near[t][1].append(region)
-    return whole, far & ~whole[:, None], near
+    return whole, wholly_far & ~whole, near
 
 
 def _engine(model, colloc):
     """Kernel blocks, row sums and right-hand side (zero without a load) of
     every row, before the closure. Each patch's context is built at its turn
     and dropped before the next one. Per node block, one plan covers the
-    distinct (image, node) targets of all images. Each near row is
-    integrated once, then, image by image, the image's whole-patch rows in
-    one far call and its other far rows in one masked call, all added into
-    one pair of per-row arrays. One scatter per image then adds the rows
-    of the block's nodes: a node whose target repeats that of an earlier
-    image, the first, takes that image's row, complete by then, with the
-    signs r of the module docstring."""
+    distinct (image, node) targets of all images. A row is integrated in
+    one call: each near row alone, then, image by image, the image's
+    whole-patch rows in one far call and its Greville rows in another, each
+    into its own rows of one pair of per-row arrays. One scatter per image
+    then adds the rows of the block's nodes: a node whose target repeats
+    that of an earlier image, the first, takes that image's row, complete
+    by then, with the signs r of the module docstring."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     positions = colloc.positions
@@ -443,9 +438,9 @@ def _engine(model, colloc):
         ctx = _PatchContext(patch, pair, cfg)
         greville = pair.greville_params()
         ids = colloc.grids[k].ravel()
-        points = len(ctx.regions) * cfg.gauss_order**2
-        if ctx.whole_samples is not None:  # the larger batch bounds a block
-            points = max(points, COARSE_ORDER**2)
+        # the larger batch bounds a block
+        points = max(len(columns[2]) for columns in (ctx.greville, ctx.whole)
+                     if columns is not None)
         step = max(1, BLOCK_PAIRS // points)
         for start in range(0, n_nodes, step):
             block = np.arange(start, min(start + step, n_nodes))
@@ -457,7 +452,7 @@ def _engine(model, colloc):
             slot = np.cumsum(mine).reshape(mine.shape) - 1
             uses = slot[first[:, block], np.arange(len(block))]
             hit = mine[:, node]
-            whole, far, near = _plan(
+            whole, greville_rows, near = _plan(
                 ctx, slot[:, node][hit], greville[index[np.nonzero(hit)[1]]],
                 positions[block[local]], targets[image, block[local]], cfg,
                 colloc.merge_tol)
@@ -477,15 +472,14 @@ def _engine(model, colloc):
                 for store, part in zip(parts, integrals):
                     store[t] = part[0]
             for m, mirror in enumerate(group):
-                for batch, at in ((True, whole), (False, far.any(axis=1))):
+                for columns, at in ((ctx.whole, whole),
+                                    (ctx.greville, greville_rows)):
                     at = at & (image == m)
                     if at.any():
-                        columns, region = ctx.far(batch)
-                        used = None if batch else far[at][:, region].T
                         integrals = rows.integrate(block[local[at]], *columns,
-                                                   mirror, used=used)
+                                                   mirror)
                         for store, part in zip(parts, integrals):
-                            store[at] += part
+                            store[at] = part
                 rows.scatter(block, [p[uses[m]] for p in parts], ids, mirror,
                              flip[m, block])
         del ctx, data  # the next patch's data is built without this one's

@@ -277,21 +277,26 @@ def test_engine_holds_one_patch_context_at_a_time(monkeypatch):
 def test_base_regions_are_held_only_in_the_far_batch():
     model = build_trimmed_cube_model(3, 0.4)
     ctx = _PatchContext(model.patches[1], model.field_pairs[1], model.config)
-    assert ctx._region_data == {} and ctx._far == {}
-    columns, region_of = ctx.far(False)
+    # the Greville batch is each base region's own Gauss data, region after
+    # region, and the cache hands out views of it
+    points = ctx.rule.order**2
     for k, region in enumerate(ctx.regions):
+        positions, normals, weights, basis = ctx._columns(
+            *region.gauss_points(ctx.rule))
         data = ctx.evaluate([region], [])[region]
-        for column, far in zip(data, columns, strict=True):
-            assert np.array_equal(column, far[region_of == k])
+        for column, want, far in zip(
+                data, (positions, normals, weights, weights[:, None] * basis),
+                ctx.greville, strict=True):
+            assert np.array_equal(far[k * points:(k + 1) * points], want)
+            assert np.array_equal(column, want)
+            assert np.shares_memory(column, far)
+    assert len(ctx.greville[0]) == len(ctx.regions) * points
     # the whole-patch batch is the unit square as one region
-    columns, region_of = ctx.far(True)
-    assert list(ctx._far) == [False, True]
-    assert not region_of.any()
-    points, normals, weights, basis = ctx._columns(
+    positions, normals, weights, basis = ctx._columns(
         *IntegrationRegion(0.0, 1.0, 0.0, 1.0).gauss_points(
             gauss_rule(COARSE_ORDER)))
-    for column, far in zip((points, normals, weights,
-                            weights[:, None] * basis), columns, strict=True):
+    for column, far in zip((positions, normals, weights,
+                            weights[:, None] * basis), ctx.whole, strict=True):
         assert np.array_equal(column, far)
 
 
@@ -528,12 +533,12 @@ class TestOctantAssembly:
     def test_each_distinct_target_reaches_the_kernel_once(self, octant_system,
                                                           monkeypatch):
         """A node on a mirror plane has the same target under two images.
-        Per patch, each (node, target) row is integrated once as a near row
-        and, when a base region is far from it, once in one far batch: the
-        whole patch at COARSE_ORDER when every base region is far and the
-        whole patch passes the keep test as one region, else the base
-        regions at gauss_order. The far kernel pairs are the sum, over those
-        targets, of the points of the target's batch."""
+        Per patch, each (node, target) row is integrated once, either as a
+        near row or in one far batch. A row is far exactly when every base
+        region is far from it; it takes the whole patch at COARSE_ORDER when
+        the whole patch passes the keep test as one region, else the base
+        regions at gauss_order. The far kernel pairs are the sum, over the
+        far targets, of the points of the target's batch."""
         model, colloc, _ = octant_system
         group = symmetry_group(model.symmetry_planes)
         distinct = {(n, tuple(x @ mirror.T))
@@ -546,14 +551,16 @@ class TestOctantAssembly:
             init(self, *args)
             contexts.append(self)
 
-        def recording_integrate(self, nodes, *args, used=None):
+        def recording_integrate(self, nodes, *args):
             ctx = contexts[-1]
-            kind = next((whole for whole, (columns, _) in ctx._far.items()
-                         if columns[0] is args[0]), "near")
+            kind = next((whole for whole, columns
+                         in ((True, ctx.whole), (False, ctx.greville))
+                         if columns is not None and columns[0] is args[0]),
+                        "near")
             calls.append([len(contexts) - 1, kind,
                           self.positions[nodes] @ args[-1].T, nodes,
                           len(args[0])])
-            return integrate(self, nodes, *args, used=used)
+            return integrate(self, nodes, *args)
 
         def counting_kernel(diff, normals, material):
             calls[-1].append(np.broadcast(*diff, *normals).size)
@@ -569,13 +576,15 @@ class TestOctantAssembly:
         base_points = model.config.gauss_order**2
         kinds = []
         for k, ctx in enumerate(contexts):
+            rows = {}
             for near in (True, False):
-                rows = [(n, tuple(target))
-                        for patch, kind, targets, nodes, *_
-                        in calls if (patch, kind == "near") == (k, near)
-                        for n, target in zip(nodes, targets)]
-                assert len(rows) == len(set(rows))
-                assert set(rows) <= distinct
+                rows[near] = [(n, tuple(target))
+                              for patch, kind, targets, nodes, *_
+                              in calls if (patch, kind == "near") == (k, near)
+                              for n, target in zip(nodes, targets)]
+                assert len(rows[near]) == len(set(rows[near]))
+            assert not set(rows[True]) & set(rows[False])
+            assert set(rows[True]) | set(rows[False]) == distinct
             whole_samples = region_samples(
                 [IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
                 ctx.patch.points_at)[0]
@@ -585,7 +594,7 @@ class TestOctantAssembly:
                 if keep.all() and far_mask(whole_samples, np.array(target),
                                            threshold):
                     expected[n, target] = True, COARSE_ORDER**2
-                elif keep.any():
+                elif keep.all():
                     expected[n, target] = False, len(keep) * base_points
             seen = {(n, tuple(target)): (kind, points)
                     for patch, kind, targets, nodes, points, _ in calls
@@ -630,17 +639,17 @@ def test_knots_inside_a_patch_keep_it_from_the_whole_patch_batch(
                   3, interior_u=np.repeat([0.25, 0.5, 0.75], 3)))
     model = dataclasses.replace(cube, patches=cube.patches[:2] + (wall,),
                                 field_pairs=fields)
-    built = []
-    far = _PatchContext.far
+    contexts = []
+    init = _PatchContext.__init__
 
-    def recording_far(self, whole):
-        built.append((self.patch, whole))
-        return far(self, whole)
+    def recording_init(self, *args):
+        init(self, *args)
+        contexts.append(self)
 
-    monkeypatch.setattr(_PatchContext, "far", recording_far)
+    monkeypatch.setattr(_PatchContext, "__init__", recording_init)
     _engine(model, collocation_points(model))
-    assert {patch for patch, whole in built if whole} == {cube.patches[0]}
-    assert {patch for patch, whole in built if not whole} == set(model.patches)
+    assert [ctx.patch for ctx in contexts] == list(model.patches)
+    assert [ctx.whole is None for ctx in contexts] == [False, True, True]
 
 
 def test_far_blocks_keep_to_block_pairs(monkeypatch):
