@@ -16,22 +16,22 @@ part is restored through the free-term closure, which fixes each diagonal
 block from the requirement that a rigid translation of the (mirror
 completed) closed surface produces no traction.
 
-A row is far from a patch when the quad-tree keeps each base region whole;
-then its Gauss data is the same as every other far row's. Per patch and
-mirror image the far rows are integrated as a batch: one kernel block over
-nodes and points, contracted with the weighted basis values in one matrix
-product. A block holds at most BLOCK_PAIRS (point, node) pairs, so its
-memory does not grow with the model. The Greville regions only put nodes
-on region corners for the fans, so a far row, on a patch that passes the
-same keep test as one region and that no interior knot cuts, integrates
-the whole unit square at COARSE_ORDER instead: the order picked by
-distance, after Lachat & Watson (IJNME 1976). Every other row is near: it
-needs triangle fans or quad-tree refined regions for some base regions.
-The near rows of a whole block, over all mirror images, are planned in
-arrays, with one projection, one region bounds test and one quad-tree
-refinement for all of them, then evaluated together in one frame and one
-basis call, and then integrated row by row, each row's far base regions
-with the rest.
+The loop unit is the patch, as in element-by-element collocation assembly
+(Beer, Smith & Duenser 2008): each patch plans all its rows, over all
+mirror images, with one projection, one region bounds test and one
+quad-tree refinement. A row is far from a patch when the quad-tree keeps
+each base region whole; then its Gauss data is the same as every other far
+row's, and per mirror image the far rows are integrated as a batch: one
+kernel block over rows and points, contracted with the weighted basis
+values in one matrix product. The Greville regions only put nodes on
+region corners for the fans, so a far row, on a patch that passes the same
+keep test as one region and that no interior knot cuts, integrates the
+whole unit square at COARSE_ORDER instead: the order picked by distance,
+after Lachat & Watson (IJNME 1976). Every other row is near and integrated
+alone, its far base regions with the rest; the regions of all near rows
+are evaluated in one frame and one basis call, their fans chunk by chunk.
+A kernel call or near chunk holds at most BLOCK_PAIRS (point, row) pairs,
+so its memory does not grow with the model.
 
 A node x on a mirror plane has one target under two images M and M':
 R x = x for R = M M'. The second image's kernel inputs are the first's
@@ -66,8 +66,8 @@ __all__ = [
     "free_term_rigid_body",
 ]
 
-# Far-field kernel blocks hold at most this many (point, node) pairs, 9
-# doubles each; a patch with more Gauss points is taken one node at a time.
+# (point, row) pairs per kernel call or near chunk, 9 doubles each; a row
+# with more Gauss points is taken alone.
 BLOCK_PAIRS = 8192
 
 # Gauss order of the whole-patch far batch. Against a far batch at order 20
@@ -193,10 +193,6 @@ class _PatchContext:
             self.whole = self._batch([IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
                                      gauss_rule(COARSE_ORDER))
         self.greville = self._batch(self.regions, self.rule)
-        # the base regions' entries are views: no region is held twice
-        cuts = np.arange(1, len(self.regions)) * self.rule.order**2
-        self._region_data = dict(zip(self.regions, zip(
-            *(np.split(column, cuts) for column in self.greville))))
 
     def _batch(self, regions, rule):
         quad = [region.gauss_points(rule) for region in regions]
@@ -211,45 +207,38 @@ class _PatchContext:
         del frames  # free the tangents before the basis batch is built
         return columns + [self.pair.values(params)]
 
-    def evaluate(self, regions, fans):
+    def evaluate(self, regions):
         """Quadrature data (positions, normals, weights, weighted basis) of
-        ``regions`` and of ``fans``, (region, singular parameter) pairs, in
-        a dict keyed by region, and by (region, parameter tuple) for fans.
-
-        Everything not evaluated before is evaluated in one ``_columns``
-        call; fan rows subtract the basis values at their singular
-        parameters, from one more ``values`` call, before weighting. The
-        cache starts with views of the base regions in ``greville`` and
-        keeps the quad-tree refined regions for the life of the context;
-        fans are not kept.
-        """
-        new_regions = [region for region in dict.fromkeys(regions)
-                       if region not in self._region_data]
-        new_fans = list(dict.fromkeys((r, tuple(p)) for r, p in fans))
-        data = {}
-        if new_regions or new_fans:
-            quad = [region.gauss_points(self.rule) for region in new_regions]
-            quad += [
-                singular_quadrature_points(region, param, self.singular_rule)
-                for region, param in new_fans
-            ]
-            columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
-            cuts = np.cumsum([len(w) for _, w in quad])[:-1]
-            entries = list(zip(*(np.split(c, cuts) for c in columns)))
-            fan_entries = entries[len(new_regions):]
-            if new_fans:
-                at = self.pair.values(
-                    np.array([param for _, param in new_fans])
-                )
-                for (_, _, _, basis), row in zip(fan_entries, at):
-                    basis -= row
-            columns[3] *= columns[2][:, None]  # in place: entries are views
-            # cached regions are copies: a view would keep the batch alive
-            for region, entry in zip(new_regions, entries):
-                self._region_data[region] = tuple(c.copy() for c in entry)
-            data.update(zip(new_fans, fan_entries))
-        data.update((r, self._region_data[r]) for r in regions)
+        the base regions and of ``regions``, keyed by region: views of
+        ``greville``, and of one ``_batch`` of the other regions, the
+        quad-tree refined ones, in first-seen order."""
+        data = dict(zip(self.regions, zip(
+            *(np.split(c, len(self.regions)) for c in self.greville))))
+        refined = [region for region in dict.fromkeys(regions)
+                   if region not in data]
+        if refined:
+            data.update(zip(refined, zip(
+                *(np.split(c, len(refined))
+                  for c in self._batch(refined, self.rule)))))
         return data
+
+    def fans(self, fans):
+        """Quadrature data of ``fans``, (region, singular parameter) pairs,
+        one tuple of views per fan from one ``_columns`` call. Each fan's
+        basis values are less those at its singular parameter, from one
+        more ``values`` call, before weighting."""
+        if not fans:
+            return []
+        quad = [singular_quadrature_points(region, param, self.singular_rule)
+                for region, param in fans]
+        columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
+        cuts = np.cumsum([len(w) for _, w in quad])[:-1]
+        entries = list(zip(*(np.split(c, cuts) for c in columns)))
+        at = self.pair.values(np.array([param for _, param in fans]))
+        for (_, _, _, basis), row in zip(entries, at):
+            basis -= row
+        columns[3] *= columns[2][:, None]  # in place: entries are views
+        return entries
 
     def project(self, targets):
         """Closest points on the patch to (m, 3) ``targets``: parameters
@@ -345,24 +334,24 @@ class _Rows:
             rhs = np.einsum("m,mni->ni", weights, u_t)
         return contrib.reshape(len(nodes), 3, 3, -1), rhs
 
-    def scatter(self, nodes, parts, ids, mirror, flip):
-        """Add ``parts`` of ``integrate`` to the rows of ``nodes`` and the
-        columns of the patch fields ``ids`` under ``mirror``, with entry
-        (i, j) of each kernel block times flip[:, i] * flip[:, j] and
-        component i of the rhs times flip[:, i]."""
+    def scatter(self, parts, ids, mirror, flip):
+        """Add ``parts`` of ``integrate``, a row per node, to every node's
+        rows and the columns of the patch fields ``ids`` under ``mirror``,
+        with entry (i, j) of each kernel block times flip[:, i] * flip[:, j]
+        and component i of the rhs times flip[:, i]."""
         contrib, rhs = parts
         sign = flip[:, :, None] * flip[:, None]
-        self.row_sums[nodes] += contrib.sum(axis=3) * sign
+        self.row_sums += contrib.sum(axis=3) * sign
         view = self.t_blocks.reshape(len(self.positions), 3, -1, 3)
         # unbuffered: ids repeats a node where the patch closes on itself
-        np.add.at(view, (nodes[:, None], slice(None), ids, slice(None)),
-                  contrib.transpose(0, 3, 1, 2)
-                  * (sign * np.diag(mirror))[:, None])
-        self.rhs[nodes] += rhs * flip
+        np.add.at(view, (slice(None), slice(None), ids),
+                  contrib.transpose(0, 1, 3, 2)
+                  * (sign * np.diag(mirror))[:, :, None])
+        self.rhs += rhs * flip
 
 
 def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
-    """What one node block needs from one patch, over all mirror images.
+    """What one patch needs for all its rows, over all mirror images.
 
     Row t is one distinct (image, node) target, planned once however many
     images repeat it: ``sources[t]`` is the node's position and
@@ -377,9 +366,8 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     ``whole`` that passes ``far_mask`` as one region. The other rows whose
     base regions are all far, which take the Greville batch. And a dict
     from each near row, every other row, in row order, to its fans as
-    (region, singular parameter) pairs and its regions: its far base
-    regions, then its quad-tree refined regions, from one
-    ``quadtree_refine`` call for all.
+    (region, singular parameter) pairs and its regions, from one
+    ``quadtree_refine`` call for all, which keeps far base regions whole.
     """
     far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
     aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
@@ -396,13 +384,8 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
                                       cfg.quadtree_threshold)
     near, pairs = {}, []
     for t in np.flatnonzero(~wholly_far):
-        regular = [region for region, skip in zip(ctx.regions, far[t])
-                   if not skip]
-        fans = []
-        if t in rows:
-            fans, regular = _split_singular(regular, sing[rows == t])
-        near[t] = (fans, [region for region, skip in zip(ctx.regions, far[t])
-                          if skip])
+        fans, regular = _split_singular(ctx.regions, sing[rows == t])
+        near[t] = (fans, [])
         pairs += [(t, region) for region in regular]
     for t, region in quadtree_refine(pairs, targets, ctx.patch.points_at,
                                      cfg.quadtree_threshold,
@@ -411,77 +394,89 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     return whole, wholly_far & ~whole, near
 
 
+def _near_chunks(near, cfg):
+    """The near rows in order, cut greedily into chunks of at most
+    BLOCK_PAIRS (point, row) pairs, a fan counted at its four triangles'
+    points and a region at gauss_order**2: a chunk goes over only when one
+    row alone does."""
+    chunks, size = [], BLOCK_PAIRS  # full: the first row opens a chunk
+    for t, (fans, regular) in near.items():
+        pairs = (4 * cfg.singular_gauss_order**2 * len(fans)
+                 + cfg.gauss_order**2 * len(regular))
+        if size + pairs > BLOCK_PAIRS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(t)
+        size += pairs
+    return chunks
+
+
 def _engine(model, colloc):
     """Kernel blocks, row sums and right-hand side (zero without a load) of
     every row, before the closure. Each patch's context is built at its turn
-    and dropped before the next one. Per node block, one plan covers the
-    distinct (image, node) targets of all images. A row is integrated in
-    one call: each near row alone, then, image by image, the image's
-    whole-patch rows in one far call and its Greville rows in another, each
-    into its own rows of one pair of per-row arrays. One scatter per image
-    then adds the rows of the block's nodes: a node whose target repeats
-    that of an earlier image, the first, takes that image's row, complete
-    by then, with the signs r of the module docstring."""
+    and dropped before the next one; one plan covers its distinct (image,
+    node) targets of all images. A row is integrated in one call: each near
+    row alone, then, image by image, the image's whole-patch rows and its
+    Greville rows in far calls of at most BLOCK_PAIRS pairs, each into its
+    own rows of one pair of per-row arrays. One scatter per image then adds
+    the rows of every node: a node whose target repeats that of an earlier
+    image, the first, takes that image's row, complete by then, with the
+    signs r of the module docstring."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     positions = colloc.positions
     rows = _Rows(positions, model.material, model.load, cfg.excavation_sign)
-    n_nodes = len(positions)
     targets = np.stack([positions @ mirror.T for mirror in group])
     # first[m, n]: the first image giving node n image m's target
     first = (targets[:, None] == targets).all(axis=3).argmax(axis=1)
     own = first == np.arange(len(group))[:, None]
     signs = np.array([np.diag(mirror) for mirror in group])
     flip = signs[first] * signs[:, None]
+    # the distinct (image, node) rows in row-major order, row t the image
+    # image[t] of node node_of[t]; uses[m, n] is the row node n takes in m
+    image, node_of = np.nonzero(own)
+    slot = np.cumsum(own).reshape(own.shape) - 1
+    uses = slot[first, np.arange(len(positions))]
 
     for k, (patch, pair) in enumerate(zip(model.patches, model.field_pairs)):
         ctx = _PatchContext(patch, pair, cfg)
-        greville = pair.greville_params()
         ids = colloc.grids[k].ravel()
-        # the larger batch bounds a block
-        points = max(len(columns[2]) for columns in (ctx.greville, ctx.whole)
-                     if columns is not None)
-        step = max(1, BLOCK_PAIRS // points)
-        for start in range(0, n_nodes, step):
-            block = np.arange(start, min(start + step, n_nodes))
-            node, index = np.nonzero(ids == block[:, None])
-            mine = own[:, block]
-            # plan rows: the distinct (image, node) rows in row-major order,
-            # row t the image image[t] of node block[local[t]]
-            image, local = np.nonzero(mine)
-            slot = np.cumsum(mine).reshape(mine.shape) - 1
-            uses = slot[first[:, block], np.arange(len(block))]
-            hit = mine[:, node]
-            whole, greville_rows, near = _plan(
-                ctx, slot[:, node][hit], greville[index[np.nonzero(hit)[1]]],
-                positions[block[local]], targets[image, block[local]], cfg,
-                colloc.merge_tol)
-            data = ctx.evaluate(
-                [region for _, regular in near.values() for region in regular],
-                [fan for fans, _ in near.values() for fan in fans],
-            )
-            parts = [np.zeros((len(image), 3, 3, len(ids))),
-                     np.zeros((len(image), 3))]
-            for t, (fans, regular) in near.items():
-                columns = [data[(r, tuple(p))] for r, p in fans]
-                columns += [data[region] for region in regular]
+        index = np.argsort(ids, kind="stable")  # aliases in node order
+        hit = own[:, ids[index]]
+        whole, greville_rows, near = _plan(
+            ctx, slot[:, ids[index]][hit],
+            pair.greville_params()[index[np.nonzero(hit)[1]]],
+            positions[node_of], targets[image, node_of], cfg,
+            colloc.merge_tol)
+        data = ctx.evaluate(
+            [region for _, regular in near.values() for region in regular])
+        parts = [np.zeros((len(image), 3, 3, len(ids))),
+                 np.zeros((len(image), 3))]
+        for chunk in _near_chunks(near, cfg):
+            fans = iter(ctx.fans([fan for t in chunk for fan in near[t][0]]))
+            for t in chunk:
+                columns = [next(fans) for _ in near[t][0]]
+                columns += [data[region] for region in near[t][1]]
                 integrals = rows.integrate(
-                    block[local[t]:local[t] + 1],
+                    node_of[t:t + 1],
                     *(np.concatenate(c) for c in zip(*columns)),
                     group[image[t]])
                 for store, part in zip(parts, integrals):
                     store[t] = part[0]
-            for m, mirror in enumerate(group):
-                for columns, at in ((ctx.whole, whole),
-                                    (ctx.greville, greville_rows)):
-                    at = at & (image == m)
-                    if at.any():
-                        integrals = rows.integrate(block[local[at]], *columns,
-                                                   mirror)
-                        for store, part in zip(parts, integrals):
-                            store[at] = part
-                rows.scatter(block, [p[uses[m]] for p in parts], ids, mirror,
-                             flip[m, block])
+        for m, mirror in enumerate(group):
+            for columns, at in ((ctx.whole, whole),
+                                (ctx.greville, greville_rows)):
+                at = np.flatnonzero(at & (image == m))
+                if not at.size:
+                    continue
+                step = max(1, BLOCK_PAIRS // len(columns[2]))
+                for start in range(0, at.size, step):
+                    chunk = at[start:start + step]
+                    integrals = rows.integrate(node_of[chunk], *columns,
+                                               mirror)
+                    for store, part in zip(parts, integrals):
+                        store[chunk] = part
+            rows.scatter([p[uses[m]] for p in parts], ids, mirror, flip[m])
         del ctx, data  # the next patch's data is built without this one's
 
     return rows.t_blocks, rows.row_sums, rows.rhs.reshape(-1)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gibem.assembly
+
 from gibem.assembly import (
     COARSE_ORDER,
     assemble,
@@ -278,18 +280,26 @@ def test_base_regions_are_held_only_in_the_far_batch():
     model = build_trimmed_cube_model(3, 0.4)
     ctx = _PatchContext(model.patches[1], model.field_pairs[1], model.config)
     # the Greville batch is each base region's own Gauss data, region after
-    # region, and the cache hands out views of it
+    # region; evaluate hands out views of it for the base regions, and views
+    # of one shared batch for the refined regions, each evaluated once
     points = ctx.rule.order**2
-    for k, region in enumerate(ctx.regions):
+    refined = ctx.regions[0].split() + ctx.regions[-1].split()[0].split()
+    data = ctx.evaluate(refined + ctx.regions[1:3] + refined[::2])
+    assert len(data) == len(ctx.regions) + len(refined)
+    for k, region in enumerate(ctx.regions + refined):
         positions, normals, weights, basis = ctx._columns(
             *region.gauss_points(ctx.rule))
-        data = ctx.evaluate([region], [])[region]
-        for column, want, far in zip(
-                data, (positions, normals, weights, weights[:, None] * basis),
-                ctx.greville, strict=True):
-            assert np.array_equal(far[k * points:(k + 1) * points], want)
+        for column, want, far, shared in zip(
+                data[region],
+                (positions, normals, weights, weights[:, None] * basis),
+                ctx.greville, data[refined[0]], strict=True):
             assert np.array_equal(column, want)
-            assert np.shares_memory(column, far)
+            if k < len(ctx.regions):
+                assert np.array_equal(far[k * points:(k + 1) * points], want)
+                assert np.shares_memory(column, far)
+            else:
+                assert np.shares_memory(column, shared.base)
+                assert not np.shares_memory(column, far)
     assert len(ctx.greville[0]) == len(ctx.regions) * points
     # the whole-patch batch is the unit square as one region
     positions, normals, weights, basis = ctx._columns(
@@ -653,11 +663,11 @@ def test_knots_inside_a_patch_keep_it_from_the_whole_patch_batch(
 
 
 def test_far_blocks_keep_to_block_pairs(monkeypatch):
-    """A block of several nodes sizes its far calls by the larger batch
-    the patch can use: on the order-1 cube the whole patch's
-    COARSE_ORDER**2 points, not its one base region's gauss_order**2,
-    which would take all 8 nodes in one block and 4 rows per whole-patch
-    call, 784 pairs."""
+    """A far call of several rows is sized by the batch it integrates: on
+    the order-1 cube a whole-patch call counts the whole patch's
+    COARSE_ORDER**2 points per row, not its one base region's
+    gauss_order**2, which would take all 8 nodes and 4 rows per
+    whole-patch call, 784 pairs."""
     model = build_cube_model(1)
     pairs = []
 
@@ -670,6 +680,110 @@ def test_far_blocks_keep_to_block_pairs(monkeypatch):
     monkeypatch.setattr("gibem.assembly.kelvin_T_many", counting_kernel)
     _engine(model, collocation_points(model))
     assert pairs and max(pairs) <= 600
+
+
+@pytest.mark.parametrize("fixture", ["octant", "cube5"])
+def test_engine_plans_each_patch_once(fixture, request, monkeypatch):
+    """The loop unit is the patch: one plan and one region evaluation per
+    patch, over all its rows."""
+    if fixture == "octant":
+        model, colloc, _ = request.getfixturevalue("octant_system")
+    else:
+        model = build_cube_model(5)
+        colloc = collocation_points(model)
+    calls = []
+    init, evaluate = _PatchContext.__init__, _PatchContext.evaluate
+    plan = gibem.assembly._plan
+
+    def counting_init(self, *args):
+        init(self, *args)
+        calls.append([])
+
+    def counting_plan(ctx, *args):
+        calls[-1].append("plan")
+        return plan(ctx, *args)
+
+    def counting_evaluate(self, *args):
+        calls[-1].append("evaluate")
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(_PatchContext, "__init__", counting_init)
+    monkeypatch.setattr(_PatchContext, "evaluate", counting_evaluate)
+    monkeypatch.setattr(gibem.assembly, "_plan", counting_plan)
+    _engine(model, colloc)
+    assert calls == [["plan", "evaluate"]] * len(model.patches)
+
+
+def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
+    """Near rows evaluate their fans chunk by chunk. A chunk holds at most
+    BLOCK_PAIRS (point, row) pairs, a fan counted at its four triangles'
+    singular_gauss_order**2 points and a region at gauss_order**2, and
+    goes over only when one row alone does; rows are taken greedily. The
+    chunk size does not change a near row's integrals, bit for bit."""
+    model, colloc, _ = octant_system
+    cfg = model.config
+    fan_points = 4 * cfg.singular_gauss_order**2
+    init, integrate = _PatchContext.__init__, _Rows.integrate
+    fans_call, near_chunks = _PatchContext.fans, gibem.assembly._near_chunks
+
+    def run():
+        contexts, near, chunks, fan_lists = [], {}, [], []
+
+        def recording_init(self, *args):
+            init(self, *args)
+            contexts.append(self)
+
+        def recording_chunks(rows, cfg):
+            for chunk in near_chunks(rows, cfg):
+                chunks.append((len(contexts), [rows[t] for t in chunk]))
+                yield chunk
+
+        def recording_fans(self, fans):
+            fan_lists.append(fans)
+            return fans_call(self, fans)
+
+        def recording_integrate(self, nodes, *args):
+            ctx = contexts[-1]
+            parts = integrate(self, nodes, *args)
+            if not any(columns is not None and columns[0] is args[0]
+                       for columns in (ctx.whole, ctx.greville)):
+                key = len(contexts), nodes[0], args[-1].tobytes()
+                assert key not in near
+                near[key] = parts
+            return parts
+
+        monkeypatch.setattr(_PatchContext, "__init__", recording_init)
+        monkeypatch.setattr(_PatchContext, "fans", recording_fans)
+        monkeypatch.setattr(_Rows, "integrate", recording_integrate)
+        monkeypatch.setattr(gibem.assembly, "_near_chunks", recording_chunks)
+        _engine(model, colloc)
+        monkeypatch.undo()
+        return near, chunks, fan_lists
+
+    default = run()
+    monkeypatch.setattr(gibem.assembly, "BLOCK_PAIRS", 600)
+    small = run()
+
+    near = default[0]
+    assert small[0].keys() == near.keys()
+    for key, parts in small[0].items():
+        for got, want in zip(parts, near[key], strict=True):
+            assert_array_equal(got, want)
+    for bound, (_, chunks, fan_lists) in (
+            (gibem.assembly.BLOCK_PAIRS, default), (600, small)):
+        sizes = [(patch, [fan_points * len(fans)
+                          + cfg.gauss_order**2 * len(regions)
+                          for fans, regions in chunk])
+                 for patch, chunk in chunks]
+        assert sum(len(chunk) for _, chunk in sizes) == len(near)
+        for (patch, chunk), after in zip(sizes, sizes[1:] + [(None, [])]):
+            assert sum(chunk) <= bound or len(chunk) == 1
+            if after[0] == patch:
+                assert sum(chunk) + after[1][0] > bound
+        assert fan_lists == [[fan for fans, _ in chunk for fan in fans]
+                             for _, chunk in chunks]
+    assert max(len(chunk) for _, chunk in default[1]) > 1
+    assert len(small[1]) > len(default[1])
 
 
 @settings(max_examples=60, deadline=None)
