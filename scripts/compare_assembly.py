@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on fifteen models: the three
+``gibem.assembly.assemble(model, colloc)`` on sixteen models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -43,8 +43,13 @@ region unrefined, its near ones as well as its far ones. The fifteenth,
 face, closed by the ``xy`` plane into [0, 1]^2 x [-1, 1]: the only model
 with one mirror plane, so a group of two images, and the only mirror
 model whose load has a shear, sigma_xy (the drawn stress less the two
-shears the plane forbids). Only the two public calls are used, so
-trees whose internals differ can be compared. For every model the
+shears the plane forbids). The sixteenth, ``quarter-cube-yz-xz-order3``,
+is the order-3 unit cube without its x = 0 and y = 0 faces, closed by the
+``yz`` and ``xz`` planes into [-1, 1]^2 x [0, 1], under the drawn stress
+without its shears: the only model with two planes, a group of four
+images, whose nodes on the z axis have one target for all four. So the
+models cover groups of 1, 2, 4 and 8 images. Only the two public calls
+are used, so trees whose internals differ can be compared. For every model the
 script prints, per array (node positions, each patch's grid of node
 ids, the closed matrix and the rhs), whether the two trees agree bit for
 bit and the largest difference relative to the largest BASE entry, and
@@ -173,6 +178,17 @@ half = build_cube_model(3, material, LoadState(
 models["half-cube-xy-order3"] = dataclasses.replace(
     half, patches=half.patches[1:], field_pairs=half.field_pairs[1:],
     symmetry_planes=("xy",))
+
+# [-1, 1]^2 x [0, 1]: the unit cube less its x = 0 and y = 0 faces, closed
+# by the yz and xz planes, under the drawn stress without the shears, all
+# of which the two planes forbid
+quarter = build_cube_model(3, material, LoadState(
+    load.virgin_stress * [1.0, 1, 1, 0, 0, 0]))
+keep = (0, 1, 2, 4)
+models["quarter-cube-yz-xz-order3"] = dataclasses.replace(
+    quarter, patches=tuple(quarter.patches[k] for k in keep),
+    field_pairs=tuple(quarter.field_pairs[k] for k in keep),
+    symmetry_planes=("yz", "xz"))
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)
@@ -215,7 +231,7 @@ def main():
 
     all_equal = True
     worst = {"matrix": 0.0, "rhs": 0.0}
-    print(f"{'model':<24}{'array':<15}{'array_equal':<13}max rel diff")
+    print(f"{'model':<27}{'array':<15}{'array_equal':<13}max rel diff")
     pairs = []
     for key in base:
         model, array = key.split("/")
@@ -233,12 +249,12 @@ def main():
             if array in worst:
                 worst[array] = max(worst[array], diff)
             rel = f"{diff:.3e}"
-        print(f"{model:<24}{array:<15}{str(equal):<13}{rel}")
+        print(f"{model:<27}{array:<15}{str(equal):<13}{rel}")
     print(f"largest max rel diff over all models: matrix "
           f"{worst['matrix']:.3e}, rhs {worst['rhs']:.3e}")
-    print(f"\n{'model':<24}{'kernel pairs, base':>20}{'new':>12}{'change':>9}")
+    print(f"\n{'model':<27}{'kernel pairs, base':>20}{'new':>12}{'change':>9}")
     for model, a, b in pairs:
-        print(f"{model:<24}{a:>20,}{b:>12,}{(b - a) / a:>+9.1%}")
+        print(f"{model:<27}{a:>20,}{b:>12,}{(b - a) / a:>+9.1%}")
     return 0 if all_equal else 1
 
 

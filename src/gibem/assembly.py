@@ -21,7 +21,7 @@ The loop unit is the patch, as in element-by-element collocation assembly
 mirror images, with one projection, one region bounds test and one
 quad-tree refinement. A row is far from a patch when the quad-tree keeps
 each base region whole; then its Gauss data is the same as every other far
-row's, and per mirror image the far rows are integrated as a batch: one
+row's, and the far rows of all images are integrated as a batch: one
 kernel block over rows and points, contracted with the weighted basis
 values in one matrix product. The Greville regions only put nodes on
 region corners for the fans, so a far row, on a patch that passes the same
@@ -33,12 +33,13 @@ are evaluated in one frame and one basis call, their fans chunk by chunk.
 A kernel call or near chunk holds at most BLOCK_PAIRS (point, row) pairs,
 so its memory does not grow with the model.
 
-A node x on a mirror plane has one target under two images M and M':
-R x = x for R = M M'. The second image's kernel inputs are the first's
-with signs flipped, so, bit for bit, its kernel integrals are the first's
-times r_i r_j on entry (i, j) and its rhs the first's times r_i, where
-r_i = R_ii. Each distinct (image, node) target is therefore planned and
-integrated once.
+A mirror image M, a diagonal reflection with signs s_i = M_ii, only flips
+signs: bit for bit, T(M y - x, M n) = M T(y - M x, n) M and, for a load
+symmetric about the planes, U(M y - x) t(M n) = M U(y - M x) t(n). So a
+row is a target M x, not a node: each distinct target is planned and
+integrated once against the unmirrored patch, however many images give it,
+and each image adds it with entry (i, j) times s_i s_j and rhs component i
+times s_i.
 """
 from __future__ import annotations
 
@@ -300,9 +301,7 @@ def _split_singular(regions, params, depth=0):
 class _Rows:
     """Kernel integrals accumulated into the rows of the system."""
 
-    def __init__(self, positions, material, load, sign):
-        n_nodes = len(positions)
-        self.positions = positions
+    def __init__(self, n_nodes, material, load, sign):
         self.material = material
         self.load = load
         self.sign = sign
@@ -310,44 +309,41 @@ class _Rows:
         self.row_sums = np.zeros((n_nodes, 3, 3))
         self.rhs = np.zeros((n_nodes, 3))
 
-    def integrate(self, nodes, points, normals, weights, weighted, mirror):
-        """The kernel integrals of ``nodes`` over one patch image: per node
-        the (3, 3, f) kernel block against the patch fields and the (3,)
-        rhs, zero without a load.
+    def integrate(self, targets, points, normals, weights, weighted):
+        """The kernel integrals of (k, 3) ``targets`` over one patch: per
+        target the (3, 3, f) kernel block against the patch fields and the
+        (3,) rhs, zero without a load.
 
         ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``weighted``
-        (m, f), the patch fields' values times weights, are the quadrature
-        data of the patch before ``mirror``, a diagonal reflection, maps it.
+        (m, f), the patch fields' values times weights, are the patch's
+        quadrature data.
         """
-        sources = self.positions[nodes]
-        points = points @ mirror.T
-        normals = normals @ mirror.T
-        diff = [points[:, None, k] - sources[None, :, k] for k in range(3)]
+        diff = [points[:, None, k] - targets[None, :, k] for k in range(3)]
         kernel = kelvin_T_many(diff, [c[:, None] for c in normals.T],
                                self.material)
         contrib = kernel.reshape(len(weighted), -1).T @ weighted
-        rhs = np.zeros((len(nodes), 3))
+        rhs = np.zeros((len(targets), 3))
         if self.load is not None:
             tractions = self.load.traction(normals, self.sign)
             u_t = kelvin_U_many(diff, self.material,
                                 [c[:, None] for c in tractions.T])
             rhs = np.einsum("m,mni->ni", weights, u_t)
-        return contrib.reshape(len(nodes), 3, 3, -1), rhs
+        return contrib.reshape(len(targets), 3, 3, -1), rhs
 
-    def scatter(self, parts, ids, mirror, flip):
+    def scatter(self, parts, ids, signs):
         """Add ``parts`` of ``integrate``, a row per node, to every node's
-        rows and the columns of the patch fields ``ids`` under ``mirror``,
-        with entry (i, j) of each kernel block times flip[:, i] * flip[:, j]
-        and component i of the rhs times flip[:, i]."""
+        rows and the columns of the patch fields ``ids`` under the image
+        with diagonal ``signs``: entry (i, j) of each kernel block times
+        signs[i] signs[j] in the row sums and, with signs[j] once more for
+        the field component at the mirrored point, times signs[i] in the
+        matrix; component i of the rhs times signs[i]."""
         contrib, rhs = parts
-        sign = flip[:, :, None] * flip[:, None]
-        self.row_sums += contrib.sum(axis=3) * sign
-        view = self.t_blocks.reshape(len(self.positions), 3, -1, 3)
+        self.row_sums += contrib.sum(axis=3) * (signs[:, None] * signs)
+        view = self.t_blocks.reshape(len(self.rhs), 3, -1, 3)
         # unbuffered: ids repeats a node where the patch closes on itself
         np.add.at(view, (slice(None), slice(None), ids),
-                  contrib.transpose(0, 1, 3, 2)
-                  * (sign * np.diag(mirror))[:, :, None])
-        self.rhs += rhs * flip
+                  contrib.transpose(0, 1, 3, 2) * signs[:, None, None])
+        self.rhs += rhs * signs
 
 
 def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
@@ -382,9 +378,14 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     if ctx.whole is not None:
         whole = wholly_far & far_mask(ctx.whole_samples, targets,
                                       cfg.quadtree_threshold)
+    order = np.argsort(rows, kind="stable")
+    held, starts = np.unique(rows[order], return_index=True)
+    singular = dict(zip(held, np.split(sing[order], starts[1:])))
     near, pairs = {}, []
     for t in np.flatnonzero(~wholly_far):
-        fans, regular = _split_singular(ctx.regions, sing[rows == t])
+        fans, regular = [], ctx.regions
+        if t in singular:
+            fans, regular = _split_singular(ctx.regions, singular[t])
         near[t] = (fans, [])
         pairs += [(t, region) for region in regular]
     for t, region in quadtree_refine(pairs, targets, ctx.patch.points_at,
@@ -414,27 +415,26 @@ def _near_chunks(near, cfg):
 def _engine(model, colloc):
     """Kernel blocks, row sums and right-hand side (zero without a load) of
     every row, before the closure. Each patch's context is built at its turn
-    and dropped before the next one; one plan covers its distinct (image,
-    node) targets of all images. A row is integrated in one call: each near
-    row alone, then, image by image, the image's whole-patch rows and its
-    Greville rows in far calls of at most BLOCK_PAIRS pairs, each into its
-    own rows of one pair of per-row arrays. One scatter per image then adds
-    the rows of every node: a node whose target repeats that of an earlier
-    image, the first, takes that image's row, complete by then, with the
-    signs r of the module docstring."""
+    and dropped before the next one; one plan covers the distinct targets of
+    all images. A row, one target, is integrated against the unmirrored
+    patch in one call: each near row alone, then the whole-patch rows and the
+    Greville rows of all images in far calls of at most BLOCK_PAIRS pairs,
+    each into its own rows of one pair of per-row arrays. One scatter per
+    image then adds the row of each node's target in that image, with the
+    image's signs (module docstring)."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     positions = colloc.positions
-    rows = _Rows(positions, model.material, model.load, cfg.excavation_sign)
+    rows = _Rows(len(positions), model.material, model.load,
+                 cfg.excavation_sign)
     targets = np.stack([positions @ mirror.T for mirror in group])
     # first[m, n]: the first image giving node n image m's target
     first = (targets[:, None] == targets).all(axis=3).argmax(axis=1)
     own = first == np.arange(len(group))[:, None]
-    signs = np.array([np.diag(mirror) for mirror in group])
-    flip = signs[first] * signs[:, None]
-    # the distinct (image, node) rows in row-major order, row t the image
-    # image[t] of node node_of[t]; uses[m, n] is the row node n takes in m
+    # the distinct targets in row-major order, row t the image image[t] of
+    # node node_of[t]; uses[m, n] is the row node n takes in image m
     image, node_of = np.nonzero(own)
+    row_targets = targets[image, node_of]
     slot = np.cumsum(own).reshape(own.shape) - 1
     uses = slot[first, np.arange(len(positions))]
 
@@ -446,8 +446,7 @@ def _engine(model, colloc):
         whole, greville_rows, near = _plan(
             ctx, slot[:, ids[index]][hit],
             pair.greville_params()[index[np.nonzero(hit)[1]]],
-            positions[node_of], targets[image, node_of], cfg,
-            colloc.merge_tol)
+            positions[node_of], row_targets, cfg, colloc.merge_tol)
         data = ctx.evaluate(
             [region for _, regular in near.values() for region in regular])
         parts = [np.zeros((len(image), 3, 3, len(ids))),
@@ -458,25 +457,22 @@ def _engine(model, colloc):
                 columns = [next(fans) for _ in near[t][0]]
                 columns += [data[region] for region in near[t][1]]
                 integrals = rows.integrate(
-                    node_of[t:t + 1],
-                    *(np.concatenate(c) for c in zip(*columns)),
-                    group[image[t]])
+                    row_targets[t:t + 1],
+                    *(np.concatenate(c) for c in zip(*columns)))
                 for store, part in zip(parts, integrals):
                     store[t] = part[0]
-        for m, mirror in enumerate(group):
-            for columns, at in ((ctx.whole, whole),
-                                (ctx.greville, greville_rows)):
-                at = np.flatnonzero(at & (image == m))
-                if not at.size:
-                    continue
-                step = max(1, BLOCK_PAIRS // len(columns[2]))
-                for start in range(0, at.size, step):
-                    chunk = at[start:start + step]
-                    integrals = rows.integrate(node_of[chunk], *columns,
-                                               mirror)
-                    for store, part in zip(parts, integrals):
-                        store[chunk] = part
-            rows.scatter([p[uses[m]] for p in parts], ids, mirror, flip[m])
+        for columns, at in ((ctx.whole, whole), (ctx.greville, greville_rows)):
+            at = np.flatnonzero(at)
+            if not at.size:
+                continue
+            step = max(1, BLOCK_PAIRS // len(columns[2]))
+            for start in range(0, at.size, step):
+                chunk = at[start:start + step]
+                integrals = rows.integrate(row_targets[chunk], *columns)
+                for store, part in zip(parts, integrals):
+                    store[chunk] = part
+        for use, mirror in zip(uses, group):
+            rows.scatter([p[use] for p in parts], ids, np.diag(mirror))
         del ctx, data  # the next patch's data is built without this one's
 
     return rows.t_blocks, rows.row_sums, rows.rhs.reshape(-1)

@@ -544,16 +544,20 @@ class TestOctantAssembly:
                                                           monkeypatch):
         """A node on a mirror plane has the same target under two images.
         Per patch, each (node, target) row is integrated once, either as a
-        near row or in one far batch. A row is far exactly when every base
-        region is far from it; it takes the whole patch at COARSE_ORDER when
-        the whole patch passes the keep test as one region, else the base
-        regions at gauss_order. The far kernel pairs are the sum, over the
-        far targets, of the points of the target's batch."""
+        near row or in one far batch, through the target ``integrate``
+        receives. A row is far exactly when every base region is far from
+        it; it takes the whole patch at COARSE_ORDER when the whole patch
+        passes the keep test as one region, else the base regions at
+        gauss_order. The far kernel pairs are the sum, over the far
+        targets, of the points of the target's batch."""
         model, colloc, _ = octant_system
         group = symmetry_group(model.symmetry_planes)
         distinct = {(n, tuple(x @ mirror.T))
                     for n, x in enumerate(colloc.positions) for mirror in group}
         assert len(distinct) < len(colloc) * len(group)
+        rows_of = {}  # each target's (node, target) rows
+        for n, target in distinct:
+            rows_of.setdefault(target, []).append((n, target))
         contexts, calls = [], []
         init, integrate = _PatchContext.__init__, _Rows.integrate
 
@@ -561,16 +565,17 @@ class TestOctantAssembly:
             init(self, *args)
             contexts.append(self)
 
-        def recording_integrate(self, nodes, *args):
+        def recording_integrate(self, targets, *args):
             ctx = contexts[-1]
             kind = next((whole for whole, columns
                          in ((True, ctx.whole), (False, ctx.greville))
                          if columns is not None and columns[0] is args[0]),
                         "near")
             calls.append([len(contexts) - 1, kind,
-                          self.positions[nodes] @ args[-1].T, nodes,
+                          [row for target in targets
+                           for row in rows_of[tuple(target)]],
                           len(args[0])])
-            return integrate(self, nodes, *args)
+            return integrate(self, targets, *args)
 
         def counting_kernel(diff, normals, material):
             calls[-1].append(np.broadcast(*diff, *normals).size)
@@ -588,10 +593,9 @@ class TestOctantAssembly:
         for k, ctx in enumerate(contexts):
             rows = {}
             for near in (True, False):
-                rows[near] = [(n, tuple(target))
-                              for patch, kind, targets, nodes, *_
-                              in calls if (patch, kind == "near") == (k, near)
-                              for n, target in zip(nodes, targets)]
+                rows[near] = [row for patch, kind, targets, *_ in calls
+                              if (patch, kind == "near") == (k, near)
+                              for row in targets]
                 assert len(rows[near]) == len(set(rows[near]))
             assert not set(rows[True]) & set(rows[False])
             assert set(rows[True]) | set(rows[False]) == distinct
@@ -606,10 +610,9 @@ class TestOctantAssembly:
                     expected[n, target] = True, COARSE_ORDER**2
                 elif keep.all():
                     expected[n, target] = False, len(keep) * base_points
-            seen = {(n, tuple(target)): (kind, points)
-                    for patch, kind, targets, nodes, points, _ in calls
-                    if patch == k and kind != "near"
-                    for n, target in zip(nodes, targets)}
+            seen = {row: (kind, points)
+                    for patch, kind, targets, points, _ in calls
+                    if patch == k and kind != "near" for row in targets}
             assert seen == expected
             far_pairs = sum(pairs for patch, kind, *_, pairs in calls
                             if patch == k and kind != "near")
@@ -742,12 +745,12 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
             fan_lists.append(fans)
             return fans_call(self, fans)
 
-        def recording_integrate(self, nodes, *args):
+        def recording_integrate(self, targets, *args):
             ctx = contexts[-1]
-            parts = integrate(self, nodes, *args)
+            parts = integrate(self, targets, *args)
             if not any(columns is not None and columns[0] is args[0]
                        for columns in (ctx.whole, ctx.greville)):
-                key = len(contexts), nodes[0], args[-1].tobytes()
+                key = len(contexts), targets[0].tobytes()
                 assert key not in near
                 near[key] = parts
             return parts

@@ -244,22 +244,25 @@ def test_batch_rows_match_one_row_batches(mat):
 
 coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
 vector = st.tuples(coordinate, coordinate, coordinate).map(np.array)
+sign = st.sampled_from([1.0, -1.0])
 
 
 @settings(max_examples=60, deadline=None)
-@given(plane=st.integers(0, 2), source=vector, point=vector, normal=vector,
-       traction=vector, nu=st.floats(-0.9, 0.45))
-def test_reflection_across_a_plane_through_the_source_flips_signs_exactly(
-        plane, source, point, normal, traction, nu):
-    """A source on the plane x_k = 0 sees the reflected field point, normal
-    and traction through the reflected kernels, R T R and R (U t), bit for
-    bit: every product in the kernels flips sign as a whole."""
-    source[plane] = 0.0
-    assume(np.linalg.norm(point - source) > 1e-3)
+@given(flip=st.tuples(sign, sign, sign).map(np.array), on_plane=st.booleans(),
+       source=vector, point=vector, normal=vector, traction=vector,
+       nu=st.floats(-0.9, 0.45))
+def test_reflections_flip_kernel_signs_exactly(
+        flip, on_plane, source, point, normal, traction, nu):
+    """Under any product M of the three coordinate reflections, diagonal
+    ``flip``, the kernels of M point - source, M normal and M traction are
+    those of point - M source, normal and traction times M on both sides,
+    M T M, and M (U t), bit for bit: every product in the kernels flips
+    sign as a whole. A source on the planes of M is its own image."""
+    if on_plane:
+        source[flip < 0] = 0.0
+    assume(np.linalg.norm(point - flip * source) > 1e-3)
     mat = Material(1000.0, nu)
-    flip = np.ones(3)
-    flip[plane] = -1.0
-    columns = [c[:, None] for c in (point - source, normal, traction)]
+    columns = [c[:, None] for c in (point - flip * source, normal, traction)]
     mirrored = [c[:, None] for c in (flip * point - source, flip * normal,
                                      flip * traction)]
     T = kelvin_T_many(columns[0], columns[1], mat)

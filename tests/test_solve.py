@@ -56,6 +56,26 @@ def patch_test_error(model):
     return np.abs(diff).max() / UNIAXIAL_SCALE, sol
 
 
+def mirrored_cube_error(keep, planes, stress, order):
+    """The unit cube's faces ``keep``, closed by mirror ``planes``, at field
+    order ``order``, nu = 0.25, under the uniform ``stress``: the largest
+    nodal distance from the exact uniform strain field after rigid motion
+    removal, relative to the largest exact displacement, and the solution."""
+    load = LoadState(np.array(stress))
+    cube = build_cube_model(order, Material(1000.0, 0.25), load)
+    model = dataclasses.replace(
+        cube, patches=tuple(cube.patches[k] for k in keep),
+        field_pairs=tuple(cube.field_pairs[k] for k in keep),
+        symmetry_planes=planes)
+    sol = solve_model(model)
+    sigma = load.stress_matrix()
+    strain = (1.25 * sigma - 0.25 * np.trace(sigma) * np.eye(3)) / 1000.0
+    exact = sol.colloc.positions @ strain
+    diff = remove_rigid_motion(sol.colloc, sol.coefficients - exact.ravel(),
+                               planes)
+    return np.abs(diff).max() / np.abs(exact).max(), sol
+
+
 class TestLinearSolve:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0])
@@ -323,20 +343,21 @@ class TestPatchTest:
         # [0, 1]^2 x [-1, 1]: the unit cube less its z = 0 face, closed by
         # the xy plane, which allows the shear sigma_xy that three planes
         # forbid; nodes at z = 0 have one target for both images
-        material = Material(1000.0, 0.25)
-        load = LoadState(np.array([0.5, -0.3, 1.0, 0.8, 0.0, 0.0]))
-        cube = build_cube_model(3, material, load)
-        model = dataclasses.replace(
-            cube, patches=cube.patches[1:], field_pairs=cube.field_pairs[1:],
-            symmetry_planes=("xy",))
-        sol = solve_model(model)
-        sigma = load.stress_matrix()
-        strain = (1.25 * sigma - 0.25 * np.trace(sigma) * np.eye(3)) / 1000.0
-        exact = sol.colloc.positions @ strain
-        diff = remove_rigid_motion(sol.colloc, sol.coefficients - exact.ravel(),
-                                   model.symmetry_planes)
+        rel, sol = mirrored_cube_error((1, 2, 3, 4, 5), ("xy",),
+                                       [0.5, -0.3, 1.0, 0.8, 0.0, 0.0], 3)
         # measured 8.2e-10, with or without the on-plane image reuse
-        assert np.abs(diff).max() / np.abs(exact).max() <= 2e-9
+        assert rel <= 2e-9
+        assert sol.residual < 1e-10
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_quarter_cube_with_two_mirror_planes(self, order):
+        # [-1, 1]^2 x [0, 1]: the unit cube less its x = 0 and y = 0 faces,
+        # closed by the yz and xz planes, a group of four images; nodes on
+        # the z axis have one target for all four
+        rel, sol = mirrored_cube_error((0, 1, 2, 4), ("yz", "xz"),
+                                       [0.5, -0.3, 1.0, 0.0, 0.0, 0.0], order)
+        # measured 5.8e-10 (order 2) and 5.4e-10 (order 3)
+        assert rel <= 2e-9
         assert sol.residual < 1e-10
 
     @pytest.mark.parametrize("order", [1, 2, 3])
