@@ -28,8 +28,9 @@ region corners for the fans, so a far row, on a patch that passes the same
 keep test as one region and that no interior knot cuts, integrates the
 whole unit square at COARSE_ORDER instead: the order picked by distance,
 after Lachat & Watson (IJNME 1976). Every other row is near and integrated
-alone, its far base regions with the rest; the regions of all near rows
-are evaluated in one frame and one basis call, their fans chunk by chunk.
+alone, its far base regions, views of the Greville batch, with the rest;
+the quad-tree refined regions of all near rows are evaluated in one frame
+and one basis call, their fans chunk by chunk.
 A kernel call or near chunk holds at most BLOCK_PAIRS (point, row) pairs,
 so its memory does not grow with the model.
 
@@ -159,7 +160,8 @@ class _PatchContext:
     (positions, normals, weights, weighted basis values) as four
     concatenated columns, built with the context: ``greville`` the base
     regions at ``gauss_order``, region after region, and ``whole`` the unit
-    square at COARSE_ORDER. ``whole`` and ``whole_samples``, the patch's
+    square at COARSE_ORDER. ``base[k]`` holds base region k's Gauss data as
+    views of ``greville``. ``whole`` and ``whole_samples``, the patch's
     3x3 samples (seed grid rows 0, 8, 16), are None where an interior knot
     of the field spaces, base surface or trim curves cuts the patch.
     """
@@ -194,6 +196,8 @@ class _PatchContext:
             self.whole = self._batch([IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
                                      gauss_rule(COARSE_ORDER))
         self.greville = self._batch(self.regions, self.rule)
+        self.base = list(zip(
+            *(np.split(c, len(self.regions)) for c in self.greville)))
 
     def _batch(self, regions, rule):
         quad = [region.gauss_points(rule) for region in regions]
@@ -210,18 +214,14 @@ class _PatchContext:
 
     def evaluate(self, regions):
         """Quadrature data (positions, normals, weights, weighted basis) of
-        the base regions and of ``regions``, keyed by region: views of
-        ``greville``, and of one ``_batch`` of the other regions, the
-        quad-tree refined ones, in first-seen order."""
-        data = dict(zip(self.regions, zip(
-            *(np.split(c, len(self.regions)) for c in self.greville))))
-        refined = [region for region in dict.fromkeys(regions)
-                   if region not in data]
-        if refined:
-            data.update(zip(refined, zip(
-                *(np.split(c, len(refined))
-                  for c in self._batch(refined, self.rule)))))
-        return data
+        quad-tree refined ``regions``, keyed by region: views of one
+        ``_batch`` of the distinct regions, in first-seen order."""
+        refined = list(dict.fromkeys(regions))
+        if not refined:
+            return {}
+        return dict(zip(refined, zip(
+            *(np.split(c, len(refined))
+              for c in self._batch(refined, self.rule)))))
 
     def fans(self, fans):
         """Quadrature data of ``fans``, (region, singular parameter) pairs,
@@ -318,17 +318,16 @@ class _Rows:
         (m, f), the patch fields' values times weights, are the patch's
         quadrature data.
         """
-        diff = [points[:, None, k] - targets[None, :, k] for k in range(3)]
-        kernel = kelvin_T_many(diff, [c[:, None] for c in normals.T],
-                               self.material)
-        contrib = kernel.reshape(len(weighted), -1).T @ weighted
+        # targets first: each (k, m) difference row and kernel plane is
+        # contiguous, and the kernel block reshapes to (9k, m) as it is
+        diff = [points.T[c] - targets[:, c, None] for c in range(3)]
+        kernel = kelvin_T_many(diff, normals.T, self.material)
+        contrib = kernel.reshape(-1, len(weighted)) @ weighted
         rhs = np.zeros((len(targets), 3))
         if self.load is not None:
             tractions = self.load.traction(normals, self.sign)
-            u_t = kelvin_U_many(diff, self.material,
-                                [c[:, None] for c in tractions.T])
-            rhs = np.einsum("m,mni->ni", weights, u_t)
-        return contrib.reshape(len(targets), 3, 3, -1), rhs
+            rhs = (kelvin_U_many(diff, self.material, tractions.T) @ weights).T
+        return contrib.reshape(3, 3, len(targets), -1).transpose(2, 0, 1, 3), rhs
 
     def scatter(self, parts, ids, signs):
         """Add ``parts`` of ``integrate``, a row per node, to every node's
@@ -361,9 +360,11 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     whole patch: those whose base regions are all far, on a patch with
     ``whole`` that passes ``far_mask`` as one region. The other rows whose
     base regions are all far, which take the Greville batch. And a dict
-    from each near row, every other row, in row order, to its fans as
-    (region, singular parameter) pairs and its regions, from one
-    ``quadtree_refine`` call for all, which keeps far base regions whole.
+    from each near row, every other row, in row order, to three things:
+    its fans as (region, singular parameter) pairs, a mask of the base
+    regions it takes whole, and its quad-tree refined regions. Far base
+    regions are taken whole by index, so only the others, which the
+    quad-tree refines, go through one ``quadtree_refine`` call for all.
     """
     far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
     aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
@@ -383,15 +384,19 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     singular = dict(zip(held, np.split(sing[order], starts[1:])))
     near, pairs = {}, []
     for t in np.flatnonzero(~wholly_far):
-        fans, regular = [], ctx.regions
+        # the regions holding singular parameters are among these
+        fans, regular = [], [ctx.regions[i] for i in np.flatnonzero(~far[t])]
         if t in singular:
-            fans, regular = _split_singular(ctx.regions, singular[t])
-        near[t] = (fans, [])
+            fans, regular = _split_singular(regular, singular[t])
+        near[t] = (fans, far[t].copy(), [])
         pairs += [(t, region) for region in regular]
     for t, region in quadtree_refine(pairs, targets, ctx.patch.points_at,
                                      cfg.quadtree_threshold,
                                      cfg.quadtree_max_depth):
-        near[t][1].append(region)
+        if region.depth:
+            near[t][2].append(region)
+        else:  # a base region kept at the depth cap
+            near[t][1][ctx.regions.index(region)] = True
     return whole, wholly_far & ~whole, near
 
 
@@ -401,9 +406,9 @@ def _near_chunks(near, cfg):
     points and a region at gauss_order**2: a chunk goes over only when one
     row alone does."""
     chunks, size = [], BLOCK_PAIRS  # full: the first row opens a chunk
-    for t, (fans, regular) in near.items():
+    for t, (fans, base, refined) in near.items():
         pairs = (4 * cfg.singular_gauss_order**2 * len(fans)
-                 + cfg.gauss_order**2 * len(regular))
+                 + cfg.gauss_order**2 * (np.count_nonzero(base) + len(refined)))
         if size + pairs > BLOCK_PAIRS:
             chunks.append([])
             size = 0
@@ -448,14 +453,15 @@ def _engine(model, colloc):
             pair.greville_params()[index[np.nonzero(hit)[1]]],
             positions[node_of], row_targets, cfg, colloc.merge_tol)
         data = ctx.evaluate(
-            [region for _, regular in near.values() for region in regular])
+            [region for _, _, refined in near.values() for region in refined])
         parts = [np.zeros((len(image), 3, 3, len(ids))),
                  np.zeros((len(image), 3))]
         for chunk in _near_chunks(near, cfg):
             fans = iter(ctx.fans([fan for t in chunk for fan in near[t][0]]))
             for t in chunk:
                 columns = [next(fans) for _ in near[t][0]]
-                columns += [data[region] for region in near[t][1]]
+                columns += [ctx.base[i] for i in np.flatnonzero(near[t][1])]
+                columns += [data[region] for region in near[t][2]]
                 integrals = rows.integrate(
                     row_targets[t:t + 1],
                     *(np.concatenate(c) for c in zip(*columns)))

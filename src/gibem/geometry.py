@@ -4,7 +4,10 @@ A patch is evaluated span by span (Piegl & Tiller, *The NURBS Book*,
 algorithms A3.5 and A4.3): each parameter row gathers the (p+1)(q+1)
 homogeneous control points (w x, w) of its knot span and sums them in one
 fixed order, over v inside and then over u, so every row depends only on
-its own parameters and never on the batch it is evaluated in.
+its own parameters and never on the batch it is evaluated in.  The sums
+are component-major, points on the last axis: homogeneous sums are (4, m),
+points and tangents (3, m) and trim-map Jacobians (2, 2, m), and the
+(m, 3) arrays a caller gets are their transposed views.
 
 A trimmed patch restricts a surface to the band between two curves drawn in
 the patch parameter plane.  The unit square (s, t) is mapped into the
@@ -49,6 +52,8 @@ _TRIM_VALIDATION_SAMPLES = 17
 class FrameBatch:
     """Frames at many parameter points, stored as arrays (rows align).
 
+    The four (m, 3) fields are transposed views of component-major (3, m)
+    arrays, one array each, so ``field.T[k]`` is a contiguous component.
     ``areas`` holds the norm of the tangent cross product, in the
     coordinates the frames were requested in; for trimmed patches it already
     includes the plane-map Jacobian determinant.
@@ -98,7 +103,8 @@ class NurbsPatch:
             raise GeometryError("weights must be finite and strictly positive")
         cps.setflags(write=False)
         wts.setflags(write=False)
-        net = np.concatenate([wts[:, :, None] * cps, wts[:, :, None]], axis=2)
+        # (w x, w y, w z, w) of control point (a, b) in column a * B + b
+        net = np.vstack([wts.ravel() * cps.reshape(-1, 3).T, wts.ravel()])
         net.setflags(write=False)
         object.__setattr__(self, "control_points", cps)
         object.__setattr__(self, "weights", wts)
@@ -110,21 +116,21 @@ class NurbsPatch:
         return flat.min(axis=0), flat.max(axis=0)
 
     def _span_sums(self, params: np.ndarray, derivs: bool):
-        """Homogeneous sums (m, 4) of each row's span: the point, then with
+        """Homogeneous sums (4, m) of each row's span: the point, then with
         ``derivs`` its u and v derivatives."""
         if len(params) > _SPAN_BATCH:
             parts = [self._span_sums(params[i:i + _SPAN_BATCH], derivs)
                      for i in range(0, len(params), _SPAN_BATCH)]
-            return [np.concatenate(column) for column in zip(*parts)]
+            return [np.concatenate(column, axis=1) for column in zip(*parts)]
         first_u, tables_u = bspline_span_basis(self.space_u, params[:, 0], derivs)
         first_v, tables_v = bspline_span_basis(self.space_v, params[:, 1], derivs)
         n_v = self.space_v.n_basis
-        # near[i, b, a] is the net entry (first_u[i] + a, first_v[i] + b)
-        offsets = np.arange(tables_v[0].shape[1])[:, None] \
-            + n_v * np.arange(tables_u[0].shape[1])
-        near = self._net.reshape(-1, 4)[
-            (first_u * n_v + first_v)[:, None, None] + offsets
-        ]
+        # near[b, a, c, i] is component c of net entry
+        # (first_u[i] + a, first_v[i] + b)
+        offsets = np.arange(len(tables_v[0]))[:, None] \
+            + n_v * np.arange(len(tables_u[0]))
+        near = self._net[:, offsets[:, :, None] + (first_u * n_v + first_v)]
+        near = near.transpose(1, 2, 0, 3)
         along_v = [fixed_order_sum(table, near) for table in tables_v]
         sums = [fixed_order_sum(tables_u[0], along_v[0])]
         if derivs:
@@ -135,32 +141,36 @@ class NurbsPatch:
     def points_at(self, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
         (hom,) = self._span_sums(params, derivs=False)
-        return hom[:, :3] / hom[:, 3:]
+        return (hom[:3] / hom[3]).T
 
     def frames_at(self, params: np.ndarray) -> FrameBatch:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
         hom, hom_u, hom_v = self._span_sums(params, derivs=True)
-        den = hom[:, 3:]
-        pos = hom[:, :3] / den
-        tan_u = (hom_u[:, :3] - pos * hom_u[:, 3:]) / den
-        tan_v = (hom_v[:, :3] - pos * hom_v[:, 3:]) / den
+        den = hom[3]
+        pos = hom[:3] / den
+        tan_u = (hom_u[:3] - pos * hom_u[3]) / den
+        tan_v = (hom_v[:3] - pos * hom_v[3]) / den
         return _finish_frames(params, pos, tan_u, tan_v, self.flip_normal)
 
 
 def _finish_frames(params, pos, tan_u, tan_v, flip: bool) -> FrameBatch:
-    cross = np.cross(tan_u, tan_v)
-    areas = np.linalg.norm(cross, axis=1)
-    scale = np.linalg.norm(tan_u, axis=1) * np.linalg.norm(tan_v, axis=1)
+    """Normals and areas from (3, m) tangents; the frames of ``params``."""
+    cross = np.empty_like(tan_u)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        cross[k] = tan_u[i] * tan_v[j] - tan_u[j] * tan_v[i]
+    areas = np.linalg.norm(cross, axis=0)
+    scale = np.linalg.norm(tan_u, axis=0) * np.linalg.norm(tan_v, axis=0)
     degenerate = areas <= _PARALLEL_TOL * np.maximum(scale, 1e-300)
     if np.any(degenerate):
         i = int(np.argmax(degenerate))
         raise SingularFrameError(
             f"surface tangents are parallel at parameter {tuple(params[i])}"
         )
-    normals = cross / areas[:, None]
+    normals = cross / areas
     if flip:
         normals = -normals
-    return FrameBatch(pos, tan_u, tan_v, normals, areas)
+    return FrameBatch(pos.T, tan_u.T, tan_v.T, normals.T, areas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,20 +216,21 @@ class TrimmingCurve:
 
 def _plane_map(curve_a: TrimmingCurve, curve_b: TrimmingCurve,
                params: np.ndarray):
-    """Blend the curves: positions (m, 2), Jacobians (m, 2, 2), determinants.
+    """Blend the curves: positions (2, m), Jacobians (2, 2, m), determinants.
 
     Raises DegenerateTrimError where the determinant is not positive, that
     is where the map folds over.
     """
     s = params[:, 0]
     t = params[:, 1]
-    ca = curve_a.evaluate(t)
-    cb = curve_b.evaluate(t)
-    pos = (1.0 - s)[:, None] * ca[:, 0] + s[:, None] * cb[:, 0]
-    jac = np.empty((params.shape[0], 2, 2))
-    jac[:, :, 0] = cb[:, 0] - ca[:, 0]
-    jac[:, :, 1] = (1.0 - s)[:, None] * ca[:, 1] + s[:, None] * cb[:, 1]
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    # (point or derivative, coordinate, m)
+    ca = curve_a.evaluate(t).transpose(1, 2, 0)
+    cb = curve_b.evaluate(t).transpose(1, 2, 0)
+    pos = (1.0 - s) * ca[0] + s * cb[0]
+    jac = np.empty((2, 2, params.shape[0]))
+    jac[:, 0] = cb[0] - ca[0]
+    jac[:, 1] = (1.0 - s) * ca[1] + s * cb[1]
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     if np.any(det <= 0.0):
         i = int(np.argmin(det))
         raise DegenerateTrimError(
@@ -264,19 +275,18 @@ class TrimmedPatch:
     def points_at(self, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
         pos, _, _ = _plane_map(self.curve_a, self.curve_b, params)
-        return self.base.points_at(pos)
+        return self.base.points_at(pos.T)
 
     def frames_at(self, params: np.ndarray) -> FrameBatch:
         params = np.asarray(params, dtype=float).reshape(-1, 2)
         pos, jac, det = _plane_map(self.curve_a, self.curve_b, params)
-        inner = self.base.frames_at(pos)
-        tan_s = inner.tangents_u * jac[:, 0, 0, None] + \
-            inner.tangents_v * jac[:, 1, 0, None]
-        tan_t = inner.tangents_u * jac[:, 0, 1, None] + \
-            inner.tangents_v * jac[:, 1, 1, None]
+        inner = self.base.frames_at(pos.T)
+        tan_u, tan_v = inner.tangents_u.T, inner.tangents_v.T
+        tan_s = tan_u * jac[0, 0] + tan_v * jac[1, 0]
+        tan_t = tan_u * jac[0, 1] + tan_v * jac[1, 1]
         # positive determinant keeps the chained cross product parallel to the
         # base normal, so the area element just picks up the factor det
-        return FrameBatch(inner.positions, tan_s, tan_t,
+        return FrameBatch(inner.positions, tan_s.T, tan_t.T,
                           inner.normals, inner.areas * det)
 
 

@@ -9,9 +9,12 @@ boundary identity reads
 with the normal pointing out of the domain.  Consequently the closed-surface
 identity  int T dS = -I  holds for any surface enclosing the source point.
 
-Inputs are component-major: ``diff`` (field point minus source), normals and
-tractions come as x, y and z arrays that broadcast to the pair shape, such as
-the transpose of (m, 3) rows. Outputs keep the components on the last axes.
+Inputs and outputs are component-major: ``diff`` (field point minus
+source), normals and tractions come as x, y and z arrays that broadcast to
+the pair shape, such as the transpose of (m, 3) rows, and the outputs put
+the components first, one C-contiguous plane of the pair shape each, so
+a (k, m) pair shape gives a (3, 3, k, m) or (3, k, m) block that reshapes
+without a copy.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ def _dot(a, b):
 
 
 def kelvin_U_many(diff, material: Material, tractions) -> np.ndarray:
-    """Displacement kernel times ``tractions``, U t; shape (..., 3).
+    """Displacement kernel times ``tractions``, U t; shape (3, ...).
 
     No 3x3 block is formed.
     """
@@ -66,14 +69,17 @@ def kelvin_U_many(diff, material: Material, tractions) -> np.ndarray:
     g = material.shear_modulus
     c = 1.0 / (16.0 * np.pi * g * (1.0 - nu))
     rdt = _dot(rdir, tractions)
-    out = np.empty(np.shape(rdt) + (3,))
+    out = np.empty((3,) + np.shape(rdt))
     for k in range(3):
-        out[..., k] = c * ((3.0 - 4.0 * nu) * tractions[k] + rdir[k] * rdt) / r
+        np.multiply(rdir[k], rdt, out=out[k])
+        out[k] += (3.0 - 4.0 * nu) * tractions[k]
+        out[k] *= c
+        out[k] /= r
     return out
 
 
 def kelvin_T_many(diff, normals, material: Material) -> np.ndarray:
-    """Traction kernel at many field points; shape (..., 3, 3).
+    """Traction kernel at many field points; shape (3, 3, ...).
 
     ``normals`` are unit normals at the field points, pointing out of the
     domain the identity is written for.
@@ -85,11 +91,18 @@ def kelvin_T_many(diff, normals, material: Material) -> np.ndarray:
     drdn = _dot(rdir, normals)
     # scale * (drdn * (two_nu I + 3 r r^T) + two_nu * (n r^T - r n^T))
     radial = 3.0 * scale * drdn
-    turn = [two_nu * scale * n for n in normals]
-    out = np.empty(np.shape(drdn) + (3, 3))
+    scale *= two_nu
+    turn = [scale * n for n in normals]
+    diagonal = scale * drdn
+    out = np.empty((3, 3) + np.shape(drdn))
+    # scratch rows for the two products that are not written to ``out``
+    left, cross = np.empty_like(drdn), np.empty_like(drdn)
     for i in range(3):
-        left = radial * rdir[i] + turn[i]
+        np.multiply(radial, rdir[i], out=left)
+        left += turn[i]
         for j in range(3):
-            out[..., i, j] = left * rdir[j] - rdir[i] * turn[j]
-        out[..., i, i] += two_nu * scale * drdn
+            np.multiply(left, rdir[j], out=out[i, j])
+            np.multiply(rdir[i], turn[j], out=cross)
+            out[i, j] -= cross
+        out[i, i] += diagonal
     return out

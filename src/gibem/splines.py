@@ -128,31 +128,38 @@ def _find_spans(knots: np.ndarray, degree: int, us: np.ndarray) -> np.ndarray:
 
 
 def _nonzero_basis(knots: np.ndarray, p: int, us: np.ndarray,
-                   spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   spans: np.ndarray) -> tuple[np.ndarray, ...]:
     """Values of the basis functions supported on each span, at degree p
-    and at the degree p - 1 that the last step starts from.
+    and at the degree p - 1 that the last step starts from, and the
+    support lengths of the latter.
 
-    Returns ``(lower, vals)``, shapes (len(us), p) and (len(us), p + 1);
-    column r holds basis function ``span - p + 1 + r``, resp. ``span - p + r``.
+    Returns ``(lower, vals, lengths)``, shapes (p, len(us)),
+    (p + 1, len(us)) and (p, len(us)); row r of ``vals`` holds basis
+    function ``span - p + r``, and row r of ``lower`` and ``lengths``
+    function ``span - p + 1 + r`` of degree p - 1, whose support length
+    t[span + r + 1] - t[span + r + 1 - p] is the last step's denominator
+    r, summed from the same two differences.
     """
     m = us.size
     # two buffers take turns holding degree j - 1 and degree j
-    vals = np.zeros((m, p + 1))
-    vals[:, 0] = 1.0
-    lower = np.zeros((m, p + 1))
-    left = np.zeros((m, p + 1))
-    right = np.zeros((m, p + 1))
+    vals = np.zeros((p + 1, m))
+    vals[0] = 1.0
+    lower = np.zeros((p + 1, m))
+    left = np.zeros((p + 1, m))
+    right = np.zeros((p + 1, m))
     for j in range(1, p + 1):
-        left[:, j] = us - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - us
+        np.subtract(us, knots[spans + 1 - j], out=left[j])
+        np.subtract(knots[spans + j], us, out=right[j])
         lower, vals = vals, lower
-        saved = np.zeros(m)
-        for r in range(j):
-            tmp = lower[:, r] / (right[:, r + 1] + left[:, j - r])
-            vals[:, r] = saved + right[:, r + 1] * tmp
-            saved = left[:, j - r] * tmp
-        vals[:, j] = saved
-    return lower[:, :p], vals
+        # all r < j at once: tmp[r] = lower[r] / (right[r + 1] + left[j - r])
+        # starts row r, and left[j - r] * tmp[r] is added to row r + 1
+        tmp = right[1:j + 1] + left[j:0:-1]
+        np.divide(lower[:j], tmp, out=tmp)
+        np.multiply(right[1:j + 1], tmp, out=vals[:j])
+        tmp *= left[j:0:-1]
+        vals[1:j] += tmp[:j - 1]
+        vals[j] = tmp[j - 1]
+    return lower[:p], vals, right[1:] + left[:0:-1]
 
 
 def bspline_span_basis(space: BasisSpace, us, derivs: bool = False):
@@ -161,8 +168,8 @@ def bspline_span_basis(space: BasisSpace, us, derivs: bool = False):
 
     Returns ``(first, tables)``: ``first[i]`` indexes the first of the
     p + 1 basis functions supported on the knot span of ``us[i]``, and
-    ``tables`` is a list of (len(us), p + 1) arrays, the values and then,
-    with ``derivs``, the derivatives, column r for basis function
+    ``tables`` is a list of (p + 1, len(us)) arrays, the values and then,
+    with ``derivs``, the derivatives, row r for basis function
     ``first + r``.  The derivatives come from the degree p - 1 values of
     the same recursion by de Boor's formula
     N'_{i,p} = p (N_{i,p-1} / d_i - N_{i+1,p-1} / d_{i+1}), where
@@ -172,46 +179,44 @@ def bspline_span_basis(space: BasisSpace, us, derivs: bool = False):
     us = _prepare_params(space, us)
     kv, p = space.knots, space.degree
     spans = _find_spans(kv, p, us)
-    lower, vals = _nonzero_basis(kv, p, us, spans)
+    lower, vals, lengths = _nonzero_basis(kv, p, us, spans)
     if not derivs:
         return spans - p, [vals]
-    # d for column r is t[span + r + 1] - t[span + r + 1 - p], summed from
-    # the same two differences as the last step's denominators
-    ends = spans[:, None] + np.arange(1, p + 1)
-    d = (kv[ends] - us[:, None]) + (us[:, None] - kv[ends - p])
-    quotients = (1.0 / d) * lower
-    # column r: p (quotients[r - 1] - quotients[r]), each missing term zero
+    quotients = (1.0 / lengths) * lower
+    # row r: p (quotients[r - 1] - quotients[r]), each missing term zero
     ders = np.zeros_like(vals)
-    ders[:, 1:] = quotients
-    ders[:, :p] -= quotients
+    ders[1:] = quotients
+    ders[:p] -= quotients
     ders *= float(p)
     return spans - p, [vals, ders]
 
 
 def fixed_order_sum(table: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Row-wise sum over r of ``table[:, r] * terms[:, r]``, added in the
-    order r = 0, 1, ... as separate element-wise operations.
+    """Sum over r of ``table[r] * terms[r]``, added in the order
+    r = 0, 1, ... as separate element-wise operations.
 
-    ``table`` is (m, k) and ``terms`` (m, k, ...).  Each result row depends
-    only on its own inputs, never on how many rows are evaluated together.
+    ``table`` is (k, m) and ``terms`` (k, ..., m), the points on the last
+    axis.  Each result column depends only on its own inputs, never on how
+    many columns are evaluated together.
     """
-    table = table.reshape(table.shape + (1,) * (terms.ndim - 2))
-    total = table[:, 0] * terms[:, 0]
-    for r in range(1, table.shape[1]):
-        total += table[:, r] * terms[:, r]
+    total = table[0] * terms[0]
+    product = np.empty_like(total)
+    for r in range(1, len(table)):
+        np.multiply(table[r], terms[r], out=product)
+        total += product
     return total
 
 
 def _scatter(first: np.ndarray, tables, n: int) -> np.ndarray:
-    """Expand per-span tables, each (m, p+1), to full basis rows.
+    """Expand per-span tables, each (p+1, m), to full basis rows.
 
     Returns shape (m, len(tables), n); table k fills rows ``[:, k]``.
     """
     m = first.size
     out = np.zeros((m, len(tables), n))
     flat = out.reshape(-1)
-    cols = (np.arange(m) * (len(tables) * n) + first)[:, None] \
-        + np.arange(tables[0].shape[1])
+    cols = np.arange(tables[0].shape[0])[:, None] \
+        + (np.arange(m) * (len(tables) * n) + first)
     for table in tables:
         flat[cols] = table
         cols += n
@@ -277,5 +282,8 @@ def bspline_curve_derivs(space: BasisSpace, control_points, ts) -> np.ndarray:
             f"expected {space.n_basis} coefficient rows, got {controls.shape[0]}"
         )
     first, tables = bspline_span_basis(space, ts, derivs=True)
-    near = controls[first[:, None] + np.arange(space.degree + 1)]
-    return np.stack([fixed_order_sum(table, near) for table in tables], axis=1)
+    # near[r, d, i] is coordinate d of control point first[i] + r
+    near = controls[np.arange(space.degree + 1)[:, None] + first]
+    sums = [fixed_order_sum(table, near.transpose(0, 2, 1)) for table in tables]
+    # computed as (2, point_dim, len(ts)), returned as a view in row order
+    return np.stack(sums).transpose(2, 0, 1)

@@ -280,17 +280,17 @@ def test_base_regions_are_held_only_in_the_far_batch():
     model = build_trimmed_cube_model(3, 0.4)
     ctx = _PatchContext(model.patches[1], model.field_pairs[1], model.config)
     # the Greville batch is each base region's own Gauss data, region after
-    # region; evaluate hands out views of it for the base regions, and views
-    # of one shared batch for the refined regions, each evaluated once
+    # region; ``base`` holds views of it, and evaluate hands out views of
+    # one shared batch for the refined regions, each evaluated once
     points = ctx.rule.order**2
     refined = ctx.regions[0].split() + ctx.regions[-1].split()[0].split()
-    data = ctx.evaluate(refined + ctx.regions[1:3] + refined[::2])
-    assert len(data) == len(ctx.regions) + len(refined)
+    data = ctx.evaluate(refined + refined[::2])
+    assert len(data) == len(refined)
     for k, region in enumerate(ctx.regions + refined):
         positions, normals, weights, basis = ctx._columns(
             *region.gauss_points(ctx.rule))
         for column, want, far, shared in zip(
-                data[region],
+                ctx.base[k] if k < len(ctx.regions) else data[region],
                 (positions, normals, weights, weights[:, None] * basis),
                 ctx.greville, data[refined[0]], strict=True):
             assert np.array_equal(column, want)
@@ -524,7 +524,7 @@ class TestOctantAssembly:
                         (frames.normals @ mirror.T).T, model.material,
                     )
                     expected += np.einsum(
-                        "m,mij,mf->fij", wts * frames.areas, kernel,
+                        "m,ijm,mf->fij", wts * frames.areas, kernel,
                         pair.values(params),
                     ) @ mirror
             got = np.array([
@@ -675,7 +675,7 @@ def test_far_blocks_keep_to_block_pairs(monkeypatch):
     pairs = []
 
     def counting_kernel(diff, normals, material):
-        if diff[0].shape[1] > 1:
+        if diff[0].shape[0] > 1:
             pairs.append(np.broadcast(*diff).size)
         return kelvin_T_many(diff, normals, material)
 
@@ -774,16 +774,16 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
             assert_array_equal(got, want)
     for bound, (_, chunks, fan_lists) in (
             (gibem.assembly.BLOCK_PAIRS, default), (600, small)):
-        sizes = [(patch, [fan_points * len(fans)
-                          + cfg.gauss_order**2 * len(regions)
-                          for fans, regions in chunk])
+        sizes = [(patch, [fan_points * len(fans) + cfg.gauss_order**2
+                          * (np.count_nonzero(base) + len(refined))
+                          for fans, base, refined in chunk])
                  for patch, chunk in chunks]
         assert sum(len(chunk) for _, chunk in sizes) == len(near)
         for (patch, chunk), after in zip(sizes, sizes[1:] + [(None, [])]):
             assert sum(chunk) <= bound or len(chunk) == 1
             if after[0] == patch:
                 assert sum(chunk) + after[1][0] > bound
-        assert fan_lists == [[fan for fans, _ in chunk for fan in fans]
+        assert fan_lists == [[fan for fans, _, _ in chunk for fan in fans]
                              for _, chunk in chunks]
     assert max(len(chunk) for _, chunk in default[1]) > 1
     assert len(small[1]) > len(default[1])

@@ -17,6 +17,7 @@ from gibem.geometry import (
 from gibem.splines import (
     BasisSpace,
     bspline_basis_derivs_many,
+    bspline_span_basis,
     greville_abscissae,
     unit_interval_space,
 )
@@ -29,7 +30,7 @@ def point(patch, u, v):
 def plane_map(tp, s, t):
     """Plane position and 2x2 Jacobian of a trimmed patch at (s, t)."""
     pos, jac, _ = _plane_map(tp.curve_a, tp.curve_b, np.array([[s, t]]))
-    return pos[0], jac[0]
+    return pos[:, 0], jac[:, :, 0]
 
 
 @pytest.fixture
@@ -411,6 +412,122 @@ def test_batches_larger_than_one_gather_equal_small_batches():
         part = patch.frames_at(params[rows])
         for name in FRAME_FIELDS:
             assert np.array_equal(getattr(frames, name)[rows], getattr(part, name))
+
+
+def reference_span_basis(space, us):
+    """Points-first reference for ``bspline_span_basis(space, us, True)``:
+    the recursion and de Boor derivatives as computed before the tables
+    went component-major, with tables (len(us), p + 1)."""
+    kv, p = space.knots, space.degree
+    us = np.clip(us, *space.domain)
+    spans = np.clip(np.searchsorted(kv, us, side="right") - 1, p,
+                    space.n_basis - 1)
+    m = us.size
+    vals, lower = np.zeros((m, p + 1)), np.zeros((m, p + 1))
+    vals[:, 0] = 1.0
+    left, right = np.zeros((m, p + 1)), np.zeros((m, p + 1))
+    for j in range(1, p + 1):
+        left[:, j] = us - kv[spans + 1 - j]
+        right[:, j] = kv[spans + j] - us
+        lower, vals = vals, lower
+        saved = np.zeros(m)
+        for r in range(j):
+            tmp = lower[:, r] / (right[:, r + 1] + left[:, j - r])
+            vals[:, r] = saved + right[:, r + 1] * tmp
+            saved = left[:, j - r] * tmp
+        vals[:, j] = saved
+    ends = spans[:, None] + np.arange(1, p + 1)
+    d = (kv[ends] - us[:, None]) + (us[:, None] - kv[ends - p])
+    quotients = (1.0 / d) * lower[:, :p]
+    ders = np.zeros_like(vals)
+    ders[:, 1:] = quotients
+    ders[:, :p] -= quotients
+    ders *= float(p)
+    return spans - p, [vals, ders]
+
+
+def reference_sum(table, terms):
+    """Points-first ``fixed_order_sum``: table (m, k), terms (m, k, ...)."""
+    table = table.reshape(table.shape + (1,) * (terms.ndim - 2))
+    total = table[:, 0] * terms[:, 0]
+    for r in range(1, table.shape[1]):
+        total += table[:, r] * terms[:, r]
+    return total
+
+
+def reference_frames(patch, params):
+    """Points-first reference for ``frames_at``: positions, u and v (or s
+    and t) tangents, normals and areas, each row (m, 3) or (m,), gathered
+    and summed as before the component-major layout."""
+    if hasattr(patch, "base"):
+        s, t = params[:, 0], params[:, 1]
+        curves = []
+        for curve in (patch.curve_a, patch.curve_b):
+            first, tables = reference_span_basis(curve.space, t)
+            near = curve.control_points[
+                first[:, None] + np.arange(curve.space.degree + 1)]
+            curves.append([reference_sum(table, near) for table in tables])
+        (pa, da), (pb, db) = curves
+        pos = (1.0 - s)[:, None] * pa + s[:, None] * pb
+        jac = np.empty((len(params), 2, 2))
+        jac[:, :, 0] = pb - pa
+        jac[:, :, 1] = (1.0 - s)[:, None] * da + s[:, None] * db
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        x, tu, tv, normals, areas = reference_frames(patch.base, pos)
+        return (x, tu * jac[:, 0, 0, None] + tv * jac[:, 1, 0, None],
+                tu * jac[:, 0, 1, None] + tv * jac[:, 1, 1, None],
+                normals, areas * det)
+    first_u, tables_u = reference_span_basis(patch.space_u, params[:, 0])
+    first_v, tables_v = reference_span_basis(patch.space_v, params[:, 1])
+    w = patch.weights[:, :, None]
+    net = np.concatenate([w * patch.control_points, w], axis=2)
+    n_v = patch.space_v.n_basis
+    offsets = np.arange(patch.space_v.degree + 1)[:, None] \
+        + n_v * np.arange(patch.space_u.degree + 1)
+    near = net.reshape(-1, 4)[(first_u * n_v + first_v)[:, None, None] + offsets]
+    along_v = [reference_sum(table, near) for table in tables_v]
+    hom, hom_u, hom_v = (reference_sum(tables_u[0], along_v[0]),
+                         reference_sum(tables_u[1], along_v[0]),
+                         reference_sum(tables_u[0], along_v[1]))
+    den = hom[:, 3:]
+    x = hom[:, :3] / den
+    tu = (hom_u[:, :3] - x * hom_u[:, 3:]) / den
+    tv = (hom_v[:, :3] - x * hom_v[:, 3:]) / den
+    cross = np.cross(tu, tv)
+    areas = np.linalg.norm(cross, axis=1)
+    normals = cross / areas[:, None]
+    return x, tu, tv, -normals if patch.flip_normal else normals, areas
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_patch, st.integers(0, 2**32 - 1), st.integers(40, 120))
+@example(TrimmedPatch(bulged_face(), *straight_trim_pair(0.2, 0.9)), 4,
+         2 * _SPAN_BATCH + 7)
+@example(bulged_face(), 5, _SPAN_BATCH + 1)
+def test_rows_equal_the_points_first_reference(patch, seed, count):
+    """The component-major basis tables, points and frames are bit for bit
+    those of the points-first recursion and gather they replaced: every
+    element-wise operation kept its operands and its order."""
+    params = sample_rows(patch, np.random.default_rng(seed), count)
+    try:
+        frames = patch.frames_at(params)
+    except SingularFrameError:
+        reject()
+    expected = reference_frames(patch, params)
+    assert np.array_equal(patch.points_at(params), expected[0])
+    for name, want in zip(FRAME_FIELDS, expected, strict=True):
+        assert np.array_equal(getattr(frames, name), want), name
+    base, uv, spaces = getattr(patch, "base", patch), params, []
+    if patch is not base:
+        uv = _plane_map(patch.curve_a, patch.curve_b, params)[0].T
+        spaces = [(c.space, params[:, 1]) for c in (patch.curve_a, patch.curve_b)]
+    spaces += [(base.space_u, uv[:, 0]), (base.space_v, uv[:, 1])]
+    for space, us in spaces:
+        first, tables = bspline_span_basis(space, us, derivs=True)
+        ref_first, ref_tables = reference_span_basis(space, us)
+        assert np.array_equal(first, ref_first)
+        for table, ref in zip(tables, ref_tables, strict=True):
+            assert table.shape == ref.T.shape and np.array_equal(table, ref.T)
 
 
 def dense_frames(patch, params):

@@ -11,14 +11,14 @@ from gibem.kernels import Material, kelvin_T_many, kelvin_U_many
 def U_at(source, point, mat):
     """Displacement kernel at one field point, column j from U e_j."""
     diff = (np.asarray(point, dtype=float) - source)[:, None]
-    return np.column_stack([kelvin_U_many(diff, mat, e)[0]
+    return np.column_stack([kelvin_U_many(diff, mat, e)[:, 0]
                             for e in np.eye(3)])
 
 
 def T_at(source, point, normal, mat):
     """Traction kernel at one field point, as a one-row batch."""
     return kelvin_T_many((np.asarray(point, dtype=float) - source)[:, None],
-                         np.asarray(normal, dtype=float)[:, None], mat)[0]
+                         np.asarray(normal, dtype=float)[:, None], mat)[..., 0]
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ def test_closed_surface_traction_identity():
                 pts[:, other[1]] = x
                 T = kelvin_T_many((pts - src).T,
                                   np.tile(nrm, (x.size, 1)).T, mat)
-                total += np.einsum("m,mij->ij", wu * w, T)
+                total += np.einsum("m,ijm->ij", wu * w, T)
     assert_allclose(total, -np.eye(3), atol=1e-6)
 
 
@@ -198,16 +198,16 @@ class TestPairLayout:
         diff = pts.T[:, :, None] - src.T[:, None, :]
         T = kelvin_T_many(diff, nrm.T[:, :, None], mat)
         U = kelvin_U_many(diff, mat, trac.T[:, :, None])
-        assert T.shape == (7, 4, 3, 3) and U.shape == (7, 4, 3)
+        assert T.shape == (3, 3, 7, 4) and U.shape == (3, 7, 4)
         for i in range(7):
             for j in range(4):
                 one = (pts[i] - src[j])[:, None]
                 assert_allclose(
-                    T[i, j], kelvin_T_many(one, nrm[i][:, None], mat)[0],
+                    T[:, :, i, j], kelvin_T_many(one, nrm[i][:, None], mat)[..., 0],
                     rtol=0, atol=0,
                 )
                 assert_allclose(
-                    U[i, j], kelvin_U_many(one, mat, trac[i][:, None])[0],
+                    U[:, i, j], kelvin_U_many(one, mat, trac[i][:, None])[:, 0],
                     rtol=0, atol=0,
                 )
 
@@ -238,8 +238,8 @@ def test_batch_rows_match_one_row_batches(mat):
                  axis=-1)
     T = kelvin_T_many((pts - src).T, nrm.T, mat)
     for i in range(25):
-        assert_allclose(U[i], U_at(src, pts[i], mat), atol=0)
-        assert_allclose(T[i], T_at(src, pts[i], nrm[i], mat), atol=0)
+        assert_allclose(U[:, i], U_at(src, pts[i], mat), atol=0)
+        assert_allclose(T[..., i], T_at(src, pts[i], nrm[i], mat), atol=0)
 
 
 coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
@@ -249,25 +249,44 @@ sign = st.sampled_from([1.0, -1.0])
 
 @settings(max_examples=60, deadline=None)
 @given(flip=st.tuples(sign, sign, sign).map(np.array), on_plane=st.booleans(),
-       source=vector, point=vector, normal=vector, traction=vector,
+       sources=st.lists(vector, min_size=1, max_size=3),
+       fields=st.lists(st.tuples(vector, vector, vector), min_size=1,
+                       max_size=4),
        nu=st.floats(-0.9, 0.45))
-def test_reflections_flip_kernel_signs_exactly(
-        flip, on_plane, source, point, normal, traction, nu):
+def test_reflections_flip_kernel_signs_exactly(flip, on_plane, sources, fields,
+                                               nu):
     """Under any product M of the three coordinate reflections, diagonal
     ``flip``, the kernels of M point - source, M normal and M traction are
     those of point - M source, normal and traction times M on both sides,
     M T M, and M (U t), bit for bit: every product in the kernels flips
-    sign as a whole. A source on the planes of M is its own image."""
+    sign as a whole. A source on the planes of M is its own image. On
+    (k, m) differences, sources first as assembly forms them, the kernels
+    are C-contiguous (3, 3, k, m) and (3, k, m) planes, and every pair
+    equals its one-pair call bit for bit."""
+    sources = np.array(sources)
+    points, normals, tractions = (np.array(c) for c in zip(*fields))
     if on_plane:
-        source[flip < 0] = 0.0
-    assume(np.linalg.norm(point - flip * source) > 1e-3)
+        sources[:, flip < 0] = 0.0
+    gaps = np.linalg.norm(points - (flip * sources)[:, None], axis=2)
+    assume(gaps.min() > 1e-3)
     mat = Material(1000.0, nu)
-    columns = [c[:, None] for c in (point - flip * source, normal, traction)]
-    mirrored = [c[:, None] for c in (flip * point - source, flip * normal,
-                                     flip * traction)]
-    T = kelvin_T_many(columns[0], columns[1], mat)
-    assert np.array_equal(kelvin_T_many(mirrored[0], mirrored[1], mat),
-                          T * flip[:, None] * flip)
-    U_t = kelvin_U_many(columns[0], mat, columns[2])
-    assert np.array_equal(kelvin_U_many(mirrored[0], mat, mirrored[2]),
-                          U_t * flip)
+
+    def kernels(points, sources, normals, tractions):
+        diff = [points.T[c] - sources[:, c, None] for c in range(3)]
+        return (kelvin_T_many(diff, normals.T, mat),
+                kelvin_U_many(diff, mat, tractions.T))
+
+    T, U_t = kernels(points, flip * sources, normals, tractions)
+    k, m = gaps.shape
+    assert T.shape == (3, 3, k, m) and T.flags.c_contiguous
+    assert U_t.shape == (3, k, m) and U_t.flags.c_contiguous
+    for a in range(k):
+        for b in range(m):
+            one = (points[b] - flip * sources[a])[:, None]
+            assert np.array_equal(
+                T[:, :, a, b], kelvin_T_many(one, normals[b][:, None], mat)[..., 0])
+            assert np.array_equal(
+                U_t[:, a, b], kelvin_U_many(one, mat, tractions[b][:, None])[:, 0])
+    T_m, U_m = kernels(flip * points, sources, flip * normals, flip * tractions)
+    assert np.array_equal(T_m, T * (flip[:, None] * flip)[:, :, None, None])
+    assert np.array_equal(U_m, U_t * flip[:, None, None])

@@ -222,7 +222,7 @@ class TestQuadtree:
                 params, wts = region.gauss_points(gauss_rule(order))
                 fr = flat_patch.frames_at(params)
                 tk = kelvin_T_many((fr.positions - src).T, fr.normals.T, mat)
-                total += np.einsum("m,mij->ij", wts * fr.areas, tk)
+                total += np.einsum("m,ijm->ij", wts * fr.areas, tk)
             return total
 
         base = region_partition(space, space)
