@@ -58,9 +58,11 @@ and for the rhs. The
 grids and the model's Greville parameters determine every node's
 aliases, so equal grids mean equal aliases. A second table gives, per
 model and tree, the traction-kernel (point, node) pairs that ``assemble``
-evaluates, counted by wrapping ``gibem.assembly.kelvin_T_many``, so that a
-change of work shows next to the drift. It exits with status 1 when any
-array differs; the pair counts do not count towards that.
+evaluates, counted by wrapping ``gibem.assembly.kelvin_T_many``, and the
+singular fan points, counted from the weights that a wrapped
+``gibem.assembly.singular_quadrature_points`` returns, so that a change of
+work shows next to the drift. It exits with status 1 when any array
+differs; the work counts do not count towards that.
 """
 
 import argparse
@@ -88,8 +90,9 @@ from gibem import (BasisSpace, FieldSpacePair, LoadState, Material,
 import gibem.assembly
 from gibem.assembly import assemble, collocation_points
 
-pairs = [0]
+pairs, fan_points = [0], [0]
 kernel = gibem.assembly.kelvin_T_many
+fans = gibem.assembly.singular_quadrature_points
 
 
 def counting_kernel(diff, normals, material):
@@ -97,7 +100,14 @@ def counting_kernel(diff, normals, material):
     return kernel(diff, normals, material)
 
 
+def counting_fans(*args):
+    quad = fans(*args)
+    fan_points[0] += len(quad[1])  # the weights, whatever else it returns
+    return quad
+
+
 gibem.assembly.kelvin_T_many = counting_kernel
+gibem.assembly.singular_quadrature_points = counting_fans
 models = {name: build_model(w, seed) for name, w in WORKLOADS.items()}
 rng = np.random.default_rng(seed)
 material = Material(1000.0, float(rng.uniform(0.0, 0.4)))
@@ -192,9 +202,10 @@ models["quarter-cube-yz-xz-order3"] = dataclasses.replace(
 arrays = {}
 for name, model in models.items():
     colloc = collocation_points(model)
-    pairs[0] = 0
+    pairs[0] = fan_points[0] = 0
     matrix, rhs = assemble(model, colloc)
     arrays[name + "/kernel_pairs"] = pairs[0]
+    arrays[name + "/fan_points"] = fan_points[0]
     arrays[name + "/positions"] = colloc.positions
     for k, grid in enumerate(colloc.grids):
         arrays[name + f"/grid{k}"] = grid
@@ -232,11 +243,11 @@ def main():
     all_equal = True
     worst = {"matrix": 0.0, "rhs": 0.0}
     print(f"{'model':<27}{'array':<15}{'array_equal':<13}max rel diff")
-    pairs = []
+    work = {}
     for key in base:
         model, array = key.split("/")
-        if array == "kernel_pairs":
-            pairs.append((model, int(base[key]), int(new[key])))
+        if array in ("kernel_pairs", "fan_points"):
+            work.setdefault(model, []).append((int(base[key]), int(new[key])))
             continue
         a, b = base[key], new[key]
         equal = a.shape == b.shape and np.array_equal(a, b)
@@ -252,9 +263,12 @@ def main():
         print(f"{model:<27}{array:<15}{str(equal):<13}{rel}")
     print(f"largest max rel diff over all models: matrix "
           f"{worst['matrix']:.3e}, rhs {worst['rhs']:.3e}")
-    print(f"\n{'model':<27}{'kernel pairs, base':>20}{'new':>12}{'change':>9}")
-    for model, a, b in pairs:
-        print(f"{model:<27}{a:>20,}{b:>12,}{(b - a) / a:>+9.1%}")
+    print(f"\n{'model':<27}{'kernel pairs, base':>20}{'new':>12}{'change':>9}"
+          f"{'fan points, base':>18}{'new':>10}{'change':>9}")
+    for model, counts in work.items():
+        print(f"{model:<27}" + "".join(
+            f"{a:>{width},}{b:>{width - 8},}{(b - a) / a if a else 0.0:>+9.1%}"
+            for (a, b), width in zip(counts, (20, 18))))
     return 0 if all_equal else 1
 
 

@@ -56,6 +56,8 @@ from .errors import (
 )
 from .kernels import kelvin_T_many, kelvin_U_many
 from .model import symmetry_group
+# singular_quadrature_points is called through this module's global, so a
+# wrapper set on gibem.assembly sees every call
 from .quadrature import IntegrationRegion, contains_mask, far_mask, \
     gauss_rule, quadtree_refine, region_partition, region_samples, \
     singular_quadrature_points
@@ -164,6 +166,16 @@ class _PatchContext:
     views of ``greville``. ``whole`` and ``whole_samples``, the patch's
     3x3 samples (seed grid rows 0, 8, 16), are None where an interior knot
     of the field spaces, base surface or trim curves cuts the patch.
+
+    Fans take ``singular_rule`` along their far edges and ``radial_rule``
+    from the source outwards: p + 1 points, p the larger field degree, on
+    a smooth (``whole`` is not None) affine patch, else ``singular_rule``.
+    There, after the Duffy map (Duffy, SIAM J. Numer. Anal. 1982), the
+    basis-subtracted traction integrand is a polynomial of degree 2p - 1
+    along each ray and the rhs integrand, for a constant traction, a
+    constant, so p points are exact; the one more is a margin. A smooth
+    patch is affine when its 17 x 17 seed grid lies on its affine map
+    through three corners to 1e-13 of its extent.
     """
 
     def __init__(self, patch, pair, cfg):
@@ -192,6 +204,14 @@ class _PatchContext:
         smooth = all(len(space.breakpoints()[0]) == 2 for space in spaces)
         self.whole_samples = cells[::8, ::8].reshape(9, 3) if smooth else None
         self.whole = None
+        corner = cells[0, 0]
+        affine = corner + uu[..., None] * (cells[-1, 0] - corner) \
+            + vv[..., None] * (cells[0, -1] - corner)
+        radial = cfg.singular_gauss_order
+        if smooth and np.abs(cells - affine).max() \
+                <= 1e-13 * np.ptp(self.seed_positions, axis=0).max():
+            radial = min(radial, max(pair.orders) + 1)
+        self.radial_rule = gauss_rule(radial)
         if smooth:
             self.whole = self._batch([IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
                                      gauss_rule(COARSE_ORDER))
@@ -225,21 +245,21 @@ class _PatchContext:
 
     def fans(self, fans):
         """Quadrature data of ``fans``, (region, singular parameter) pairs,
-        one tuple of views per fan from one ``_columns`` call. Each fan's
-        basis values are less those at its singular parameter, from one
-        more ``values`` call, before weighting."""
+        one tuple of views per fan from one ``singular_quadrature_points``
+        and one ``_columns`` call. Each fan's basis values are less those at
+        its singular parameter, from one more ``values`` call, before
+        weighting."""
         if not fans:
             return []
-        quad = [singular_quadrature_points(region, param, self.singular_rule)
-                for region, param in fans]
-        columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
-        cuts = np.cumsum([len(w) for _, w in quad])[:-1]
-        entries = list(zip(*(np.split(c, cuts) for c in columns)))
-        at = self.pair.values(np.array([param for _, param in fans]))
-        for (_, _, _, basis), row in zip(entries, at):
-            basis -= row
-        columns[3] *= columns[2][:, None]  # in place: entries are views
-        return entries
+        sources = np.array([param for _, param in fans])
+        params, weights, counts = singular_quadrature_points(
+            [(r.u0, r.v0, r.u1, r.v1) for r, _ in fans], sources,
+            self.radial_rule, self.singular_rule)
+        columns = self._columns(params, weights)
+        columns[3] -= np.repeat(self.pair.values(sources), counts, axis=0)
+        columns[3] *= columns[2][:, None]
+        return list(zip(*(np.split(c, np.cumsum(counts)[:-1])
+                          for c in columns)))
 
     def project(self, targets):
         """Closest points on the patch to (m, 3) ``targets``: parameters
@@ -400,15 +420,16 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     return whole, wholly_far & ~whole, near
 
 
-def _near_chunks(near, cfg):
+def _near_chunks(near, ctx):
     """The near rows in order, cut greedily into chunks of at most
     BLOCK_PAIRS (point, row) pairs, a fan counted at its four triangles'
-    points and a region at gauss_order**2: a chunk goes over only when one
-    row alone does."""
+    points on the patch of ``ctx`` and a region at gauss_order**2: a chunk
+    goes over only when one row alone does."""
+    fan = 4 * ctx.radial_rule.order * ctx.singular_rule.order
     chunks, size = [], BLOCK_PAIRS  # full: the first row opens a chunk
     for t, (fans, base, refined) in near.items():
-        pairs = (4 * cfg.singular_gauss_order**2 * len(fans)
-                 + cfg.gauss_order**2 * (np.count_nonzero(base) + len(refined)))
+        pairs = (fan * len(fans)
+                 + ctx.rule.order**2 * (np.count_nonzero(base) + len(refined)))
         if size + pairs > BLOCK_PAIRS:
             chunks.append([])
             size = 0
@@ -456,7 +477,7 @@ def _engine(model, colloc):
             [region for _, _, refined in near.values() for region in refined])
         parts = [np.zeros((len(image), 3, 3, len(ids))),
                  np.zeros((len(image), 3))]
-        for chunk in _near_chunks(near, cfg):
+        for chunk in _near_chunks(near, ctx):
             fans = iter(ctx.fans([fan for t in chunk for fan in near[t][0]]))
             for t in chunk:
                 columns = [next(fans) for _ in near[t][0]]

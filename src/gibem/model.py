@@ -195,6 +195,15 @@ class LoadState:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Quadrature, merge and output settings of a solve.
+
+    ``gauss_order`` is the Gauss order per direction on regular regions.
+    ``singular_gauss_order`` is the angular order of the singular fans and
+    the cap on their radial order, which is p + 1, p the larger field
+    degree, on a patch with an affine map and no interior knot, and
+    ``singular_gauss_order`` on every other patch.
+    """
+
     gauss_order: int = 8
     singular_gauss_order: int = 12
     quadtree_threshold: float = 1.0

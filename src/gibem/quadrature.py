@@ -82,24 +82,6 @@ class IntegrationRegion:
     def area(self) -> float:
         return (self.u1 - self.u0) * (self.v1 - self.v0)
 
-    def corners(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.u0, self.v0],
-                [self.u1, self.v0],
-                [self.u1, self.v1],
-                [self.u0, self.v1],
-            ]
-        )
-
-    def contains(self, param, tol: float = 1e-12) -> bool:
-        """True when the point lies in the closed rectangle (with slack)."""
-        u, v = param
-        return (
-            self.u0 - tol <= u <= self.u1 + tol
-            and self.v0 - tol <= v <= self.v1 + tol
-        )
-
     def split(self) -> list["IntegrationRegion"]:
         um = 0.5 * (self.u0 + self.u1)
         vm = 0.5 * (self.v0 + self.v1)
@@ -180,7 +162,8 @@ def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
 
 
 def contains_mask(params, regions) -> np.ndarray:
-    """Entry (i, j) is ``regions[j].contains(params[i], tol=1e-9)``."""
+    """Entry (i, j) is True where ``params[i]`` lies in the closed rectangle
+    ``regions[j]`` widened by 1e-9 on every side."""
     bounds = np.array([[r.u0, r.v0, r.u1, r.v1] for r in regions]) \
         + [-1e-9, -1e-9, 1e-9, 1e-9]
     params = np.asarray(params, dtype=float).reshape(-1, 1, 2)
@@ -227,43 +210,42 @@ def quadtree_refine(pairs, sources, point_fn, threshold: float = 1.0,
     return sorted(out, key=lambda pair: pair[0])
 
 
-def singular_quadrature_points(region: IntegrationRegion, source_param,
-                               rule: GaussRule):
-    """Quadrature points for an integrand with a 1/r singularity at
-    ``source_param`` inside (or on the boundary of) the region.
+def singular_quadrature_points(bounds, sources, radial: GaussRule,
+                               angular: GaussRule):
+    """Quadrature points for n integrands, each with a 1/r singularity at
+    ``sources[i]`` (n, 2) inside (or on the boundary of) the rectangle
+    ``bounds[i]`` (n, 4), given as (u0, v0, u1, v1).
 
-    The rectangle is fanned into triangles sharing the source as a vertex;
-    each triangle is the image of a collapsed quadrilateral whose mapping
-    Jacobian vanishes linearly at the source, cancelling the singularity.
-    Returns parameters (m, 2) and weights (m,) in the parameter plane.
+    Each rectangle is fanned into four triangles sharing the source as a
+    vertex, one row each; a triangle is the image of a collapsed
+    quadrilateral whose mapping Jacobian vanishes linearly at the source,
+    cancelling the singularity, and takes ``radial`` points from the source
+    outwards times ``angular`` points along its far edge. The rows of flat
+    triangles, whose far edge holds the source, are dropped by one mask.
+    Returns parameters (m, 2) and weights (m,) in the parameter plane, fan
+    after fan and triangle after triangle, and each fan's point count (n,).
     """
-    s = np.asarray(source_param, dtype=float)
-    if not region.contains(s, tol=1e-9):
-        raise QuadratureError(
-            f"singular point {tuple(s)} lies outside region {region}"
-        )
-    corners = region.corners()
-    x01 = 0.5 * (rule.nodes + 1.0)
-    w01 = 0.5 * rule.weights
-    xi = np.repeat(x01, rule.order)
-    eta = np.tile(x01, rule.order)
-    ww = np.outer(w01, w01).reshape(-1)
-    params = []
-    weights = []
-    for k in range(4):
-        v1 = corners[k]
-        v2 = corners[(k + 1) % 4]
-        twice_area = abs(
-            (v1[0] - s[0]) * (v2[1] - s[1]) - (v2[0] - s[0]) * (v1[1] - s[1])
-        )
-        if twice_area <= 1e-14 * max(region.area, 1e-30):
-            continue  # source sits on this edge; the triangle is flat
-        pts = (
-            s[None, :]
-            + xi[:, None] * ((v1 - s)[None, :] + eta[:, None] * (v2 - v1)[None, :])
-        )
-        params.append(pts)
-        weights.append(ww * xi * twice_area)
-    if not params:
-        raise QuadratureError("all fan triangles degenerate; region is empty")
-    return np.concatenate(params), np.concatenate(weights)
+    bounds = np.asarray(bounds, dtype=float).reshape(-1, 4)
+    s = np.asarray(sources, dtype=float).reshape(-1, 2)
+    outside = ~((bounds[:, :2] - 1e-9 <= s) & (s <= bounds[:, 2:] + 1e-9))
+    if outside.any():
+        i = outside.any(axis=1).argmax()
+        raise QuadratureError(f"singular point {tuple(s[i])} lies outside "
+                              f"region (u0, v0, u1, v1) = {tuple(bounds[i])}")
+    # row 4 i + k is the triangle (source, corner k, corner k + 1) of fan i
+    corners = bounds[:, [[0, 1], [2, 1], [2, 3], [0, 3]]]
+    v1 = corners.reshape(-1, 2)
+    v2 = np.roll(corners, -1, axis=1).reshape(-1, 2)
+    s = np.repeat(s, 4, axis=0)
+    twice_area = np.abs((v1[:, 0] - s[:, 0]) * (v2[:, 1] - s[:, 1])
+                        - (v2[:, 0] - s[:, 0]) * (v1[:, 1] - s[:, 1]))
+    area = (bounds[:, 2] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 1])
+    keep = twice_area > 1e-14 * np.repeat(np.maximum(area, 1e-30), 4)
+    xi = np.repeat(0.5 * (radial.nodes + 1.0), angular.order)
+    eta = np.tile(0.5 * (angular.nodes + 1.0), radial.order)
+    ww = np.outer(0.5 * radial.weights, 0.5 * angular.weights).reshape(-1)
+    s, v1, v2 = s[keep, None], v1[keep, None], v2[keep, None]
+    params = s + xi[:, None] * ((v1 - s) + eta[:, None] * (v2 - v1))
+    weights = ww * xi * twice_area[keep, None]
+    counts = xi.size * keep.reshape(-1, 4).sum(axis=1)
+    return params.reshape(-1, 2), weights.reshape(-1), counts

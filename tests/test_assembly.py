@@ -26,7 +26,12 @@ from gibem.errors import (
     QuadratureError,
     UnsupportedModelError,
 )
-from gibem.geometry import NurbsPatch, TrimmedPatch, straight_trim_pair
+from gibem.geometry import (
+    NurbsPatch,
+    TrimmedPatch,
+    TrimmingCurve,
+    straight_trim_pair,
+)
 from gibem.kernels import Material, kelvin_T_many
 from gibem.model import (
     BoundaryModel,
@@ -39,6 +44,7 @@ from gibem.model import (
 )
 from gibem.quadrature import (
     IntegrationRegion,
+    contains_mask,
     far_mask,
     gauss_rule,
     region_partition,
@@ -325,11 +331,11 @@ class TestSplitSingular:
         params = [np.array(p) for p in params]
         fans, regular = _split_singular([self.LEFT, self.RIGHT], params)
         for region, param in fans:
-            inside = [p for p in params if region.contains(p, tol=1e-9)]
+            hits = contains_mask(params, [region])[:, 0]
+            inside = [p for p, hit in zip(params, hits) if hit]
             assert len(inside) == 1 and inside[0] is param
         assert {id(param) for _, param in fans} == {id(p) for p in params}
-        assert not any(region.contains(p, tol=1e-9)
-                       for region in regular for p in params)
+        assert not (regular and contains_mask(params, regular).any())
 
         pieces = regular + [region for region, _ in fans]
         assert len(set(pieces)) == len(pieces)
@@ -502,7 +508,9 @@ class TestOctantAssembly:
         assert len(columns) == 5 and len(rows) == 4
 
         regions = region_partition(pair.space_u, pair.space_v)
-        corners = [patch.points_at(r.corners()) for r in regions]
+        corners = [patch.points_at(np.array([[r.u0, r.v0], [r.u1, r.v0],
+                                             [r.u1, r.v1], [r.u0, r.v1]]))
+                   for r in regions]
         longest = max(np.linalg.norm(c - np.roll(c, 1, axis=0), axis=1).max()
                       for c in corners)
         side = np.linspace(0.0, 1.0, 33)
@@ -665,6 +673,41 @@ def test_knots_inside_a_patch_keep_it_from_the_whole_patch_batch(
     assert [ctx.whole is None for ctx in contexts] == [False, True, True]
 
 
+def test_fans_go_radially_at_p_plus_one_only_on_smooth_affine_patches():
+    """A fan's radial order is p + 1, p the larger field degree, capped at
+    singular_gauss_order, on a patch that no interior knot cuts and whose
+    map is affine: the cube faces and the straight trimmed halves. The
+    bulged face, a face trimmed along a quadratic curve, a flat trapezoid
+    (bilinear, not affine) and an h-refined field keep
+    singular_gauss_order."""
+    def radial(patch, pair, cfg=SolverConfig()):
+        return _PatchContext(patch, pair, cfg).radial_rule.order
+
+    cube = build_trimmed_cube_model(2, 0.4)
+    for p in (1, 2, 3, 5):
+        for patch in cube.patches:
+            assert radial(patch, FieldSpacePair.from_orders(p)) == p + 1
+    face = cube.patches[0]
+    assert radial(face, FieldSpacePair.from_orders(2, 4)) == 5
+    assert radial(face, FieldSpacePair.from_orders(5),
+                  SolverConfig(singular_gauss_order=4)) == 4
+    line = TrimmingCurve(unit_interval_space(1),
+                         np.array([[0.0, 0.0], [0.0, 1.0]]))
+    curve = TrimmingCurve(unit_interval_space(2),
+                          np.array([[0.4, 0.0], [0.6, 0.5], [0.4, 1.0]]))
+    trapezoid = NurbsPatch(
+        unit_interval_space(1), unit_interval_space(1),
+        np.array([[[0.0, 0, 0], [0, 1, 0]], [[1, 0, 0], [0.5, 1, 0]]]),
+        np.ones((2, 2)))
+    order3 = FieldSpacePair.from_orders(3)
+    for patch, pair in (
+            (trimmed_bulged_model().patches[1].base, order3),
+            (TrimmedPatch(face, line, curve), order3),
+            (trapezoid, order3),
+            (face, FieldSpacePair.from_orders(3, interior_u=(0.5,)))):
+        assert radial(patch, pair) == SolverConfig().singular_gauss_order
+
+
 def test_far_blocks_keep_to_block_pairs(monkeypatch):
     """A far call of several rows is sized by the batch it integrates: on
     the order-1 cube a whole-patch call counts the whole patch's
@@ -720,12 +763,12 @@ def test_engine_plans_each_patch_once(fixture, request, monkeypatch):
 def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
     """Near rows evaluate their fans chunk by chunk. A chunk holds at most
     BLOCK_PAIRS (point, row) pairs, a fan counted at its four triangles'
-    singular_gauss_order**2 points and a region at gauss_order**2, and
+    radial times angular order points on its patch and a region at
+    gauss_order**2, and
     goes over only when one row alone does; rows are taken greedily. The
     chunk size does not change a near row's integrals, bit for bit."""
     model, colloc, _ = octant_system
     cfg = model.config
-    fan_points = 4 * cfg.singular_gauss_order**2
     init, integrate = _PatchContext.__init__, _Rows.integrate
     fans_call, near_chunks = _PatchContext.fans, gibem.assembly._near_chunks
 
@@ -761,7 +804,12 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
         monkeypatch.setattr(gibem.assembly, "_near_chunks", recording_chunks)
         _engine(model, colloc)
         monkeypatch.undo()
-        return near, chunks, fan_lists
+        # each patch's fan points: four triangles at its radial and angular
+        # orders
+        fan_points = {k + 1: 4 * ctx.radial_rule.order
+                      * ctx.singular_rule.order
+                      for k, ctx in enumerate(contexts)}
+        return near, chunks, fan_lists, fan_points
 
     default = run()
     monkeypatch.setattr(gibem.assembly, "BLOCK_PAIRS", 600)
@@ -772,9 +820,9 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
     for key, parts in small[0].items():
         for got, want in zip(parts, near[key], strict=True):
             assert_array_equal(got, want)
-    for bound, (_, chunks, fan_lists) in (
+    for bound, (_, chunks, fan_lists, fan_points) in (
             (gibem.assembly.BLOCK_PAIRS, default), (600, small)):
-        sizes = [(patch, [fan_points * len(fans) + cfg.gauss_order**2
+        sizes = [(patch, [fan_points[patch] * len(fans) + cfg.gauss_order**2
                           * (np.count_nonzero(base) + len(refined))
                           for fans, base, refined in chunk])
                  for patch, chunk in chunks]

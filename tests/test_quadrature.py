@@ -69,9 +69,10 @@ class TestRegionPartition:
         regions = region_partition(space, space)
         grev = greville_abscissae(space)
         corners = {
-            (round(c[0], 12), round(c[1], 12))
+            (round(u, 12), round(v, 12))
             for r in regions
-            for c in r.corners()
+            for u in (r.u0, r.u1)
+            for v in (r.v0, r.v1)
         }
         for gu in grev:
             for gv in grev:
@@ -98,6 +99,15 @@ class TestRegion:
         assert_allclose(val, exact, rtol=1e-14)
 
 
+def _fan(region, source, rule, radial=None):
+    """One fan from the array builder: its parameters and weights."""
+    params, weights, counts = singular_quadrature_points(
+        [(region.u0, region.v0, region.u1, region.v1)], [source],
+        radial or rule, rule)
+    assert counts.tolist() == [len(weights)]
+    return params, weights
+
+
 class TestSingularScheme:
     def test_inverse_r_center(self):
         """1/r over the unit square from its center has a closed form."""
@@ -105,7 +115,7 @@ class TestSingularScheme:
         region = IntegrationRegion(0, 1, 0, 1)
         errs = []
         for order in (8, 12, 16):
-            pts, w = singular_quadrature_points(region, (0.5, 0.5), gauss_rule(order))
+            pts, w = _fan(region, (0.5, 0.5), gauss_rule(order))
             r = np.linalg.norm(pts - np.array([0.5, 0.5]), axis=1)
             errs.append(abs((w / r).sum() - exact))
         assert errs[0] < 1e-5
@@ -116,7 +126,7 @@ class TestSingularScheme:
     def test_inverse_r_corner(self):
         """A corner source fans into two triangles only."""
         region = IntegrationRegion(0, 1, 0, 1)
-        pts, w = singular_quadrature_points(region, (0.0, 0.0), gauss_rule(12))
+        pts, w = _fan(region, (0.0, 0.0), gauss_rule(12))
         assert len(w) == 2 * 12 * 12
         r = np.linalg.norm(pts, axis=1)
         assert_allclose((w / r).sum(), 2.0 * np.log(1.0 + np.sqrt(2.0)), atol=1e-9)
@@ -124,19 +134,19 @@ class TestSingularScheme:
     def test_inverse_r_mid_edge(self):
         # frozen from an adaptive reference integration of the same integrand
         region = IntegrationRegion(0, 1, 0, 1)
-        pts, w = singular_quadrature_points(region, (0.5, 0.0), gauss_rule(16))
+        pts, w = _fan(region, (0.5, 0.0), gauss_rule(16))
         r = np.linalg.norm(pts - np.array([0.5, 0.0]), axis=1)
         assert_allclose((w / r).sum(), 2.406059125298018, atol=1e-9)
 
     def test_constant_is_exact(self):
         region = IntegrationRegion(0.25, 0.75, 0.5, 1.0)
-        _, w = singular_quadrature_points(region, (0.3, 0.9), gauss_rule(8))
+        _, w = _fan(region, (0.3, 0.9), gauss_rule(8))
         assert_allclose(w.sum(), region.area, rtol=1e-13)
 
     def test_smooth_matches_tensor_rule(self):
         region = IntegrationRegion(0, 1, 0, 1)
         f = lambda p: np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1])
-        pts, w = singular_quadrature_points(region, (0.4, 0.6), gauss_rule(20))
+        pts, w = _fan(region, (0.4, 0.6), gauss_rule(20))
         tensor_pts, tensor_w = region.gauss_points(gauss_rule(20))
         assert_allclose((w * f(pts)).sum(), (tensor_w * f(tensor_pts)).sum(),
                         rtol=1e-12)
@@ -144,7 +154,95 @@ class TestSingularScheme:
     def test_source_outside_region_rejected(self):
         region = IntegrationRegion(0, 0.5, 0, 0.5)
         with pytest.raises(QuadratureError):
-            singular_quadrature_points(region, (0.9, 0.9), gauss_rule(4))
+            _fan(region, (0.9, 0.9), gauss_rule(4))
+
+
+def _one_fan(region, source_param, rule):
+    """The per-fan singular scheme as it was before the array builder:
+    four triangles (source, corner k, corner k + 1), a flat one skipped,
+    at ``rule.order`` points in both directions."""
+    s = np.asarray(source_param, dtype=float)
+    corners = np.array([[region.u0, region.v0], [region.u1, region.v0],
+                        [region.u1, region.v1], [region.u0, region.v1]])
+    x01 = 0.5 * (rule.nodes + 1.0)
+    w01 = 0.5 * rule.weights
+    xi = np.repeat(x01, rule.order)
+    eta = np.tile(x01, rule.order)
+    ww = np.outer(w01, w01).reshape(-1)
+    params, weights = [], []
+    for k in range(4):
+        v1 = corners[k]
+        v2 = corners[(k + 1) % 4]
+        twice_area = abs(
+            (v1[0] - s[0]) * (v2[1] - s[1]) - (v2[0] - s[0]) * (v1[1] - s[1])
+        )
+        if twice_area <= 1e-14 * max(region.area, 1e-30):
+            continue
+        params.append(
+            s[None, :]
+            + xi[:, None] * ((v1 - s)[None, :] + eta[:, None] * (v2 - v1)[None, :])
+        )
+        weights.append(ww * xi * twice_area)
+    return np.concatenate(params), np.concatenate(weights)
+
+
+# a source coordinate: on the low edge, on the high edge or a fraction in between
+_where = st.one_of(st.sampled_from(["lo", "hi"]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _fans(draw):
+    bounds = []
+    for _ in range(2):
+        lo = draw(st.floats(0.0, 0.9))
+        bounds.append((lo, draw(st.floats(lo + 1e-3, 1.0))))
+    source = [lo if at == "lo" else hi if at == "hi" else lo + at * (hi - lo)
+              for (lo, hi), at in zip(bounds, (draw(_where), draw(_where)))]
+    return IntegrationRegion(*bounds[0], *bounds[1]), source
+
+
+@settings(max_examples=80, deadline=None)
+@given(fans=st.lists(_fans(), min_size=1, max_size=6),
+       order=st.integers(1, 16))
+def test_builder_matches_the_per_fan_scheme_bit_for_bit(fans, order):
+    """At equal radial and angular orders, one builder call over many fans
+    gives every fan's points and weights exactly as the per-fan scheme,
+    with interior, edge and corner sources, so flat triangles dropped."""
+    rule = gauss_rule(order)
+    params, weights, counts = singular_quadrature_points(
+        [(r.u0, r.v0, r.u1, r.v1) for r, _ in fans], [s for _, s in fans],
+        rule, rule)
+    expected = [_one_fan(region, source, rule) for region, source in fans]
+    assert counts.tolist() == [len(w) for _, w in expected]
+    assert_array_equal(params, np.concatenate([p for p, _ in expected]))
+    assert_array_equal(weights, np.concatenate([w for _, w in expected]))
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_radial_order_p_plus_one_is_exact_on_polynomials(p):
+    """(P(u, v) - P(s)) / |(u, v) - s|^2, P a tensor polynomial of degree
+    (p, p), is a polynomial of degree 2p - 1 along each fan ray times the
+    Duffy Jacobian's cancellation, so p + 1 radial points give what 24 do."""
+    coeffs = np.random.default_rng(p).uniform(-1.0, 1.0, (p + 1, p + 1))
+    poly = lambda x: np.polynomial.polynomial.polyval2d(x[:, 0], x[:, 1], coeffs)
+    region = IntegrationRegion(0.2, 0.9, 0.1, 0.6)
+    angular = gauss_rule(24)
+    for source in ((0.43, 0.37), (0.2, 0.28), (0.75, 0.6), (0.2, 0.1),
+                   (0.9, 0.6)):
+        totals = []
+        for radial in (gauss_rule(p + 1), angular):
+            pts, w = _fan(region, source, angular, radial)
+            f = (poly(pts) - poly(np.array([source])))
+            f /= ((pts - source) ** 2).sum(axis=1)
+            totals.append((w * f).sum())
+        assert abs(totals[0] - totals[1]) <= 1e-13 * abs(totals[1])
+
+
+def contains(region, param, tol):
+    """True when the point lies in the closed rectangle (with slack)."""
+    u, v = param
+    return (region.u0 - tol <= u <= region.u1 + tol
+            and region.v0 - tol <= v <= region.v1 + tol)
 
 
 def test_contains_mask_matches_contains():
@@ -158,14 +256,15 @@ def test_contains_mask_matches_contains():
                        np.nextafter(hi, np.inf)}
     values = sorted(values)
     params = np.array([(u, v) for u in values for v in values])
-    expected = [[region.contains(p, tol=1e-9) for region in regions]
+    expected = [[contains(region, p, tol=1e-9) for region in regions]
                 for p in params]
     mask = contains_mask(params, regions)
     assert_array_equal(mask, expected)
     # each corner is inside, one step beyond the slack is outside
     outward = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     for j, region in enumerate(regions):
-        corners = region.corners()
+        corners = np.array([[region.u0, region.v0], [region.u1, region.v0],
+                            [region.u1, region.v1], [region.u0, region.v1]])
         assert contains_mask(corners, regions)[:, j].all()
         beyond = np.nextafter(corners + 1e-9 * outward, np.inf * outward)
         assert not contains_mask(beyond, regions)[:, j].any()
