@@ -30,7 +30,10 @@ whole unit square at COARSE_ORDER instead: the order picked by distance,
 after Lachat & Watson (IJNME 1976). Every other row is near and integrated
 alone, its far base regions, views of the Greville batch, with the rest;
 the quad-tree refined regions of all near rows are evaluated in one frame
-and one basis call, their fans chunk by chunk.
+and one basis call, their fans chunk by chunk. A patch whose map is
+affine (a flat face, a straight trim) takes the positions, normals and
+area elements of its Gauss and fan points from that one map instead of
+evaluating the surface at each point.
 A kernel call or near chunk holds at most BLOCK_PAIRS (point, row) pairs,
 so its memory does not grow with the model.
 
@@ -176,6 +179,16 @@ class _PatchContext:
     constant, so p points are exact; the one more is a margin. A smooth
     patch is affine when its 17 x 17 seed grid lies on its affine map
     through three corners to 1e-13 of its extent.
+
+    ``affine`` holds that map, (corner, u edge, v edge, normal, area
+    element), on a smooth affine patch and is None elsewhere. Its normal
+    and area element come from one ``frames_at`` call at (0.5, 0.5), so
+    ``flip_normal`` and the trim map's orientation and Jacobian hold as on
+    the surface. ``_columns`` then takes Gauss data from the map: positions
+    corner + u a + v b element by element, the one normal and area element
+    for all points. ``project``, ``samples``, ``whole_samples`` and the
+    quad-tree still evaluate the surface: the keep tests decide on exact
+    ties, which a position at round-off from the surface's could flip.
     """
 
     def __init__(self, patch, pair, cfg):
@@ -205,11 +218,15 @@ class _PatchContext:
         self.whole_samples = cells[::8, ::8].reshape(9, 3) if smooth else None
         self.whole = None
         corner = cells[0, 0]
-        affine = corner + uu[..., None] * (cells[-1, 0] - corner) \
-            + vv[..., None] * (cells[0, -1] - corner)
+        edge_u, edge_v = cells[-1, 0] - corner, cells[0, -1] - corner
+        mapped = corner + uu[..., None] * edge_u + vv[..., None] * edge_v
+        self.affine = None
         radial = cfg.singular_gauss_order
-        if smooth and np.abs(cells - affine).max() \
+        if smooth and np.abs(cells - mapped).max() \
                 <= 1e-13 * np.ptp(self.seed_positions, axis=0).max():
+            centre = self.patch.frames_at([0.5, 0.5])
+            self.affine = (corner, edge_u, edge_v, centre.normals[0],
+                           centre.areas[0])
             radial = min(radial, max(pair.orders) + 1)
         self.radial_rule = gauss_rule(radial)
         if smooth:
@@ -227,9 +244,21 @@ class _PatchContext:
 
     def _columns(self, params, weights):
         """Positions, normals, weights times areas and basis values."""
-        frames = self.patch.frames_at(params)
-        columns = [frames.positions, frames.normals, weights * frames.areas]
-        del frames  # free the tangents before the basis batch is built
+        if self.affine is not None:
+            corner, edge_u, edge_v, normal, area = self.affine
+            u, v = params.T
+            # (3, m) element by element, as frames_at lays them out, so each
+            # point depends on its own parameters only; the normals are a
+            # copy, not a broadcast view, so each batch owns its columns
+            positions = corner[:, None] + u * edge_u[:, None] \
+                + v * edge_v[:, None]
+            normals = np.tile(normal[:, None], len(params))
+            columns = [positions.T, normals.T, weights * area]
+        else:
+            frames = self.patch.frames_at(params)
+            columns = [frames.positions, frames.normals,
+                       weights * frames.areas]
+            del frames  # free the tangents before the basis batch is built
         return columns + [self.pair.values(params)]
 
     def evaluate(self, regions):

@@ -23,6 +23,7 @@ from gibem.assembly import (
 )
 from gibem.errors import (
     CollocationMismatchWarning,
+    ParameterDomainError,
     QuadratureError,
     UnsupportedModelError,
 )
@@ -673,24 +674,67 @@ def test_knots_inside_a_patch_keep_it_from_the_whole_patch_batch(
     assert [ctx.whole is None for ctx in contexts] == [False, True, True]
 
 
+def _rotated(patch):
+    """``patch`` turned by Rz(0.3) Ry(0.7) Rx(1.1): no normal or edge lies
+    along an axis."""
+    turn = np.eye(3)
+    for axis, angle in ((2, 0.3), (1, 0.7), (0, 1.1)):
+        i, j = [k for k in range(3) if k != axis]
+        step = np.eye(3)
+        step[[i, i, j, j], [i, j, i, j]] = (np.cos(angle), -np.sin(angle),
+                                            np.sin(angle), np.cos(angle))
+        turn = turn @ step
+    return dataclasses.replace(patch,
+                               control_points=patch.control_points @ turn.T)
+
+
+def _affine_patches():
+    """The six cube faces, the two straight trimmed halves of the top face,
+    a rotated face and a face with a flipped normal."""
+    cube = build_cube_model(2)
+    halves = build_trimmed_cube_model(2, 0.4).patches[1:3]
+    face = cube.patches[0]
+    return cube.patches + halves + (
+        _rotated(face), dataclasses.replace(face, flip_normal=True))
+
+
+def _draw_params(rng, n):
+    return np.vstack([[[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]],
+                      rng.random((n - 3, 2))])
+
+
 def test_fans_go_radially_at_p_plus_one_only_on_smooth_affine_patches():
     """A fan's radial order is p + 1, p the larger field degree, capped at
     singular_gauss_order, on a patch that no interior knot cuts and whose
-    map is affine: the cube faces and the straight trimmed halves. The
-    bulged face, a face trimmed along a quadratic curve, a flat trapezoid
-    (bilinear, not affine) and an h-refined field keep
-    singular_gauss_order."""
-    def radial(patch, pair, cfg=SolverConfig()):
-        return _PatchContext(patch, pair, cfg).radial_rule.order
+    map is affine: the cube faces, the straight trimmed halves and a rotated
+    or flipped face. The same test sets ``affine``, from which ``_columns``
+    takes positions, normals and area elements that match ``frames_at`` to
+    1e-14. The bulged face, a face trimmed along a quadratic curve, a flat
+    trapezoid (bilinear, not affine) and an h-refined field keep
+    singular_gauss_order and no ``affine``."""
+    def context(patch, pair, cfg=SolverConfig()):
+        return _PatchContext(patch, pair, cfg)
 
-    cube = build_trimmed_cube_model(2, 0.4)
-    for p in (1, 2, 3, 5):
-        for patch in cube.patches:
-            assert radial(patch, FieldSpacePair.from_orders(p)) == p + 1
-    face = cube.patches[0]
-    assert radial(face, FieldSpacePair.from_orders(2, 4)) == 5
-    assert radial(face, FieldSpacePair.from_orders(5),
-                  SolverConfig(singular_gauss_order=4)) == 4
+    rng = np.random.default_rng(7)
+    params, weights = _draw_params(rng, 40), rng.random(40)
+    for patch in _affine_patches():
+        for p in (1, 2, 3, 5):
+            ctx = context(patch, FieldSpacePair.from_orders(p))
+            assert ctx.radial_rule.order == p + 1
+            assert ctx.affine is not None
+        positions, normals, scaled, values = ctx._columns(params, weights)
+        frames = patch.frames_at(params)
+        assert np.abs(positions - frames.positions).max() \
+            <= 1e-14 * np.abs(frames.positions).max()
+        assert np.abs(normals - frames.normals).max() <= 1e-14
+        assert_allclose(scaled, weights * frames.areas, rtol=1e-14, atol=0)
+        assert_array_equal(values, ctx.pair.values(params))
+    face = build_cube_model(2).patches[0]
+    assert context(face, FieldSpacePair.from_orders(2, 4)).radial_rule.order \
+        == 5
+    assert context(face, FieldSpacePair.from_orders(5),
+                   SolverConfig(singular_gauss_order=4)).radial_rule.order \
+        == 4
     line = TrimmingCurve(unit_interval_space(1),
                          np.array([[0.0, 0.0], [0.0, 1.0]]))
     curve = TrimmingCurve(unit_interval_space(2),
@@ -705,7 +749,37 @@ def test_fans_go_radially_at_p_plus_one_only_on_smooth_affine_patches():
             (TrimmedPatch(face, line, curve), order3),
             (trapezoid, order3),
             (face, FieldSpacePair.from_orders(3, interior_u=(0.5,)))):
-        assert radial(patch, pair) == SolverConfig().singular_gauss_order
+        ctx = context(patch, pair)
+        assert ctx.radial_rule.order == SolverConfig().singular_gauss_order
+        assert ctx.affine is None
+
+
+@pytest.mark.parametrize("index", [1, 6, 8])
+def test_affine_columns_do_not_depend_on_the_batch(index):
+    """On an affine patch (a trimmed half, a cube face, a rotated face) the
+    Gauss data of two parameter sets evaluated together equals that of the
+    two evaluated apart, bit for bit."""
+    patch = _affine_patches()[index]
+    ctx = _PatchContext(patch, FieldSpacePair.from_orders(3), SolverConfig())
+    assert ctx.affine is not None
+    rng = np.random.default_rng(index)
+    params = [_draw_params(rng, 7), rng.random((50, 2))]
+    weights = [rng.random(7), rng.random(50)]
+    together = ctx._columns(np.concatenate(params), np.concatenate(weights))
+    apart = [ctx._columns(*args) for args in zip(params, weights)]
+    for got, *parts in zip(together, *apart, strict=True):
+        assert_array_equal(got, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1.5), (-0.25, 0.5), (np.nan, 0.5)])
+def test_affine_columns_reject_parameters_off_the_patch(bad):
+    """An affine patch builds its Gauss data without evaluating the surface,
+    so the basis values are what reject a parameter outside [0, 1]."""
+    ctx = _PatchContext(build_cube_model(2).patches[0],
+                        FieldSpacePair.from_orders(2), SolverConfig())
+    assert ctx.affine is not None
+    with pytest.raises(ParameterDomainError):
+        ctx._columns(np.array([[0.5, 0.5], bad]), np.ones(2))
 
 
 def test_far_blocks_keep_to_block_pairs(monkeypatch):
