@@ -35,7 +35,8 @@ affine (a flat face, a straight trim) takes the positions, normals and
 area elements of its Gauss and fan points from that one map instead of
 evaluating the surface at each point.
 A kernel call or near chunk holds at most BLOCK_PAIRS (point, row) pairs,
-so its memory does not grow with the model.
+so its memory does not grow with the model. Regions travel as rows of
+(r, 4) bounds arrays, and through the quad-tree as PAIR records.
 
 A mirror image M, a diagonal reflection with signs s_i = M_ii, only flips
 signs: bit for bit, T(M y - x, M n) = M T(y - M x, n) M and, for a load
@@ -59,11 +60,11 @@ from .errors import (
 )
 from .kernels import kelvin_T_many, kelvin_U_many
 from .model import symmetry_group
-# singular_quadrature_points is called through this module's global, so a
-# wrapper set on gibem.assembly sees every call
-from .quadrature import IntegrationRegion, contains_mask, far_mask, \
+# quadtree_refine and singular_quadrature_points are called through this
+# module's globals, so a wrapper set on gibem.assembly sees every call
+from .quadrature import PAIR, contains_mask, far_mask, gauss_points, \
     gauss_rule, quadtree_refine, region_partition, region_samples, \
-    singular_quadrature_points
+    singular_quadrature_points, split
 
 __all__ = [
     "CollocationSet",
@@ -230,15 +231,14 @@ class _PatchContext:
             radial = min(radial, max(pair.orders) + 1)
         self.radial_rule = gauss_rule(radial)
         if smooth:
-            self.whole = self._batch([IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
+            self.whole = self._batch([0.0, 0.0, 1.0, 1.0],
                                      gauss_rule(COARSE_ORDER))
         self.greville = self._batch(self.regions, self.rule)
         self.base = list(zip(
             *(np.split(c, len(self.regions)) for c in self.greville)))
 
-    def _batch(self, regions, rule):
-        quad = [region.gauss_points(rule) for region in regions]
-        columns = self._columns(*(np.concatenate(c) for c in zip(*quad)))
+    def _batch(self, bounds, rule):
+        columns = self._columns(*gauss_points(bounds, rule))
         columns[3] *= columns[2][:, None]
         return columns
 
@@ -261,29 +261,27 @@ class _PatchContext:
             del frames  # free the tangents before the basis batch is built
         return columns + [self.pair.values(params)]
 
-    def evaluate(self, regions):
+    def evaluate(self, bounds):
         """Quadrature data (positions, normals, weights, weighted basis) of
-        quad-tree refined ``regions``, keyed by region: views of one
-        ``_batch`` of the distinct regions, in first-seen order."""
-        refined = list(dict.fromkeys(regions))
-        if not refined:
-            return {}
-        return dict(zip(refined, zip(
-            *(np.split(c, len(refined))
-              for c in self._batch(refined, self.rule)))))
-
-    def fans(self, fans):
-        """Quadrature data of ``fans``, (region, singular parameter) pairs,
-        one tuple of views per fan from one ``singular_quadrature_points``
-        and one ``_columns`` call. Each fan's basis values are less those at
-        its singular parameter, from one more ``values`` call, before
-        weighting."""
-        if not fans:
+        (r, 4) quad-tree refined ``bounds``, one tuple per region: views of
+        one ``_batch`` of the distinct regions."""
+        if not len(bounds):
             return []
-        sources = np.array([param for _, param in fans])
+        distinct, which = np.unique(bounds, axis=0, return_inverse=True)
+        data = list(zip(*(np.split(c, len(distinct))
+                          for c in self._batch(distinct, self.rule))))
+        return [data[k] for k in which]
+
+    def fans(self, bounds, sources):
+        """Quadrature data of the fans over (k, 4) ``bounds`` around their
+        (k, 2) singular parameters ``sources``, one tuple of views per fan
+        from one ``singular_quadrature_points`` and one ``_columns`` call.
+        Each fan's basis values are less those at its singular parameter,
+        from one more ``values`` call, before weighting."""
+        if not len(bounds):
+            return []
         params, weights, counts = singular_quadrature_points(
-            [(r.u0, r.v0, r.u1, r.v1) for r, _ in fans], sources,
-            self.radial_rule, self.singular_rule)
+            bounds, sources, self.radial_rule, self.singular_rule)
         columns = self._columns(params, weights)
         columns[3] -= np.repeat(self.pair.values(sources), counts, axis=0)
         columns[3] *= columns[2][:, None]
@@ -326,25 +324,26 @@ class _PatchContext:
         return params, dist
 
 
-def _split_singular(regions, params, depth=0):
-    """Pair each region holding a singular parameter with exactly one."""
-    if depth > 40:
-        raise QuadratureError(
-            "could not separate singular parameters into distinct regions"
-        )
-    singular = []
-    regular = []
-    for region, hits in zip(regions, contains_mask(params, regions).T):
-        inside = [p for p, hit in zip(params, hits) if hit]
-        if not inside:
-            regular.append(region)
-        elif len(inside) == 1:
-            singular.append((region, inside[0]))
-        else:
-            sub_s, sub_r = _split_singular(region.split(), inside, depth + 1)
-            singular.extend(sub_s)
-            regular.extend(sub_r)
-    return singular, regular
+def _split_singular(pairs, params):
+    """Split the PAIR records ``pairs`` until each region holds at most one
+    of the (p, 2) singular ``params``, depth first: the first region holding
+    more is replaced in place by its quarters, down to depth 40. Returns the
+    bounds of the regions holding one, the parameter each holds, and the
+    records of the others."""
+    while True:
+        hits = contains_mask(params, pairs["bounds"])
+        many = np.flatnonzero(hits.sum(axis=0) > 1)
+        if not many.size:
+            one = hits.any(axis=0)
+            return (pairs["bounds"][one], params[hits[:, one].argmax(axis=0)],
+                    pairs[~one])
+        k = many[0]
+        if pairs["depth"][k] >= 40:
+            raise QuadratureError(
+                "could not separate singular parameters into distinct regions"
+            )
+        pairs = np.concatenate([pairs[:k], split(pairs[k:k + 1]),
+                                pairs[k + 1:]], dtype=PAIR)
 
 
 class _Rows:
@@ -409,11 +408,13 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     whole patch: those whose base regions are all far, on a patch with
     ``whole`` that passes ``far_mask`` as one region. The other rows whose
     base regions are all far, which take the Greville batch. And a dict
-    from each near row, every other row, in row order, to three things:
-    its fans as (region, singular parameter) pairs, a mask of the base
-    regions it takes whole, and its quad-tree refined regions. Far base
+    from each near row, every other row, in row order, to four things: its
+    fans' bounds and singular parameters, a mask of the base regions it
+    takes whole, and the bounds of its quad-tree refined regions. Far base
     regions are taken whole by index, so only the others, which the
-    quad-tree refines, go through one ``quadtree_refine`` call for all.
+    quad-tree refines, go through one ``quadtree_refine`` call for all as
+    PAIR records; their depth tells a base region kept at the depth cap,
+    taken whole by its index too, from a refined region.
     """
     far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
     aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
@@ -428,24 +429,25 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     if ctx.whole is not None:
         whole = wholly_far & far_mask(ctx.whole_samples, targets,
                                       cfg.quadtree_threshold)
-    order = np.argsort(rows, kind="stable")
-    held, starts = np.unique(rows[order], return_index=True)
-    singular = dict(zip(held, np.split(sing[order], starts[1:])))
-    near, pairs = {}, []
+    fans, pairs = {}, [np.zeros(0, PAIR)]
     for t in np.flatnonzero(~wholly_far):
         # the regions holding singular parameters are among these
-        fans, regular = [], [ctx.regions[i] for i in np.flatnonzero(~far[t])]
-        if t in singular:
-            fans, regular = _split_singular(regular, singular[t])
-        near[t] = (fans, far[t].copy(), [])
-        pairs += [(t, region) for region in regular]
-    for t, region in quadtree_refine(pairs, targets, ctx.patch.points_at,
-                                     cfg.quadtree_threshold,
-                                     cfg.quadtree_max_depth):
-        if region.depth:
-            near[t][2].append(region)
-        else:  # a base region kept at the depth cap
-            near[t][1][ctx.regions.index(region)] = True
+        regular = np.zeros(np.count_nonzero(~far[t]), PAIR)
+        regular["row"], regular["base"] = t, np.flatnonzero(~far[t])
+        regular["bounds"] = ctx.regions[regular["base"]]
+        params = sing[rows == t]
+        fans[t] = regular["bounds"][:0], params
+        if len(params):
+            *fans[t], regular = _split_singular(regular, params)
+        pairs.append(regular)
+    kept = quadtree_refine(np.concatenate(pairs, dtype=PAIR), targets,
+                           ctx.patch.points_at, cfg.quadtree_threshold,
+                           cfg.quadtree_max_depth)
+    capped = kept[kept["depth"] == 0]  # base regions kept at the depth cap
+    far[capped["row"], capped["base"]] = True
+    refined = kept[kept["depth"] > 0]
+    near = {t: (*fans[t], far[t], refined["bounds"][refined["row"] == t])
+            for t in fans}
     return whole, wholly_far & ~whole, near
 
 
@@ -456,7 +458,7 @@ def _near_chunks(near, ctx):
     goes over only when one row alone does."""
     fan = 4 * ctx.radial_rule.order * ctx.singular_rule.order
     chunks, size = [], BLOCK_PAIRS  # full: the first row opens a chunk
-    for t, (fans, base, refined) in near.items():
+    for t, (fans, _, base, refined) in near.items():
         pairs = (fan * len(fans)
                  + ctx.rule.order**2 * (np.count_nonzero(base) + len(refined)))
         if size + pairs > BLOCK_PAIRS:
@@ -502,16 +504,17 @@ def _engine(model, colloc):
             ctx, slot[:, ids[index]][hit],
             pair.greville_params()[index[np.nonzero(hit)[1]]],
             positions[node_of], row_targets, cfg, colloc.merge_tol)
-        data = ctx.evaluate(
-            [region for _, _, refined in near.values() for region in refined])
+        data = iter(ctx.evaluate(np.concatenate(
+            [np.zeros((0, 4)), *(refined for *_, refined in near.values())])))
         parts = [np.zeros((len(image), 3, 3, len(ids))),
                  np.zeros((len(image), 3))]
         for chunk in _near_chunks(near, ctx):
-            fans = iter(ctx.fans([fan for t in chunk for fan in near[t][0]]))
+            fans = iter(ctx.fans(*(np.concatenate([near[t][k] for t in chunk])
+                                   for k in (0, 1))))
             for t in chunk:
                 columns = [next(fans) for _ in near[t][0]]
-                columns += [ctx.base[i] for i in np.flatnonzero(near[t][1])]
-                columns += [data[region] for region in near[t][2]]
+                columns += [ctx.base[i] for i in np.flatnonzero(near[t][2])]
+                columns += [next(data) for _ in near[t][3]]
                 integrals = rows.integrate(
                     row_targets[t:t + 1],
                     *(np.concatenate(c) for c in zip(*columns)))

@@ -6,6 +6,11 @@ point are split recursively (quad-tree) until their size is comparable to
 their distance from it; the rectangle containing the source itself is
 integrated with a triangle fan around the source whose degenerate mapping
 absorbs the 1/r singularity of the displacement kernel.
+
+A set of r rectangles is an (r, 4) array of bounds (u0, v0, u1, v1). Each
+function here treats every row on its own, so one call over r rectangles
+gives what r one-rectangle calls give, bit for bit. The quad-tree carries
+rectangles as PAIR records.
 """
 from __future__ import annotations
 
@@ -20,8 +25,10 @@ from .splines import BasisSpace, greville_abscissae
 
 __all__ = [
     "GaussRule",
-    "IntegrationRegion",
+    "PAIR",
     "gauss_rule",
+    "gauss_points",
+    "split",
     "region_partition",
     "region_samples",
     "far_mask",
@@ -64,44 +71,37 @@ def gauss_rule(order: int) -> GaussRule:
     return _cached_rule(int(order))
 
 
-@dataclass(frozen=True)
-class IntegrationRegion:
-    """Axis-aligned rectangle in a patch's unit parameter square."""
+# A quad-tree pair, one record per region: ``row``, the index of the source
+# it is refined for; ``base``, the index of the base region it lies in;
+# ``bounds`` (u0, v0, u1, v1); ``depth``, its splits from that base region.
+PAIR = np.dtype([("row", np.intp), ("base", np.intp), ("bounds", float, 4),
+                 ("depth", np.intp)])
 
-    u0: float
-    u1: float
-    v0: float
-    v1: float
-    depth: int = 0
 
-    def __post_init__(self):
-        if not (self.u0 < self.u1 and self.v0 < self.v1):
-            raise QuadratureError(f"empty integration region {self}")
+def split(pairs) -> np.ndarray:
+    """The PAIR records of each record's quarters, one level deeper, row and
+    base region inherited: record after record, each as low u low v, high u
+    low v, low u high v, high u high v."""
+    u0, v0, u1, v1 = pairs["bounds"].T
+    lines = np.stack([u0, 0.5 * (u0 + u1), u1, v0, 0.5 * (v0 + v1), v1], 1)
+    out = np.repeat(pairs, 4)
+    out["bounds"] = lines[:, [[0, 3, 1, 4], [1, 3, 2, 4], [0, 4, 1, 5],
+                              [1, 4, 2, 5]]].reshape(-1, 4)
+    out["depth"] += 1
+    return out
 
-    @property
-    def area(self) -> float:
-        return (self.u1 - self.u0) * (self.v1 - self.v0)
 
-    def split(self) -> list["IntegrationRegion"]:
-        um = 0.5 * (self.u0 + self.u1)
-        vm = 0.5 * (self.v0 + self.v1)
-        d = self.depth + 1
-        return [
-            IntegrationRegion(self.u0, um, self.v0, vm, d),
-            IntegrationRegion(um, self.u1, self.v0, vm, d),
-            IntegrationRegion(self.u0, um, vm, self.v1, d),
-            IntegrationRegion(um, self.u1, vm, self.v1, d),
-        ]
-
-    def gauss_points(self, rule: GaussRule):
-        """Tensor Gauss points and weights scaled to the rectangle."""
-        gu = 0.5 * (self.u0 + self.u1) + 0.5 * (self.u1 - self.u0) * rule.nodes
-        gv = 0.5 * (self.v0 + self.v1) + 0.5 * (self.v1 - self.v0) * rule.nodes
-        params = np.stack(
-            [np.repeat(gu, rule.order), np.tile(gv, rule.order)], axis=1
-        )
-        wts = np.outer(rule.weights, rule.weights).reshape(-1) * (self.area / 4.0)
-        return params, wts
+def gauss_points(bounds, rule: GaussRule):
+    """Tensor Gauss points (r n^2, 2) and weights (r n^2,) scaled to (r, 4)
+    rectangles, rectangle after rectangle, n = ``rule.order``."""
+    u0, v0, u1, v1 = np.reshape(bounds, (-1, 4)).T[..., None]
+    gu = 0.5 * (u0 + u1) + 0.5 * (u1 - u0) * rule.nodes
+    gv = 0.5 * (v0 + v1) + 0.5 * (v1 - v0) * rule.nodes
+    params = np.stack([np.repeat(gu, rule.order, axis=1),
+                       np.tile(gv, rule.order)], axis=2)
+    wts = np.outer(rule.weights, rule.weights).reshape(-1) \
+        * (((u1 - u0) * (v1 - v0)) / 4.0)
+    return params.reshape(-1, 2), wts.reshape(-1)
 
 
 def _cut_lines(space: BasisSpace) -> np.ndarray:
@@ -114,20 +114,18 @@ def _cut_lines(space: BasisSpace) -> np.ndarray:
     return np.asarray(out)
 
 
-def region_partition(field_u: BasisSpace,
-                     field_v: BasisSpace) -> list[IntegrationRegion]:
-    """Rectangles bounded by lines through the interior collocation abscissae.
+def region_partition(field_u: BasisSpace, field_v: BasisSpace) -> np.ndarray:
+    """Rectangles bounded by lines through the interior collocation
+    abscissae, as (r, 4) bounds (u0, v0, u1, v1), u-major.
 
     Collocation points land on region corners by construction, which is what
     the singular integration scheme expects.
     """
     lines_u = _cut_lines(field_u)
     lines_v = _cut_lines(field_v)
-    return [
-        IntegrationRegion(lines_u[i], lines_u[i + 1], lines_v[j], lines_v[j + 1])
-        for i in range(lines_u.size - 1)
-        for j in range(lines_v.size - 1)
-    ]
+    lo = np.meshgrid(lines_u[:-1], lines_v[:-1], indexing="ij")
+    hi = np.meshgrid(lines_u[1:], lines_v[1:], indexing="ij")
+    return np.stack([*lo, *hi], axis=2).reshape(-1, 4)
 
 
 _SAMPLE_GRID = np.stack(
@@ -135,17 +133,13 @@ _SAMPLE_GRID = np.stack(
 ).reshape(-1, 2)
 
 
-def _sample_params(region: IntegrationRegion) -> np.ndarray:
-    lo = np.array([region.u0, region.v0])
-    size = np.array([region.u1 - region.u0, region.v1 - region.v0])
-    return lo + _SAMPLE_GRID * size
-
-
-def region_samples(regions, point_fn) -> np.ndarray:
-    """Mapped 3x3 sample grids, (r, 9, 3), from one ``point_fn`` call on
-    the (r * 9, 2) sample parameters of all regions, region by region."""
-    params = np.concatenate([_sample_params(region) for region in regions])
-    return point_fn(params).reshape(len(regions), len(_SAMPLE_GRID), 3)
+def region_samples(bounds, point_fn) -> np.ndarray:
+    """Mapped 3x3 sample grids, (r, 9, 3), of (r, 4) rectangles from one
+    ``point_fn`` call on their (r * 9, 2) sample parameters, rectangle by
+    rectangle."""
+    lo, hi = np.reshape(bounds, (-1, 1, 2, 2)).transpose(2, 0, 1, 3)
+    params = (lo + _SAMPLE_GRID * (hi - lo)).reshape(-1, 2)
+    return point_fn(params).reshape(len(lo), len(_SAMPLE_GRID), 3)
 
 
 def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
@@ -161,53 +155,51 @@ def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
     return size <= threshold * dist
 
 
-def contains_mask(params, regions) -> np.ndarray:
+def contains_mask(params, bounds) -> np.ndarray:
     """Entry (i, j) is True where ``params[i]`` lies in the closed rectangle
-    ``regions[j]`` widened by 1e-9 on every side."""
-    bounds = np.array([[r.u0, r.v0, r.u1, r.v1] for r in regions]) \
+    ``bounds[j]``, (u0, v0, u1, v1), widened by 1e-9 on every side."""
+    bounds = np.asarray(bounds, dtype=float).reshape(-1, 4) \
         + [-1e-9, -1e-9, 1e-9, 1e-9]
     params = np.asarray(params, dtype=float).reshape(-1, 1, 2)
     return ((bounds[:, :2] <= params) & (params <= bounds[:, 2:])).all(axis=2)
 
 
 def quadtree_refine(pairs, sources, point_fn, threshold: float = 1.0,
-                    max_depth: int = 6) -> list:
-    """Split the region of each (source index, region) pair until its mapped
-    size is below ``threshold`` times the distance to ``sources[index]``.
+                    max_depth: int = 6) -> np.ndarray:
+    """Split the region of each PAIR record until its mapped size is below
+    ``threshold`` times the distance to ``sources[row]``.
 
     ``point_fn`` maps an (m, 2) parameter array to (m, 3) surface points.
     Per level, the distinct regions are mapped in one ``point_fn`` call and
     the level's pairs, and only those, are decided by one ``far_mask``
     call.  Regions containing their source are the singular integration's
-    job, not this one's.  Kept pairs come back sorted stably by source
-    index, each source's regions in level-by-level order; regions that
-    pass ``far_mask`` come back unsplit, as the same objects.  Hitting the
+    job, not this one's.  Kept pairs come back as PAIR records sorted
+    stably by row, each row's regions in level-by-level order; regions that
+    pass ``far_mask`` come back unsplit, at their own depth.  Hitting the
     depth cap logs a warning and keeps the region.
     """
     sources = np.asarray(sources, dtype=float).reshape(-1, 3)
-    out, capped, level = [], [], list(pairs)
-    while level:
-        column = {}  # each distinct region's index, in first-seen order
-        cols = [column.setdefault(region, len(column)) for _, region in level]
-        far = far_mask(region_samples(column, point_fn)[cols],
-                       sources[[source for source, _ in level]], threshold)
-        deeper = []
-        for (source, region), keep in zip(level, far):
-            if keep or region.depth >= max_depth:
-                if not keep:
-                    capped.append(source)
-                out.append((source, region))
-            else:
-                deeper.extend((source, sub) for sub in region.split())
-        level = deeper
-    if capped:
+    level = np.asarray(pairs, dtype=PAIR)
+    out, capped = [level[:0]], [level["row"][:0]]
+    while level.size:
+        distinct, column = np.unique(level["bounds"], axis=0,
+                                     return_inverse=True)
+        far = far_mask(region_samples(distinct, point_fn)[column],
+                       sources[level["row"]], threshold)
+        kept = far | (level["depth"] >= max_depth)
+        capped.append(level["row"][kept & ~far])
+        out.append(level[kept])
+        level = split(level[~kept])
+    capped = np.concatenate(capped)
+    if capped.size:
         log.warning(
             "quad-tree depth cap %d reached for %d region(s) near sources %s",
-            max_depth, len(capped),
+            max_depth, capped.size,
             np.array2string(np.unique(sources[capped], axis=0), precision=4,
                             max_line_width=np.inf),
         )
-    return sorted(out, key=lambda pair: pair[0])
+    out = np.concatenate(out, dtype=PAIR)
+    return out[np.argsort(out["row"], kind="stable")]
 
 
 def singular_quadrature_points(bounds, sources, radial: GaussRule,

@@ -29,7 +29,7 @@ from gibem.model import (
     build_cube_model,
     build_trimmed_cube_model,
 )
-from gibem.quadrature import IntegrationRegion, gauss_rule, quadtree_refine
+from gibem.quadrature import PAIR, gauss_points, gauss_rule, quadtree_refine
 from gibem.solve import elevate_model_order, remove_rigid_motion, solve_model
 from gibem.splines import BasisSpace, bspline_basis_many, unit_interval_space
 
@@ -145,7 +145,7 @@ def test_criterion_3_trimming_map():
     shoelace = 0.5 * abs(
         np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
     )
-    params, wts = IntegrationRegion(0, 1, 0, 1).gauss_points(gauss_rule(6))
+    params, wts = gauss_points((0, 0, 1, 1), gauss_rule(6))
     area = float(wts @ areas_at(trapezoid, params))
     area_err = abs(area - shoelace)
 
@@ -218,15 +218,17 @@ def test_criterion_4_kernel_identities():
     total = np.zeros((3, 3))
     rule = gauss_rule(10)
     for patch in build_cube_model().patches:
+        square = np.zeros(1, PAIR)
+        square["bounds"] = 0.0, 0.0, 1.0, 1.0
         pairs = quadtree_refine(
-            [(0, IntegrationRegion(0.0, 1.0, 0.0, 1.0))],
+            square,
             source,
             patch.points_at,
             threshold=0.5,
             max_depth=8,
         )
-        for _, region in pairs:
-            params, wts = region.gauss_points(rule)
+        for region in pairs["bounds"]:
+            params, wts = gauss_points(region, rule)
             frames = patch.frames_at(params)
             kernel = kelvin_T_many(
                 (frames.positions - source).T, frames.normals.T, material

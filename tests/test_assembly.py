@@ -44,12 +44,14 @@ from gibem.model import (
     symmetry_group,
 )
 from gibem.quadrature import (
-    IntegrationRegion,
+    PAIR,
     contains_mask,
     far_mask,
+    gauss_points,
     gauss_rule,
     region_partition,
     region_samples,
+    split,
 )
 from gibem.splines import BasisSpace, unit_interval_space
 
@@ -290,16 +292,25 @@ def test_base_regions_are_held_only_in_the_far_batch():
     # region; ``base`` holds views of it, and evaluate hands out views of
     # one shared batch for the refined regions, each evaluated once
     points = ctx.rule.order**2
-    refined = ctx.regions[0].split() + ctx.regions[-1].split()[0].split()
-    data = ctx.evaluate(refined + refined[::2])
-    assert len(data) == len(refined)
-    for k, region in enumerate(ctx.regions + refined):
+    pairs = np.zeros(2, PAIR)
+    pairs["bounds"] = ctx.regions[[0, -1]]
+    # base region 0's quarters and those of the last one's first quarter
+    refined = np.concatenate(
+        [split(pairs[:1]), split(split(pairs[1:])[:1])])["bounds"]
+    data = ctx.evaluate(np.concatenate([refined, refined[::2]]))
+    assert len(data) == len(refined) + len(refined[::2])
+    assert data[0][2].base.size == len(refined) * points
+    for k in range(0, len(refined), 2):
+        assert all(got is want for got, want
+                   in zip(data[len(refined) + k // 2], data[k], strict=True))
+    for k, region in enumerate(np.concatenate([ctx.regions, refined])):
         positions, normals, weights, basis = ctx._columns(
-            *region.gauss_points(ctx.rule))
+            *gauss_points(region, ctx.rule))
         for column, want, far, shared in zip(
-                ctx.base[k] if k < len(ctx.regions) else data[region],
+                ctx.base[k] if k < len(ctx.regions)
+                else data[k - len(ctx.regions)],
                 (positions, normals, weights, weights[:, None] * basis),
-                ctx.greville, data[refined[0]], strict=True):
+                ctx.greville, data[0], strict=True):
             assert np.array_equal(column, want)
             if k < len(ctx.regions):
                 assert np.array_equal(far[k * points:(k + 1) * points], want)
@@ -310,8 +321,7 @@ def test_base_regions_are_held_only_in_the_far_batch():
     assert len(ctx.greville[0]) == len(ctx.regions) * points
     # the whole-patch batch is the unit square as one region
     positions, normals, weights, basis = ctx._columns(
-        *IntegrationRegion(0.0, 1.0, 0.0, 1.0).gauss_points(
-            gauss_rule(COARSE_ORDER)))
+        *gauss_points((0.0, 0.0, 1.0, 1.0), gauss_rule(COARSE_ORDER)))
     for column, far in zip((positions, normals, weights,
                             weights[:, None] * basis), ctx.whole, strict=True):
         assert np.array_equal(column, far)
@@ -319,8 +329,9 @@ def test_base_regions_are_held_only_in_the_far_batch():
 
 class TestSplitSingular:
     # two base regions side by side; together they cover [0, 1] x [0.25, 1]
-    LEFT = IntegrationRegion(0.0, 0.5, 0.25, 1.0)
-    RIGHT = IntegrationRegion(0.5, 1.0, 0.25, 1.0)
+    PAIRS = np.zeros(2, PAIR)
+    PAIRS["base"] = 0, 1
+    PAIRS["bounds"] = (0.0, 0.25, 0.5, 1.0), (0.5, 0.25, 1.0, 1.0)
 
     @pytest.mark.parametrize("params", [
         [(0.1, 0.3), (0.4, 0.9)],
@@ -329,32 +340,78 @@ class TestSplitSingular:
         [(0.25, 0.625), (0.25, 0.5), (0.5, 1.0)],
     ])
     def test_each_parameter_gets_its_own_regions(self, params):
-        params = [np.array(p) for p in params]
-        fans, regular = _split_singular([self.LEFT, self.RIGHT], params)
-        for region, param in fans:
-            hits = contains_mask(params, [region])[:, 0]
-            inside = [p for p, hit in zip(params, hits) if hit]
-            assert len(inside) == 1 and inside[0] is param
-        assert {id(param) for _, param in fans} == {id(p) for p in params}
-        assert not (regular and contains_mask(params, regular).any())
+        params = np.array(params)
+        fans, sources, regular = _split_singular(self.PAIRS, params)
+        for region, source in zip(fans, sources, strict=True):
+            assert_array_equal(params[contains_mask(params, region)[:, 0]],
+                               [source])
+        assert {*map(tuple, sources)} == {*map(tuple, params)}
+        assert not contains_mask(params, regular["bounds"]).any()
+        # a record keeps its base region, and depth 0 only when it is one
+        unsplit = (regular["bounds"] == self.PAIRS["bounds"][regular["base"]])
+        assert_array_equal(regular["depth"] == 0, unsplit.all(axis=1))
 
-        pieces = regular + [region for region, _ in fans]
-        assert len(set(pieces)) == len(pieces)
-        for piece in pieces:
-            assert 0.0 <= piece.u0 and piece.u1 <= 1.0
-            assert 0.25 <= piece.v0 and piece.v1 <= 1.0
+        pieces = np.concatenate([regular["bounds"], fans])
+        assert len(np.unique(pieces, axis=0)) == len(pieces)
+        u0, v0, u1, v1 = pieces.T
+        assert (0.0 <= u0).all() and (u1 <= 1.0).all()
+        assert (0.25 <= v0).all() and (v1 <= 1.0).all()
         for k, a in enumerate(pieces):
             for b in pieces[k + 1:]:
-                overlap_u = min(a.u1, b.u1) - max(a.u0, b.u0)
-                overlap_v = min(a.v1, b.v1) - max(a.v0, b.v0)
+                overlap_u = min(a[2], b[2]) - max(a[0], b[0])
+                overlap_v = min(a[3], b[3]) - max(a[1], b[1])
                 assert overlap_u <= 0 or overlap_v <= 0
-        assert_allclose(sum(piece.area for piece in pieces), 0.75,
-                        rtol=1e-14)
+        assert_allclose(((u1 - u0) * (v1 - v0)).sum(), 0.75, rtol=1e-14)
 
     def test_coincident_parameters_raise(self):
         with pytest.raises(QuadratureError):
-            _split_singular([self.LEFT], [np.array([0.2, 0.4]),
-                                          np.array([0.2, 0.4])])
+            _split_singular(self.PAIRS[:1], np.array([[0.2, 0.4], [0.2, 0.4]]))
+
+
+@pytest.mark.parametrize("height, max_depth", [(0.0, 1), (5.0, 6)])
+def test_plan_keeps_split_regions_out_of_the_base_mask(height, max_depth,
+                                                       monkeypatch):
+    """A row with three singular parameters in the one base region of a
+    unit square: two in its low quarter, one in its high quarter. Its
+    regular pieces reach the quad-tree at depths 1 to 3 and stay whole
+    there, at the depth cap 1 for a target on the patch and as far regions
+    for one 5 above it. Kept at depth >= 1, they are the row's refined
+    regions, in ``_split_singular``'s depth-first order, and the base
+    region, which holds the singular parameters, stays out of the base
+    mask. The fans come depth first too: both low ones before the high
+    one."""
+    cfg = dataclasses.replace(SolverConfig(), quadtree_max_depth=max_depth)
+    ctx = _PatchContext(flat_square(), FieldSpacePair.from_orders(1), cfg)
+    assert len(ctx.regions) == 1
+    params = np.array([[0.1, 0.1], [0.2, 0.2], [0.8, 0.8]])
+    target = np.array([[0.1, 0.1, height]])
+    seen = []
+    refine = gibem.assembly.quadtree_refine
+
+    def recording_refine(pairs, *args):
+        seen.append(pairs.copy())
+        return refine(pairs, *args)
+
+    monkeypatch.setattr(gibem.assembly, "quadtree_refine", recording_refine)
+    whole, greville, near = gibem.assembly._plan(
+        ctx, np.zeros(3, dtype=int), params, target, target, cfg, 1e-9)
+    assert not whole.any() and not greville.any() and list(near) == [0]
+    fans, sources, base, refined = near[0]
+    assert_array_equal(sources, params)
+    assert_array_equal(fans, [(0.0, 0.0, 0.125, 0.125),
+                              (0.125, 0.125, 0.25, 0.25),
+                              (0.5, 0.5, 1.0, 1.0)])
+    assert_array_equal(base, [False])
+    [pairs] = seen
+    assert_array_equal(pairs["depth"], [3, 3, 2, 2, 2, 1, 1])
+    assert_array_equal(refined, pairs["bounds"])
+    assert_array_equal(refined, [(0.125, 0.0, 0.25, 0.125),
+                                 (0.0, 0.125, 0.125, 0.25),
+                                 (0.25, 0.0, 0.5, 0.25),
+                                 (0.0, 0.25, 0.25, 0.5),
+                                 (0.25, 0.25, 0.5, 0.5),
+                                 (0.5, 0.0, 1.0, 0.5),
+                                 (0.0, 0.5, 0.5, 1.0)])
 
 
 def trimmed_bulged_model():
@@ -509,9 +566,9 @@ class TestOctantAssembly:
         assert len(columns) == 5 and len(rows) == 4
 
         regions = region_partition(pair.space_u, pair.space_v)
-        corners = [patch.points_at(np.array([[r.u0, r.v0], [r.u1, r.v0],
-                                             [r.u1, r.v1], [r.u0, r.v1]]))
-                   for r in regions]
+        corners = [patch.points_at(np.array([[u0, v0], [u1, v0],
+                                             [u1, v1], [u0, v1]]))
+                   for u0, v0, u1, v1 in regions]
         longest = max(np.linalg.norm(c - np.roll(c, 1, axis=0), axis=1).max()
                       for c in corners)
         side = np.linspace(0.0, 1.0, 33)
@@ -526,7 +583,7 @@ class TestOctantAssembly:
                 gap = np.linalg.norm(dense @ mirror.T - source, axis=1).min()
                 assert gap > 1.5 * longest
                 for region in regions:
-                    params, wts = region.gauss_points(rule)
+                    params, wts = gauss_points(region, rule)
                     frames = patch.frames_at(params)
                     kernel = kelvin_T_many(
                         (frames.positions @ mirror.T - source).T,
@@ -609,8 +666,7 @@ class TestOctantAssembly:
             assert not set(rows[True]) & set(rows[False])
             assert set(rows[True]) | set(rows[False]) == distinct
             whole_samples = region_samples(
-                [IntegrationRegion(0.0, 1.0, 0.0, 1.0)],
-                ctx.patch.points_at)[0]
+                (0.0, 0.0, 1.0, 1.0), ctx.patch.points_at)[0]
             expected = {}
             for n, target in distinct:
                 keep = far_mask(ctx.samples, np.array(target), threshold)
@@ -858,9 +914,9 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
                 chunks.append((len(contexts), [rows[t] for t in chunk]))
                 yield chunk
 
-        def recording_fans(self, fans):
-            fan_lists.append(fans)
-            return fans_call(self, fans)
+        def recording_fans(self, bounds, sources):
+            fan_lists.append((bounds, sources))
+            return fans_call(self, bounds, sources)
 
         def recording_integrate(self, targets, *args):
             ctx = contexts[-1]
@@ -898,15 +954,18 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
             (gibem.assembly.BLOCK_PAIRS, default), (600, small)):
         sizes = [(patch, [fan_points[patch] * len(fans) + cfg.gauss_order**2
                           * (np.count_nonzero(base) + len(refined))
-                          for fans, base, refined in chunk])
+                          for fans, _, base, refined in chunk])
                  for patch, chunk in chunks]
         assert sum(len(chunk) for _, chunk in sizes) == len(near)
         for (patch, chunk), after in zip(sizes, sizes[1:] + [(None, [])]):
             assert sum(chunk) <= bound or len(chunk) == 1
             if after[0] == patch:
                 assert sum(chunk) + after[1][0] > bound
-        assert fan_lists == [[fan for fans, _, _ in chunk for fan in fans]
-                             for _, chunk in chunks]
+        assert len(fan_lists) == len(chunks)
+        for got, (_, chunk) in zip(fan_lists, chunks):
+            for k, column in enumerate(got):
+                assert_array_equal(column, np.concatenate(
+                    [row[k] for row in chunk]))
     assert max(len(chunk) for _, chunk in default[1]) > 1
     assert len(small[1]) > len(default[1])
 
