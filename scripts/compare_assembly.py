@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on sixteen models: the three
+``gibem.assembly.assemble(model, colloc)`` on seventeen models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -48,7 +48,13 @@ is the order-3 unit cube without its x = 0 and y = 0 faces, closed by the
 ``yz`` and ``xz`` planes into [-1, 1]^2 x [0, 1], under the drawn stress
 without its shears: the only model with two planes, a group of four
 images, whose nodes on the z axis have one target for all four. So the
-models cover groups of 1, 2, 4 and 8 images. Only the two public calls
+models cover groups of 1, 2, 4 and 8 images. The seventeenth,
+``seam-wall-order1``, is ``seam-cube-order2`` with the wall's field
+linear in u and quadratic in v, without interior knots: each seam node's
+two Greville parameters on the wall, u = 0 and u = 1, lie in the same
+base region, so it is the only model whose rows hold two singular
+parameters in one base region, which the quad-tree splits until each
+holds one. Only the two public calls
 are used, so trees whose internals differ can be compared. For every model the
 script prints, per array (node positions, each patch's grid of node
 ids, the closed matrix and the rhs), whether the two trees agree bit for
@@ -180,6 +186,9 @@ field = FieldSpacePair.from_orders(2, interior_u=[0.25, 0.25, 0.5, 0.5,
 models["seam-cube-order2"] = dataclasses.replace(
     seam, patches=seam.patches[:2] + (wall,),
     field_pairs=seam.field_pairs[:2] + (field,))
+models["seam-wall-order1"] = dataclasses.replace(
+    models["seam-cube-order2"],
+    field_pairs=seam.field_pairs[:2] + (FieldSpacePair.from_orders(1, 2),))
 
 # [0, 1]^2 x [-1, 1]: the unit cube less its z = 0 face, closed by the xy
 # plane, under the drawn stress without the shears that plane forbids

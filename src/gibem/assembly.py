@@ -19,7 +19,8 @@ completed) closed surface produces no traction.
 The loop unit is the patch, as in element-by-element collocation assembly
 (Beer, Smith & Duenser 2008): each patch plans all its rows, over all
 mirror images, with one projection, one region bounds test and one
-quad-tree refinement. A row is far from a patch when the quad-tree keeps
+quad-tree, which cuts every near row's fans and refined regions alike
+(``quadrature.quadtree_refine``). A row is far from a patch when it keeps
 each base region whole; then its Gauss data is the same as every other far
 row's, and the far rows of all images are integrated as a batch: one
 kernel block over rows and points, contracted with the weighted basis
@@ -53,18 +54,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CollocationMismatchWarning,
-    QuadratureError,
-    UnsupportedModelError,
-)
+from .errors import CollocationMismatchWarning, UnsupportedModelError
 from .kernels import kelvin_T_many, kelvin_U_many
 from .model import symmetry_group
 # quadtree_refine and singular_quadrature_points are called through this
 # module's globals, so a wrapper set on gibem.assembly sees every call
 from .quadrature import PAIR, contains_mask, far_mask, gauss_points, \
     gauss_rule, quadtree_refine, region_partition, region_samples, \
-    singular_quadrature_points, split
+    singular_quadrature_points
 
 __all__ = [
     "CollocationSet",
@@ -296,12 +293,19 @@ class _PatchContext:
         steps (point inversion: Piegl & Tiller, *The NURBS Book*, sec. 6.1)
         until its own step is below 1e-14. A row whose 2x2 normal system
         is singular stays where it is. A row whose nearest seed lies beyond
-        ``reject_radius`` is not projected and gets distance inf.
+        ``reject_radius`` is not projected and gets parameters NaN and
+        distance inf. Seeds are only sought for rows within twice that of
+        the seeds' bounding box.
         """
-        d2 = ((self.seed_positions[None] - targets[:, None]) ** 2).sum(axis=2)
-        params = self.seed_params[d2.argmin(axis=1)]
-        seeded = d2.min(axis=1) <= self.reject_radius**2
-        active = np.flatnonzero(seeded)
+        margin = 2.0 * self.reject_radius
+        lo = self.seed_positions.min(axis=0) - margin
+        hi = self.seed_positions.max(axis=0) + margin
+        boxed = np.flatnonzero(((lo <= targets) & (targets <= hi)).all(axis=1))
+        d2 = ((self.seed_positions[None] - targets[boxed, None]) ** 2).sum(2)
+        close = d2.min(axis=1) <= self.reject_radius**2
+        seeded = active = boxed[close]
+        params = np.full((len(targets), 2), np.nan)
+        params[seeded] = self.seed_params[d2[close].argmin(axis=1)]
         for _ in range(50):
             if not active.size:
                 break
@@ -318,32 +322,10 @@ class _PatchContext:
             params[active] = new
             active = active[moved >= 1e-14]
         dist = np.full(len(targets), np.inf)
-        if seeded.any():  # an empty points_at call still costs its setup
+        if seeded.size:  # an empty points_at call still costs its setup
             dist[seeded] = np.linalg.norm(
                 self.patch.points_at(params[seeded]) - targets[seeded], axis=1)
         return params, dist
-
-
-def _split_singular(pairs, params):
-    """Split the PAIR records ``pairs`` until each region holds at most one
-    of the (p, 2) singular ``params``, depth first: the first region holding
-    more is replaced in place by its quarters, down to depth 40. Returns the
-    bounds of the regions holding one, the parameter each holds, and the
-    records of the others."""
-    while True:
-        hits = contains_mask(params, pairs["bounds"])
-        many = np.flatnonzero(hits.sum(axis=0) > 1)
-        if not many.size:
-            one = hits.any(axis=0)
-            return (pairs["bounds"][one], params[hits[:, one].argmax(axis=0)],
-                    pairs[~one])
-        k = many[0]
-        if pairs["depth"][k] >= 40:
-            raise QuadratureError(
-                "could not separate singular parameters into distinct regions"
-            )
-        pairs = np.concatenate([pairs[:k], split(pairs[k:k + 1]),
-                                pairs[k + 1:]], dtype=PAIR)
 
 
 class _Rows:
@@ -411,10 +393,10 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     from each near row, every other row, in row order, to four things: its
     fans' bounds and singular parameters, a mask of the base regions it
     takes whole, and the bounds of its quad-tree refined regions. Far base
-    regions are taken whole by index, so only the others, which the
-    quad-tree refines, go through one ``quadtree_refine`` call for all as
-    PAIR records; their depth tells a base region kept at the depth cap,
-    taken whole by its index too, from a refined region.
+    regions are taken whole by index, so only the others go through one
+    ``quadtree_refine`` call for all rows as PAIR records, which fans,
+    splits or keeps each; a kept record's depth tells a base region kept at
+    the depth cap, taken whole by its index too, from a refined region.
     """
     far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
     aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
@@ -423,31 +405,31 @@ def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
     params, dist = ctx.project(targets[others])
     rows = np.concatenate([alias_rows[aliased], others[dist < tol]])
     sing = np.concatenate([alias_params[aliased], params[dist < tol]])
-    np.logical_and.at(far, rows, ~contains_mask(sing, ctx.regions))
+    np.logical_and.at(far, rows, ~contains_mask(sing[:, None], ctx.regions))
     wholly_far = far.all(axis=1)
     whole = np.zeros(len(targets), dtype=bool)
     if ctx.whole is not None:
         whole = wholly_far & far_mask(ctx.whole_samples, targets,
                                       cfg.quadtree_threshold)
-    fans, pairs = {}, [np.zeros(0, PAIR)]
-    for t in np.flatnonzero(~wholly_far):
-        # the regions holding singular parameters are among these
-        regular = np.zeros(np.count_nonzero(~far[t]), PAIR)
-        regular["row"], regular["base"] = t, np.flatnonzero(~far[t])
-        regular["bounds"] = ctx.regions[regular["base"]]
-        params = sing[rows == t]
-        fans[t] = regular["bounds"][:0], params
-        if len(params):
-            *fans[t], regular = _split_singular(regular, params)
-        pairs.append(regular)
-    kept = quadtree_refine(np.concatenate(pairs, dtype=PAIR), targets,
-                           ctx.patch.points_at, cfg.quadtree_threshold,
-                           cfg.quadtree_max_depth)
-    capped = kept[kept["depth"] == 0]  # base regions kept at the depth cap
+    # row t's singular parameters, in the order above, NaN padded
+    order = np.argsort(rows, kind="stable")
+    rows, sing = rows[order], sing[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    padded = np.full((len(targets), rank.max(initial=-1) + 1, 2), np.nan)
+    padded[rows, rank] = sing
+    pairs = np.zeros(np.count_nonzero(~far), PAIR)
+    pairs["row"], pairs["base"] = np.nonzero(~far)
+    pairs["bounds"] = ctx.regions[pairs["base"]]
+    kept = quadtree_refine(pairs, targets, padded, ctx.patch.points_at,
+                           cfg.quadtree_threshold, cfg.quadtree_max_depth)
+    fan = ~np.isnan(kept["fan"][:, 0])
+    capped = kept[(kept["depth"] == 0) & ~fan]  # base regions kept at the cap
     far[capped["row"], capped["base"]] = True
-    refined = kept[kept["depth"] > 0]
-    near = {t: (*fans[t], far[t], refined["bounds"][refined["row"] == t])
-            for t in fans}
+    near_rows = np.flatnonzero(~wholly_far)
+    fans, refined = (np.split(k, np.searchsorted(k["row"], near_rows[1:]))
+                     for k in (kept[fan], kept[(kept["depth"] > 0) & ~fan]))
+    near = {t: (f["bounds"], f["fan"], far[t], r["bounds"])
+            for t, f, r in zip(near_rows, fans, refined)}
     return whole, wholly_far & ~whole, near
 
 

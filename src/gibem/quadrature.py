@@ -1,11 +1,12 @@
 """Numerical integration over patch parameter rectangles.
 
 The unit square of each patch is first cut into rectangles along lines
-through the interior collocation abscissae.  Rectangles near the source
-point are split recursively (quad-tree) until their size is comparable to
-their distance from it; the rectangle containing the source itself is
-integrated with a triangle fan around the source whose degenerate mapping
-absorbs the 1/r singularity of the displacement kernel.
+through the interior collocation abscissae.  One quad-tree splits them:
+a rectangle holding two or more of the source's parameters on the patch
+until each holds one, a rectangle holding none until its size is
+comparable to its distance from the source. A rectangle holding one is
+integrated with a triangle fan around it whose degenerate mapping absorbs
+the 1/r singularity of the displacement kernel.
 
 A set of r rectangles is an (r, 4) array of bounds (u0, v0, u1, v1). Each
 function here treats every row on its own, so one call over r rectangles
@@ -73,9 +74,10 @@ def gauss_rule(order: int) -> GaussRule:
 
 # A quad-tree pair, one record per region: ``row``, the index of the source
 # it is refined for; ``base``, the index of the base region it lies in;
-# ``bounds`` (u0, v0, u1, v1); ``depth``, its splits from that base region.
+# ``bounds`` (u0, v0, u1, v1); ``depth``, its splits from that base region;
+# ``fan``, the singular parameter it is fanned around, NaN if none.
 PAIR = np.dtype([("row", np.intp), ("base", np.intp), ("bounds", float, 4),
-                 ("depth", np.intp)])
+                 ("depth", np.intp), ("fan", float, 2)])
 
 
 def split(pairs) -> np.ndarray:
@@ -156,38 +158,50 @@ def far_mask(samples, sources, threshold: float = 1.0) -> np.ndarray:
 
 
 def contains_mask(params, bounds) -> np.ndarray:
-    """Entry (i, j) is True where ``params[i]`` lies in the closed rectangle
-    ``bounds[j]``, (u0, v0, u1, v1), widened by 1e-9 on every side."""
-    bounds = np.asarray(bounds, dtype=float).reshape(-1, 4) \
-        + [-1e-9, -1e-9, 1e-9, 1e-9]
-    params = np.asarray(params, dtype=float).reshape(-1, 1, 2)
-    return ((bounds[:, :2] <= params) & (params <= bounds[:, 2:])).all(axis=2)
+    """True where (..., 2) ``params`` lie in the closed rectangles (..., 4)
+    ``bounds``, (u0, v0, u1, v1), widened by 1e-9 on every side; the two
+    broadcast against each other."""
+    bounds = np.asarray(bounds, dtype=float)
+    params = np.asarray(params, dtype=float)
+    return ((bounds[..., :2] - 1e-9 <= params)
+            & (params <= bounds[..., 2:] + 1e-9)).all(axis=-1)
 
 
-def quadtree_refine(pairs, sources, point_fn, threshold: float = 1.0,
+def quadtree_refine(pairs, sources, params, point_fn, threshold: float = 1.0,
                     max_depth: int = 6) -> np.ndarray:
-    """Split the region of each PAIR record until its mapped size is below
-    ``threshold`` times the distance to ``sources[row]``.
+    """Split the region of each PAIR record until it holds at most one of
+    its row's singular parameters ``params[row]`` ((rows, k, 2), NaN
+    padded) and, holding none, passes ``far_mask`` for ``sources[row]``.
 
-    ``point_fn`` maps an (m, 2) parameter array to (m, 3) surface points.
-    Per level, the distinct regions are mapped in one ``point_fn`` call and
-    the level's pairs, and only those, are decided by one ``far_mask``
-    call.  Regions containing their source are the singular integration's
-    job, not this one's.  Kept pairs come back as PAIR records sorted
-    stably by row, each row's regions in level-by-level order; regions that
-    pass ``far_mask`` come back unsplit, at their own depth.  Hitting the
-    depth cap logs a warning and keeps the region.
+    Per level, a region holding one parameter is kept as its fan and one
+    holding more is split; the distinct regions holding none are mapped in
+    one ``point_fn`` call ((m, 2) parameters to (m, 3) points) and decided
+    by one ``far_mask`` call. Kept pairs come back as PAIR records sorted
+    stably by row, each row's in level-by-level order; ``fan`` is NaN but
+    on the fans. Hitting the depth cap logs a warning and keeps the region;
+    parameters sharing a region narrower than 1e-8 raise QuadratureError.
     """
     sources = np.asarray(sources, dtype=float).reshape(-1, 3)
-    level = np.asarray(pairs, dtype=PAIR)
+    level = np.array(pairs, dtype=PAIR)  # a copy: ``fan`` is written below
+    level["fan"] = np.nan
     out, capped = [level[:0]], [level["row"][:0]]
     while level.size:
-        distinct, column = np.unique(level["bounds"], axis=0,
+        hits = contains_mask(params[level["row"]], level["bounds"][:, None])
+        held = hits.sum(axis=1)
+        crowded = level["bounds"][held > 1]
+        if (crowded[:, 2:] - crowded[:, :2] < 1e-8).any():
+            raise QuadratureError("could not separate singular parameters "
+                                  "into distinct regions")
+        kept = held == 1
+        level["fan"][kept] = params[level["row"][kept],
+                                    np.nonzero(hits[kept])[1]]
+        free = level[held == 0]
+        distinct, column = np.unique(free["bounds"], axis=0,
                                      return_inverse=True)
         far = far_mask(region_samples(distinct, point_fn)[column],
-                       sources[level["row"]], threshold)
-        kept = far | (level["depth"] >= max_depth)
-        capped.append(level["row"][kept & ~far])
+                       sources[free["row"]], threshold)
+        kept[held == 0] = far | (free["depth"] >= max_depth)
+        capped.append(free["row"][~far & (free["depth"] >= max_depth)])
         out.append(level[kept])
         level = split(level[~kept])
     capped = np.concatenate(capped)
@@ -219,9 +233,9 @@ def singular_quadrature_points(bounds, sources, radial: GaussRule,
     """
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 4)
     s = np.asarray(sources, dtype=float).reshape(-1, 2)
-    outside = ~((bounds[:, :2] - 1e-9 <= s) & (s <= bounds[:, 2:] + 1e-9))
+    outside = ~contains_mask(s, bounds)
     if outside.any():
-        i = outside.any(axis=1).argmax()
+        i = outside.argmax()
         raise QuadratureError(f"singular point {tuple(s[i])} lies outside "
                               f"region (u0, v0, u1, v1) = {tuple(bounds[i])}")
     # row 4 i + k is the triangle (source, corner k, corner k + 1) of fan i

@@ -223,6 +223,7 @@ def test_criterion_4_kernel_identities():
         pairs = quadtree_refine(
             square,
             source,
+            np.zeros((1, 0, 2)),
             patch.points_at,
             threshold=0.5,
             max_depth=8,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gibem.assembly
+import gibem.quadrature
 
 from gibem.assembly import (
     COARSE_ORDER,
@@ -19,7 +20,6 @@ from gibem.assembly import (
     _PatchContext,
     _Rows,
     _engine,
-    _split_singular,
 )
 from gibem.errors import (
     CollocationMismatchWarning,
@@ -49,6 +49,7 @@ from gibem.quadrature import (
     far_mask,
     gauss_points,
     gauss_rule,
+    quadtree_refine,
     region_partition,
     region_samples,
     split,
@@ -328,10 +329,24 @@ def test_base_regions_are_held_only_in_the_far_batch():
 
 
 class TestSplitSingular:
+    """``quadtree_refine`` separating one row's singular parameters, its
+    source far above the flat unit square, so every region holding none
+    is kept as soon as it holds none."""
+
     # two base regions side by side; together they cover [0, 1] x [0.25, 1]
     PAIRS = np.zeros(2, PAIR)
     PAIRS["base"] = 0, 1
     PAIRS["bounds"] = (0.0, 0.25, 0.5, 1.0), (0.5, 0.25, 1.0, 1.0)
+
+    @staticmethod
+    def refine(pairs, params):
+        """The fans' bounds and singular parameters, and the other kept
+        records."""
+        kept = quadtree_refine(pairs, [(0.5, 0.5, 1e6)],
+                               np.reshape(params, (1, -1, 2)),
+                               flat_square().points_at)
+        fan = ~np.isnan(kept["fan"][:, 0])
+        return kept["bounds"][fan], kept["fan"][fan], kept[~fan]
 
     @pytest.mark.parametrize("params", [
         [(0.1, 0.3), (0.4, 0.9)],
@@ -341,12 +356,14 @@ class TestSplitSingular:
     ])
     def test_each_parameter_gets_its_own_regions(self, params):
         params = np.array(params)
-        fans, sources, regular = _split_singular(self.PAIRS, params)
+        given = self.PAIRS.copy()
+        fans, sources, regular = self.refine(given, params)
+        assert_array_equal(given, self.PAIRS)  # the input is left alone
         for region, source in zip(fans, sources, strict=True):
-            assert_array_equal(params[contains_mask(params, region)[:, 0]],
+            assert_array_equal(params[contains_mask(params, region)],
                                [source])
         assert {*map(tuple, sources)} == {*map(tuple, params)}
-        assert not contains_mask(params, regular["bounds"]).any()
+        assert not contains_mask(params, regular["bounds"][:, None]).any()
         # a record keeps its base region, and depth 0 only when it is one
         unsplit = (regular["bounds"] == self.PAIRS["bounds"][regular["base"]])
         assert_array_equal(regular["depth"] == 0, unsplit.all(axis=1))
@@ -363,23 +380,37 @@ class TestSplitSingular:
                 assert overlap_u <= 0 or overlap_v <= 0
         assert_allclose(((u1 - u0) * (v1 - v0)).sum(), 0.75, rtol=1e-14)
 
-    def test_coincident_parameters_raise(self):
-        with pytest.raises(QuadratureError):
-            _split_singular(self.PAIRS[:1], np.array([[0.2, 0.4], [0.2, 0.4]]))
+    def test_coincident_parameters_raise(self, monkeypatch):
+        """Level by level, parameters no region can part would be split
+        into ever more regions; they raise while few have been split."""
+        records = []
+        split = gibem.quadrature.split
+
+        def counting_split(pairs):
+            records.append(len(pairs))
+            return split(pairs)
+
+        monkeypatch.setattr(gibem.quadrature, "split", counting_split)
+        for params in ([(0.2, 0.4), (0.2, 0.4)], [(0.5, 0.5), (0.5, 0.5)],
+                       [(0.3, 0.6), (0.3 + 1e-10, 0.6)]):
+            records.clear()
+            with pytest.raises(QuadratureError):
+                self.refine(self.PAIRS[:1], params)
+            assert 0 < sum(records) < 1000
 
 
 @pytest.mark.parametrize("height, max_depth", [(0.0, 1), (5.0, 6)])
 def test_plan_keeps_split_regions_out_of_the_base_mask(height, max_depth,
                                                        monkeypatch):
     """A row with three singular parameters in the one base region of a
-    unit square: two in its low quarter, one in its high quarter. Its
-    regular pieces reach the quad-tree at depths 1 to 3 and stay whole
-    there, at the depth cap 1 for a target on the patch and as far regions
-    for one 5 above it. Kept at depth >= 1, they are the row's refined
-    regions, in ``_split_singular``'s depth-first order, and the base
-    region, which holds the singular parameters, stays out of the base
-    mask. The fans come depth first too: both low ones before the high
-    one."""
+    unit square: two in its low quarter, one in its high quarter. The
+    quad-tree splits the base region until each fan holds one; the regular
+    pieces, at depths 1 to 3, stay whole there, at the depth cap 1 for a
+    target on the patch and as far regions for one 5 above it. Kept at
+    depth >= 1, they are the row's refined regions, in level order, and
+    the base region, which holds the singular parameters, stays out of the
+    base mask. The fans come in level order too: the high one, at depth 1,
+    before both low ones, at depth 3."""
     cfg = dataclasses.replace(SolverConfig(), quadtree_max_depth=max_depth)
     ctx = _PatchContext(flat_square(), FieldSpacePair.from_orders(1), cfg)
     assert len(ctx.regions) == 1
@@ -397,21 +428,21 @@ def test_plan_keeps_split_regions_out_of_the_base_mask(height, max_depth,
         ctx, np.zeros(3, dtype=int), params, target, target, cfg, 1e-9)
     assert not whole.any() and not greville.any() and list(near) == [0]
     fans, sources, base, refined = near[0]
-    assert_array_equal(sources, params)
-    assert_array_equal(fans, [(0.0, 0.0, 0.125, 0.125),
-                              (0.125, 0.125, 0.25, 0.25),
-                              (0.5, 0.5, 1.0, 1.0)])
+    assert_array_equal(sources, params[[2, 0, 1]])
+    assert_array_equal(fans, [(0.5, 0.5, 1.0, 1.0),
+                              (0.0, 0.0, 0.125, 0.125),
+                              (0.125, 0.125, 0.25, 0.25)])
     assert_array_equal(base, [False])
     [pairs] = seen
-    assert_array_equal(pairs["depth"], [3, 3, 2, 2, 2, 1, 1])
-    assert_array_equal(refined, pairs["bounds"])
-    assert_array_equal(refined, [(0.125, 0.0, 0.25, 0.125),
-                                 (0.0, 0.125, 0.125, 0.25),
+    assert_array_equal(pairs["bounds"], ctx.regions)
+    assert_array_equal(pairs["depth"], [0])
+    assert_array_equal(refined, [(0.5, 0.0, 1.0, 0.5),
+                                 (0.0, 0.5, 0.5, 1.0),
                                  (0.25, 0.0, 0.5, 0.25),
                                  (0.0, 0.25, 0.25, 0.5),
                                  (0.25, 0.25, 0.5, 0.5),
-                                 (0.5, 0.0, 1.0, 0.5),
-                                 (0.0, 0.5, 0.5, 1.0)])
+                                 (0.125, 0.0, 0.25, 0.125),
+                                 (0.0, 0.125, 0.125, 0.25)])
 
 
 def trimmed_bulged_model():
@@ -496,14 +527,14 @@ class TestProjection:
         params, dist = ctx.project(targets)
         d2 = ((ctx.seed_positions[None] - targets[:, None]) ** 2).sum(2)
         seeds = ctx.seed_params[d2.argmin(1)]
-        assert np.isinf(dist[-1]) and np.array_equal(params[-1], seeds[-1])
+        assert np.isinf(dist[-1]) and np.isnan(params[-1]).all()
         ctx.patch = _CountingPatch(ctx.patch)
         steps = set()
         for target, param, d, seed in zip(targets, params, dist, seeds):
             ctx.patch.calls = 0
             one_param, one_dist = ctx.project(target[None])
             steps.add(ctx.patch.calls)
-            assert np.array_equal(one_param[0], param)
+            assert_array_equal(one_param[0], param)
             assert np.array_equal(one_dist[0], d)
             if np.isfinite(d):
                 assert np.array_equal(

@@ -275,21 +275,23 @@ def test_contains_mask_matches_contains():
     params = np.array([(u, v) for u in values for v in values])
     expected = [[contains(region, p, tol=1e-9) for region in regions]
                 for p in params]
-    mask = contains_mask(params, regions)
+    mask = contains_mask(params[:, None], regions)
     assert_array_equal(mask, expected)
     # each corner is inside, one step beyond the slack is outside
     outward = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]])
-    for j, (u0, v0, u1, v1) in enumerate(regions):
+    for region in regions:
+        u0, v0, u1, v1 = region
         corners = np.array([[u0, v0], [u1, v0], [u1, v1], [u0, v1]])
-        assert contains_mask(corners, regions)[:, j].all()
+        assert contains_mask(corners, region).all()
         beyond = np.nextafter(corners + 1e-9 * outward, np.inf * outward)
-        assert not contains_mask(beyond, regions)[:, j].any()
+        assert not contains_mask(beyond, region).any()
 
 
 def _refine_one(regions, source, point_fn, **kwargs):
-    """``quadtree_refine`` for a single source; its PAIR records, in
-    order."""
-    return quadtree_refine(make_pairs(regions), [source], point_fn, **kwargs)
+    """``quadtree_refine`` for a single source and no singular parameters;
+    its PAIR records, in order."""
+    return quadtree_refine(make_pairs(regions), [source], np.zeros((1, 0, 2)),
+                           point_fn, **kwargs)
 
 
 class TestQuadtree:
@@ -476,14 +478,17 @@ def test_quadtree_maps_each_level_in_one_call(cuts_u, cuts_v, targets,
         calls.append(len(params))
         return _CURVED.points_at(params)
 
-    out = quadtree_refine(pairs, targets, point_fn, threshold=threshold,
-                          max_depth=3)
+    out = quadtree_refine(pairs, targets, np.zeros((len(targets), 0, 2)),
+                          point_fn, threshold=threshold, max_depth=3)
     assert (np.diff(out["row"]) >= 0).all()
+    assert np.isnan(out["fan"]).all()
     levels = []
     for k, target in enumerate(targets):
         expected, visited = _refine_region_by_region(chosen[k], target,
                                                      threshold, 3)
-        assert_array_equal(out[out["row"] == k], np.array(expected, PAIR))
+        expected = np.array(expected, PAIR)
+        for field in ("row", "base", "bounds", "depth"):
+            assert_array_equal(out[out["row"] == k][field], expected[field])
         for depth, level in enumerate(visited):
             if depth == len(levels):
                 levels.append(set())
