@@ -4,7 +4,7 @@
 
 For each source directory, one subprocess with that directory on
 PYTHONPATH runs ``gibem.assembly.collocation_points(model)`` and
-``gibem.assembly.assemble(model, colloc)`` on seventeen models: the three
+``gibem.assembly.assemble(model, colloc)`` on eighteen models: the three
 benchmark workloads (built by ``perfbench/workloads.py``, imported
 read-only), the order-2 cube, the order-2 trimmed cube split at 0.4, the
 order-3 trimmed cube split at 0.49, an order-3 cube and an order-2
@@ -54,7 +54,12 @@ linear in u and quadratic in v, without interior knots: each seam node's
 two Greville parameters on the wall, u = 0 and u = 1, lie in the same
 base region, so it is the only model whose rows hold two singular
 parameters in one base region, which the quad-tree splits until each
-holds one. Only the two public calls
+holds one. The eighteenth, ``half-cube-xy-lifted``, is
+``half-cube-xy-order3`` with every control point raised by 1e-10 in z:
+its nodes on the plane no longer map onto themselves exactly, so their xy
+images are targets of their own that lie within the merge tolerance of
+their node and take its Greville parameters as singular parameters, which
+no other model does. Only the two public calls
 are used, so trees whose internals differ can be compared. For every model the
 script prints, per array (node positions, each patch's grid of node
 ids, the closed matrix and the rhs), whether the two trees agree bit for
@@ -197,6 +202,10 @@ half = build_cube_model(3, material, LoadState(
 models["half-cube-xy-order3"] = dataclasses.replace(
     half, patches=half.patches[1:], field_pairs=half.field_pairs[1:],
     symmetry_planes=("xy",))
+models["half-cube-xy-lifted"] = dataclasses.replace(
+    models["half-cube-xy-order3"], patches=tuple(
+        dataclasses.replace(p, control_points=p.control_points + [0, 0, 1e-10])
+        for p in models["half-cube-xy-order3"].patches))
 
 # [-1, 1]^2 x [0, 1]: the unit cube less its x = 0 and y = 0 faces, closed
 # by the yz and xz planes, under the drawn stress without the shears, all

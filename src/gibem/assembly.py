@@ -45,7 +45,8 @@ symmetric about the planes, U(M y - x) t(M n) = M U(y - M x) t(n). So a
 row is a target M x, not a node: each distinct target is planned and
 integrated once against the unmirrored patch, however many images give it,
 and each image adds it with entry (i, j) times s_i s_j and rhs component i
-times s_i.
+times s_i. A row's singular parameters on a patch are the Greville aliases
+there of the node it lies at; a row with none is projected onto the patch.
 """
 from __future__ import annotations
 
@@ -375,48 +376,40 @@ class _Rows:
         self.rhs += rhs * signs
 
 
-def _plan(ctx, alias_rows, alias_params, sources, targets, cfg, tol):
+def _plan(ctx, ids, greville, node, targets, cfg, tol):
     """What one patch needs for all its rows, over all mirror images.
 
-    Row t is one distinct (image, node) target, planned once however many
-    images repeat it: ``sources[t]`` is the node's position and
-    ``targets[t]`` its image. ``alias_rows`` (sorted) and ``alias_params``
-    give each row's node's Greville parameters on the patch, its singular
-    parameters when the image is the node itself; every other row is
-    projected onto the patch in one call, singular where that lies closer
-    than ``tol``. A base region is far from a row when ``far_mask`` keeps
-    it and it holds none of the row's singular parameters. Returns three
-    things, one for each way a row is integrated. The rows that take the
-    whole patch: those whose base regions are all far, on a patch with
-    ``whole`` that passes ``far_mask`` as one region. The other rows whose
-    base regions are all far, which take the Greville batch. And a dict
-    from each near row, every other row, in row order, to four things: its
-    fans' bounds and singular parameters, a mask of the base regions it
-    takes whole, and the bounds of its quad-tree refined regions. Far base
-    regions are taken whole by index, so only the others go through one
-    ``quadtree_refine`` call for all rows as PAIR records, which fans,
-    splits or keeps each; a kept record's depth tells a base region kept at
-    the depth cap, taken whole by its index too, from a refined region.
+    Row t is one distinct target ``targets[t]``, planned once however many
+    images repeat it, at node ``node[t]``, -1 for none. Its singular
+    parameters are that node's aliases among the patch's flat node ids
+    ``ids``, at ``greville``, in Greville order; the rows with none are
+    projected onto the patch in one call, singular closer than ``tol``. A
+    base region is far from a row when ``far_mask`` keeps it and it holds
+    none of the row's singular parameters. Returns, for the three ways a
+    row is integrated: the rows whose base regions are all far that take
+    the whole patch, on a patch with ``whole`` that passes ``far_mask`` as
+    one region; the other such rows, which take the Greville batch; and a
+    dict from each near row, every other row, in row order, to its fans'
+    bounds and singular parameters, a mask of the base regions it takes
+    whole and the bounds of its quad-tree refined regions. Only near base
+    regions go through the one ``quadtree_refine`` call, as PAIR records
+    of all rows; a kept record's depth tells a base region kept at the
+    depth cap, taken whole by index too, from a refined region.
     """
-    far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold)
-    aliased = (np.linalg.norm(targets - sources, axis=1) < tol)[alias_rows]
-    others = np.flatnonzero(
-        np.bincount(alias_rows[aliased], minlength=len(targets)) == 0)
-    params, dist = ctx.project(targets[others])
-    rows = np.concatenate([alias_rows[aliased], others[dist < tol]])
-    sing = np.concatenate([alias_params[aliased], params[dist < tol]])
-    np.logical_and.at(far, rows, ~contains_mask(sing[:, None], ctx.regions))
-    wholly_far = far.all(axis=1)
-    whole = np.zeros(len(targets), dtype=bool)
-    if ctx.whole is not None:
-        whole = wholly_far & far_mask(ctx.whole_samples, targets,
-                                      cfg.quadtree_threshold)
-    # row t's singular parameters, in the order above, NaN padded
-    order = np.argsort(rows, kind="stable")
-    rows, sing = rows[order], sing[order]
+    # row t's singular parameters, NaN padded: its aliases (row-major, so in
+    # Greville order), else its projection
+    rows, alias = np.nonzero(node[:, None] == ids)
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    padded = np.full((len(targets), rank.max(initial=-1) + 1, 2), np.nan)
-    padded[rows, rank] = sing
+    padded = np.full((len(targets), rank.max(initial=0) + 1, 2), np.nan)
+    padded[rows, rank] = greville[alias]
+    others = np.flatnonzero(np.bincount(rows, minlength=len(targets)) == 0)
+    params, dist = ctx.project(targets[others])
+    padded[others[dist < tol], 0] = params[dist < tol]
+    far = far_mask(ctx.samples, targets[:, None], cfg.quadtree_threshold) \
+        & ~contains_mask(padded[:, :, None], ctx.regions).any(axis=1)
+    wholly_far = far.all(axis=1)
+    whole = wholly_far & (ctx.whole is not None and far_mask(
+        ctx.whole_samples, targets, cfg.quadtree_threshold))
     pairs = np.zeros(np.count_nonzero(~far), PAIR)
     pairs["row"], pairs["base"] = np.nonzero(~far)
     pairs["bounds"] = ctx.regions[pairs["base"]]
@@ -437,7 +430,9 @@ def _near_chunks(near, ctx):
     """The near rows in order, cut greedily into chunks of at most
     BLOCK_PAIRS (point, row) pairs, a fan counted at its four triangles'
     points on the patch of ``ctx`` and a region at gauss_order**2: a chunk
-    goes over only when one row alone does."""
+    goes over only when one row alone does. The fan count is an upper
+    bound: a fan whose source is a region corner keeps two triangles (on
+    cube-far, all 600 fans; 1,200 triangles where 2,400 are counted)."""
     fan = 4 * ctx.radial_rule.order * ctx.singular_rule.order
     chunks, size = [], BLOCK_PAIRS  # full: the first row opens a chunk
     for t, (fans, _, base, refined) in near.items():
@@ -455,12 +450,13 @@ def _engine(model, colloc):
     """Kernel blocks, row sums and right-hand side (zero without a load) of
     every row, before the closure. Each patch's context is built at its turn
     and dropped before the next one; one plan covers the distinct targets of
-    all images. A row, one target, is integrated against the unmirrored
-    patch in one call: each near row alone, then the whole-patch rows and the
-    Greville rows of all images in far calls of at most BLOCK_PAIRS pairs,
-    each into its own rows of one pair of per-row arrays. One scatter per
-    image then adds the row of each node's target in that image, with the
-    image's signs (module docstring)."""
+    all images, each with the node it lies at within the merge tolerance,
+    found once per solve. A row, one target, is integrated against the
+    unmirrored patch in one call: each near row alone, then the whole-patch
+    rows and the Greville rows of all images in far calls of at most
+    BLOCK_PAIRS pairs, each into its own rows of one pair of per-row arrays.
+    One scatter per image then adds the row of each node's target in that
+    image, with the image's signs (module docstring)."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     positions = colloc.positions
@@ -470,26 +466,25 @@ def _engine(model, colloc):
     # first[m, n]: the first image giving node n image m's target
     first = (targets[:, None] == targets).all(axis=3).argmax(axis=1)
     own = first == np.arange(len(group))[:, None]
-    # the distinct targets in row-major order, row t the image image[t] of
-    # node node_of[t]; uses[m, n] is the row node n takes in image m
-    image, node_of = np.nonzero(own)
-    row_targets = targets[image, node_of]
+    # the distinct targets in row-major order; node[t] is the node row t
+    # lies at, -1 where its image moves it off, and uses[m, n] the row node
+    # n takes in image m
+    row_targets, node_of = targets[own], np.nonzero(own)[1]
+    node = np.where(np.linalg.norm(row_targets - positions[node_of], axis=1)
+                    < colloc.merge_tol, node_of, -1)
     slot = np.cumsum(own).reshape(own.shape) - 1
     uses = slot[first, np.arange(len(positions))]
 
     for k, (patch, pair) in enumerate(zip(model.patches, model.field_pairs)):
         ctx = _PatchContext(patch, pair, cfg)
         ids = colloc.grids[k].ravel()
-        index = np.argsort(ids, kind="stable")  # aliases in node order
-        hit = own[:, ids[index]]
         whole, greville_rows, near = _plan(
-            ctx, slot[:, ids[index]][hit],
-            pair.greville_params()[index[np.nonzero(hit)[1]]],
-            positions[node_of], row_targets, cfg, colloc.merge_tol)
+            ctx, ids, pair.greville_params(), node, row_targets, cfg,
+            colloc.merge_tol)
         data = iter(ctx.evaluate(np.concatenate(
             [np.zeros((0, 4)), *(refined for *_, refined in near.values())])))
-        parts = [np.zeros((len(image), 3, 3, len(ids))),
-                 np.zeros((len(image), 3))]
+        parts = [np.zeros((len(row_targets), 3, 3, len(ids))),
+                 np.zeros((len(row_targets), 3))]
         for chunk in _near_chunks(near, ctx):
             fans = iter(ctx.fans(*(np.concatenate([near[t][k] for t in chunk])
                                    for k in (0, 1))))

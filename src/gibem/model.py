@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ModelError
 from .geometry import NurbsPatch, TrimmedPatch, straight_trim_pair
 from .kernels import Material
+from .quadrature import MAX_GAUSS_ORDER
 from .splines import (
     BasisSpace,
     bspline_basis_many,
@@ -138,7 +139,8 @@ class FieldSpacePair:
         params = np.asarray(params, dtype=float)
         bu = bspline_basis_many(self.space_u, params[:, 0])
         bv = bspline_basis_many(self.space_v, params[:, 1])
-        return (bu[:, :, None] * bv[:, None, :]).reshape(len(params), -1)
+        return (bu[:, :, None] * bv[:, None, :]).reshape(len(params),
+                                                         self.n_total)
 
     def elevated(self, new_degree):
         """Same breakpoints, higher order in both directions."""
@@ -213,20 +215,23 @@ class SolverConfig:
     viz_samples: int = 17
 
     def __post_init__(self):
-        if not 1 <= self.gauss_order <= 64:
-            raise ModelError(f"gauss_order out of range: {self.gauss_order}")
-        if not 1 <= self.singular_gauss_order <= 64:
-            raise ModelError(
-                f"singular_gauss_order out of range: {self.singular_gauss_order}"
-            )
+        for name, low, high in (("gauss_order", 1, MAX_GAUSS_ORDER),
+                                ("singular_gauss_order", 1, MAX_GAUSS_ORDER),
+                                ("quadtree_max_depth", 0, np.inf),
+                                ("viz_samples", 2, np.inf)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)) or not low <= value <= high:
+                raise ModelError(f"{name} must be an integer in "
+                                 f"[{low}, {high}], got {value!r}")
         if not self.quadtree_threshold > 0:
             raise ModelError("quadtree_threshold must be positive")
-        if self.quadtree_max_depth < 0:
-            raise ModelError("quadtree_max_depth must be non-negative")
         if self.merge_tol is not None and not self.merge_tol > 0:
             raise ModelError("merge_tol must be positive when given")
-        if self.viz_samples < 2:
-            raise ModelError("viz_samples must be at least 2")
+        if isinstance(self.excavation_sign, bool) \
+                or self.excavation_sign not in (1, -1):
+            raise ModelError(f"excavation_sign must be 1 or -1, got "
+                             f"{self.excavation_sign!r}")
 
     def resolved_merge_tol(self, bbox_diagonal):
         if self.merge_tol is not None:

@@ -122,8 +122,12 @@ def model_from_dict(raw) -> BoundaryModel:
             ) from exc
 
     config_data = dict(raw.get("config", {}))
-    if "excavation_sign" in config_data:
-        config_data["excavation_sign"] = float(config_data["excavation_sign"])
+    # the schema takes 8.0 for an integer, which SolverConfig refuses
+    for key, cast in (("excavation_sign", float), ("gauss_order", int),
+                      ("singular_gauss_order", int),
+                      ("quadtree_max_depth", int), ("viz_samples", int)):
+        if key in config_data:
+            config_data[key] = cast(config_data[key])
     try:
         config = SolverConfig(**config_data)
     except GibemError as exc:

@@ -425,7 +425,7 @@ def test_plan_keeps_split_regions_out_of_the_base_mask(height, max_depth,
 
     monkeypatch.setattr(gibem.assembly, "quadtree_refine", recording_refine)
     whole, greville, near = gibem.assembly._plan(
-        ctx, np.zeros(3, dtype=int), params, target, target, cfg, 1e-9)
+        ctx, np.zeros(3, dtype=int), params, np.array([0]), target, cfg, 1e-9)
     assert not whole.any() and not greville.any() and list(near) == [0]
     fans, sources, base, refined = near[0]
     assert_array_equal(sources, params[[2, 0, 1]])
@@ -443,6 +443,50 @@ def test_plan_keeps_split_regions_out_of_the_base_mask(height, max_depth,
                                  (0.25, 0.25, 0.5, 0.5),
                                  (0.125, 0.0, 0.25, 0.125),
                                  (0.0, 0.125, 0.125, 0.25)])
+
+
+def test_seam_node_takes_both_of_its_wall_parameters(monkeypatch):
+    """The wall of the seam cube closes on itself at u = 0 and u = 1, so
+    its grid holds each seam node twice. On the wall, the row of a seam
+    node, one image and no projection, takes both of its Greville
+    parameters as singular parameters, u = 0 before u = 1, and a fan at
+    each."""
+    cube = build_cube_model(2)
+    ring = np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1], [0, 0]])
+    wall = NurbsPatch(
+        BasisSpace([0, 0, 0.25, 0.5, 0.75, 1, 1], 1), unit_interval_space(1),
+        np.stack([np.column_stack([ring, np.full(5, z)]) for z in (0.0, 1.0)],
+                 axis=1), np.ones((5, 2)))
+    field = FieldSpacePair.from_orders(
+        2, interior_u=np.repeat([0.25, 0.5, 0.75], 2))
+    model = dataclasses.replace(cube, patches=cube.patches[:2] + (wall,),
+                                field_pairs=cube.field_pairs[:2] + (field,))
+    colloc = collocation_points(model)
+    grid = colloc.grids[2]
+    seam = grid[0]
+    assert_array_equal(grid[-1], seam)
+    greville = field.greville_params().reshape(*grid.shape, 2)
+    expected = np.stack([greville[0], greville[-1]], axis=1)
+    tables, plans = [], []
+    refine, plan = gibem.assembly.quadtree_refine, gibem.assembly._plan
+
+    def recording_refine(pairs, sources, params, *args):
+        tables.append(params)
+        return refine(pairs, sources, params, *args)
+
+    def recording_plan(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(gibem.assembly, "quadtree_refine", recording_refine)
+    monkeypatch.setattr(gibem.assembly, "_plan", recording_plan)
+    _engine(model, colloc)
+    # no mirror planes: row t is node t
+    assert_array_equal(tables[2][seam], expected)
+    near = plans[2][2]
+    for t, params in zip(seam, expected):
+        assert_array_equal(np.unique(near[t][1], axis=0),
+                           np.unique(params, axis=0))
 
 
 def trimmed_bulged_model():

@@ -149,11 +149,26 @@ class TestSolverConfig:
             {"quadtree_max_depth": -2},
             {"merge_tol": -1.0},
             {"viz_samples": 1},
+            {"gauss_order": 8.5},
+            {"gauss_order": 8.0},
+            {"gauss_order": True},
+            {"singular_gauss_order": True},
+            {"quadtree_max_depth": 1.5},
+            {"viz_samples": 2.5},
+            {"excavation_sign": 0.5},
+            {"excavation_sign": True},
+            {"excavation_sign": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ModelError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(gauss_order=np.int64(6),
+                           quadtree_max_depth=np.int32(2),
+                           excavation_sign=np.float64(-1.0))
+        assert cfg.gauss_order == 6 and cfg.excavation_sign == -1
 
     @pytest.mark.parametrize("name", ["quadtree_threshold", "merge_tol"])
     def test_nan_rejected(self, name):

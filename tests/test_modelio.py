@@ -278,6 +278,14 @@ class TestParseErrors:
         with pytest.raises(ModelFormatError, match="non-finite number"):
             parse_model(bad)
 
+    def test_integral_floats_in_config_accepted(self, cube_case):
+        model, _ = cube_case
+        raw = model_to_dict(model)
+        raw["config"].update(gauss_order=6.0, quadtree_max_depth=2.0)
+        config = model_from_dict(raw).config
+        assert (config.gauss_order, config.quadtree_max_depth) == (6, 2)
+        assert type(config.gauss_order) is int
+
     def test_garbage_text_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -450,6 +450,11 @@ class TestEvaluate:
             rtol=0.0, atol=0.0,
         )
 
+    def test_no_points_give_no_rows(self, cube_solution):
+        model, sol = cube_solution
+        u = evaluate_displacement_many(model, sol, 0, np.zeros((0, 2)))
+        assert u.shape == (0, 3)
+
     def test_nan_parameter_is_a_domain_error(self, cube_solution):
         model, sol = cube_solution
         with pytest.raises(ParameterDomainError):
