@@ -14,6 +14,7 @@ on the fly during assembly.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,10 +225,14 @@ class SolverConfig:
                     value, (int, np.integer)) or not low <= value <= high:
                 raise ModelError(f"{name} must be an integer in "
                                  f"[{low}, {high}], got {value!r}")
-        if not self.quadtree_threshold > 0:
-            raise ModelError("quadtree_threshold must be positive")
-        if self.merge_tol is not None and not self.merge_tol > 0:
-            raise ModelError("merge_tol must be positive when given")
+        for name in ("quadtree_threshold", "merge_tol"):
+            value = getattr(self, name)
+            if value is None and name == "merge_tol":
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Real) or not value > 0:
+                raise ModelError(f"{name} must be a positive number, got "
+                                 f"{value!r}")
         if isinstance(self.excavation_sign, bool) \
                 or self.excavation_sign not in (1, -1):
             raise ModelError(f"excavation_sign must be 1 or -1, got "

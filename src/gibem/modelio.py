@@ -1,7 +1,13 @@
 """Model files, displacement traces, and VTK surface export.
 
 A model file is a JSON document validated against the schema shipped with
-the package (``model.schema.json``).  Parsing produces a fully validated
+the package (``model.schema.json``).  The schema is read once, at import,
+and checked by a built-in interpreter of the Draft 7 keywords it uses:
+``type``, ``properties``, ``required``, ``additionalProperties``,
+``items``, ``minItems``, ``maxItems``, ``uniqueItems``, ``enum``,
+``minimum``, ``maximum``, ``exclusiveMinimum``, ``exclusiveMaximum`` and
+``$ref`` into ``definitions``; a schema that uses any other keyword fails
+to load.  Parsing produces a fully validated
 :class:`~gibem.model.BoundaryModel`; writing one back out and re-parsing it
 reproduces every numeric field to full precision, because floats travel
 through ``repr`` round-trip formatting on both legs.
@@ -17,10 +23,11 @@ patch by patch.
 import importlib.resources
 import json
 import logging
+import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ModelError, ModelFormatError, GibemError
@@ -37,26 +44,147 @@ _DEFAULT_FIELD_ORDERS = (2, 2)
 _VTK_QUAD = 9
 
 
+def _is_number(value):
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+# Draft 7 types: a bool is not a number, and an integral float is an integer
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "boolean": lambda value: isinstance(value, bool),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (
+        isinstance(value, int)
+        or isinstance(value, float) and value.is_integer()),
+}
+
+# each bound as its failing comparison, so NaN passes them all
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+_KEYWORDS = {"type", "properties", "required", "additionalProperties",
+             "items", "minItems", "maxItems", "uniqueItems", "enum",
+             "$ref", "definitions", *_BOUNDS}
+_ANNOTATIONS = {"$schema", "$id", "title", "description"}
+_REF_PREFIX = "#/definitions/"
+
+
+def check_schema(schema, definitions=None):
+    """Raise ValueError where ``schema`` uses a keyword, or a form of one,
+    that the built-in validator does not implement."""
+    if definitions is None:
+        definitions = schema.get("definitions", {})
+    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not "
+                         "supported by the built-in validator")
+    if schema.get("type") not in (None, *_TYPES):
+        raise ValueError(f"schema type {schema['type']!r} is not supported")
+    if not isinstance(schema.get("additionalProperties", False), bool):
+        raise ValueError("schema additionalProperties must be a boolean")
+    if "$ref" in schema and schema["$ref"] not in {
+            _REF_PREFIX + name for name in definitions}:
+        raise ValueError(f"schema $ref {schema['$ref']!r} is not a "
+                         "definition")
+    subs = [*schema.get("properties", {}).values(),
+            *schema.get("definitions", {}).values()]
+    if "items" in schema:
+        if not isinstance(schema["items"], dict):
+            raise ValueError("schema items must be one schema")
+        subs.append(schema["items"])
+    for sub in subs:
+        check_schema(sub, definitions)
+
+
 def load_schema():
-    """The model file schema as a dict."""
+    """The model file schema as a dict, checked by :func:`check_schema`."""
     text = (
         importlib.resources.files("gibem")
         .joinpath("model.schema.json")
         .read_text(encoding="utf-8")
     )
-    return json.loads(text)
+    schema = json.loads(text)
+    check_schema(schema)
+    return schema
 
 
-def _pointer(error) -> str:
-    return "/" + "/".join(str(part) for part in error.absolute_path)
+_SCHEMA = load_schema()
+
+
+def _same(a, b):
+    """JSON equality: True is not 1, also inside lists and objects."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a is b or (isinstance(a, bool) == isinstance(b, bool) and a == b)
+
+
+def _violations(value, schema=_SCHEMA, path=()):
+    """Yield (path, message) for each way ``value`` breaks ``schema``, a
+    part of the shipped schema, worded as jsonschema words them; ``path``
+    is a tuple of keys and indices."""
+    if "$ref" in schema:
+        name = schema["$ref"].removeprefix(_REF_PREFIX)
+        yield from _violations(value, _SCHEMA["definitions"][name], path)
+        return
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if not any(_same(value, each) for each in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _violations(value[name], sub,
+                                               path + (name,))
+            elif key == "additionalProperties" and not rule:
+                known = schema.get("properties", {})
+                extras = sorted((k for k in value if k not in known), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    names = ", ".join(map(repr, extras))
+                    yield path, ("Additional properties are not allowed "
+                                 f"({names} {verb} unexpected)")
+        elif isinstance(value, list):
+            if key == "items":
+                for index, item in enumerate(value):
+                    yield from _violations(item, rule, path + (index,))
+            elif key == "minItems" and len(value) < rule:
+                words = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {words}"
+            elif key == "maxItems" and len(value) > rule:
+                yield path, f"{value!r} is too long"
+            elif key == "uniqueItems" and rule and any(
+                    _same(a, b) for i, a in enumerate(value)
+                    for b in value[i + 1:]):
+                yield path, f"{value!r} has non-unique elements"
+        elif key in _BOUNDS and _is_number(value):
+            fails, words = _BOUNDS[key]
+            if fails(value, rule):
+                yield path, f"{value!r} is {words} of {rule!r}"
 
 
 def _validate_document(raw):
-    validator = jsonschema.Draft7Validator(load_schema())
-    errors = list(validator.iter_errors(raw))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise ModelFormatError(best.message, location=_pointer(best))
+    """Raise ModelFormatError for the schema violation with the shortest
+    path, the first found among equals."""
+    found = min(_violations(raw), key=lambda v: len(v[0]), default=None)
+    if found is not None:
+        path, message = found
+        raise ModelFormatError(message,
+                               location="/" + "/".join(map(str, path)))
 
 
 def _build_curve(data) -> TrimmingCurve:

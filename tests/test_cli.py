@@ -198,13 +198,23 @@ def test_identical_runs_write_identical_csv(cube_path, tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_import_loads_no_scipy():
+def loaded_by_import(*packages):
+    """Modules of ``packages`` in sys.modules after a fresh interpreter
+    imports gibem.cli."""
     code = ("import sys, gibem.cli; print(sorted(name for name in sys.modules "
-            "if name.split('.')[0] == 'scipy'))")
+            f"if name.split('.')[0] in {packages!r}))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_jsonschema():
+    assert loaded_by_import("jsonschema", "referencing") == "[]"
 
 
 def test_log_level_env(monkeypatch):

@@ -175,6 +175,17 @@ class TestSolverConfig:
         with pytest.raises(ModelError, match=name):
             SolverConfig(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name, value", [
+        ("quadtree_threshold", "1"),
+        ("merge_tol", "1e-8"),
+        ("quadtree_threshold", True),
+        ("merge_tol", True),
+    ])
+    def test_positive_reals_only(self, name, value):
+        with pytest.raises(ModelError, match=f"{name} must be a positive "
+                                             "number"):
+            SolverConfig(**{name: value})
+
 
 def test_reflection_matrices():
     assert_allclose(reflection_matrix("xy"), np.diag([1.0, 1, -1]))

@@ -1,9 +1,11 @@
 """Model file round-trips, trace CSVs, and VTK export."""
 
+import copy
 import json
 from dataclasses import replace
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,13 @@ from gibem.model import (
 from gibem.kernels import Material
 from gibem.modelio import (
     TraceRequest,
+    check_schema,
     load_schema,
     model_from_dict,
     model_to_dict,
     parse_model,
     _float_rows,
+    _validate_document,
     parse_trace_selector,
     trace_table,
     write_coefficients,
@@ -300,6 +304,155 @@ class TestParseErrors:
         schema = load_schema()
         assert schema["type"] == "object"
         assert "patches" in schema["required"]
+
+
+SHIPPED = {
+    path.name: json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parents[1] / "models")
+                       .glob("*.json"))
+}
+
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 70), st.floats(-2.0, 70.0),
+    st.sampled_from([-1, 0, 0.0, 0.5, 1.0, 2.0, 8.0, 64, 65, 1e300]),
+    st.sampled_from(["xy", "xz", "yz", "zx"]),
+    st.lists(st.sampled_from([0.0, 1.0, 1, True, "xy", "xz"]), max_size=7),
+    st.dictionaries(st.sampled_from(["curve_a", "degree", "zz"]),
+                    st.integers(0, 3), max_size=2),
+)
+
+EXTRA_KEYS = st.sampled_from(["zz", "trim", "weights", "field_orders",
+                              "config", "merge_tol", "curve_b", "degree"])
+
+
+def json_nodes(doc, path=()):
+    """Every (path, value) of a decoded JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from json_nodes(value, path + (key,))
+
+
+def draw_node(data, doc):
+    """A (path, value) of ``doc``, every schema position equally likely:
+    paths that differ only in list indices are drawn as one."""
+    shapes = {}
+    for path, node in json_nodes(doc):
+        shape = tuple("*" if isinstance(key, int) else key for key in path)
+        shapes.setdefault(shape, []).append((path, node))
+    return data.draw(st.sampled_from(shapes[data.draw(
+        st.sampled_from(sorted(shapes)))]))
+
+
+def pointer(path):
+    return "/" + "/".join(map(str, path))
+
+
+def check_against_jsonschema(doc):
+    """Whether ``doc`` is valid, after checking that the built-in validator
+    rejects it exactly when jsonschema does, with one of jsonschema's
+    locations and that location's message."""
+    reference = jsonschema.Draft7Validator(load_schema())
+    expected = {(pointer(error.absolute_path), error.message)
+                for error in reference.iter_errors(doc)}
+    try:
+        _validate_document(doc)
+    except ModelFormatError as exc:
+        message = str(exc).removeprefix(f"{exc.location}: ")
+        assert exc.location in {where for where, _ in expected}
+        assert (exc.location, message) in expected
+        return False
+    assert not expected
+    return True
+
+
+class TestSchemaValidator:
+    """The built-in validator against jsonschema as the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(SHIPPED)), data=st.data())
+    def test_agrees_with_jsonschema(self, name, data):
+        doc = copy.deepcopy(SHIPPED[name])
+        for _ in range(data.draw(st.integers(1, 3))):
+            path, node = draw_node(data, doc)
+            kind = data.draw(st.sampled_from(["replace", "delete", "add"]))
+            if kind == "add" and isinstance(node, dict):
+                node[data.draw(EXTRA_KEYS)] = data.draw(WRONG_VALUES)
+            elif kind == "add" and isinstance(node, list):
+                # a copy of an item as often as not: duplicates, one too many
+                node.append(copy.deepcopy(data.draw(
+                    st.sampled_from(node) if node and data.draw(st.booleans())
+                    else WRONG_VALUES)))
+            elif kind != "add" and path:
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                if kind == "replace":
+                    parent[path[-1]] = data.draw(WRONG_VALUES)
+                else:
+                    del parent[path[-1]]
+        check_against_jsonschema(doc)
+
+    @pytest.mark.parametrize("path, value, valid", [
+        (("config", "gauss_order"), 64, True),
+        (("config", "gauss_order"), 64.0, True),
+        (("config", "gauss_order"), 65, False),
+        (("config", "gauss_order"), 8.5, False),
+        (("config", "gauss_order"), True, False),
+        (("config", "quadtree_threshold"), 0, False),
+        (("config", "quadtree_threshold"), 1e-300, True),
+        (("config", "quadtree_threshold"), True, False),
+        (("config", "excavation_sign"), -1, True),
+        (("config", "excavation_sign"), True, False),
+        (("config", "excavation_sign"), "1", False),
+        (("material", "poisson_ratio"), 0.5, False),
+        (("material", "poisson_ratio"), -1, True),
+        (("material", "poisson_ratio"), -1.5, False),
+        (("symmetry_planes",), ["xy", "xz"], True),
+        (("symmetry_planes",), ["xy", "xy"], False),
+        (("symmetry_planes",), ["xy", "xz", "xy"], False),
+        (("virgin_stress",), [0.0] * 7, False),
+        (("virgin_stress",), [0.0] * 5, False),
+        (("patches",), [], False),
+        (("patches", 0, "degrees"), [1, 2.0], True),
+        (("patches", 0, "field_interior_u"), [0.0], False),
+        (("patches", 0, "field_interior_u"), [0.5], True),
+        (("patches", 0, "field_interior_u"), [1.0], False),
+    ])
+    def test_boundaries_agree_with_jsonschema(self, path, value, valid):
+        raw = copy.deepcopy(SHIPPED["cube.json"])
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assert check_against_jsonschema(raw) == valid
+
+    def test_shortest_path_reported(self):
+        raw = copy.deepcopy(SHIPPED["cube.json"])
+        raw["patches"][0]["degrees"] = ["1", "1"]
+        del raw["material"]
+        with pytest.raises(ModelFormatError) as info:
+            _validate_document(raw)
+        assert info.value.location == "/"
+        assert str(info.value) == "/: 'material' is a required property"
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "object", "properties": {"name": {"pattern": "^a"}}},
+        {"definitions": {"count": {"multipleOf": 2}}},
+        {"type": "string"},
+        {"items": [{"type": "number"}]},
+        {"additionalProperties": {"type": "number"}},
+        {"$ref": "#/definitions/missing"},
+    ], ids=["pattern", "multipleOf", "string", "tuple-items",
+            "schema-additionalProperties", "missing-ref"])
+    def test_unsupported_schema_raises_on_load(self, schema):
+        with pytest.raises(ValueError, match="schema"):
+            check_schema(schema)
 
 
 class TestTraceRequest:
