@@ -62,7 +62,8 @@ their node and take its Greville parameters as singular parameters, which
 no other model does. Only the two public calls
 are used, so trees whose internals differ can be compared. For every model the
 script prints, per array (node positions, each patch's grid of node
-ids, the closed matrix and the rhs), whether the two trees agree bit for
+ids, the (n, n) nodal basis values ``colloc.node_values``, the closed
+matrix and the rhs), whether the two trees agree bit for
 bit and the largest difference relative to the largest BASE entry, and
 a closing line gives the largest of those over all models for the matrix
 and for the rhs. The
@@ -227,6 +228,7 @@ for name, model in models.items():
     arrays[name + "/positions"] = colloc.positions
     for k, grid in enumerate(colloc.grids):
         arrays[name + f"/grid{k}"] = grid
+    arrays[name + "/node_values"] = colloc.node_values
     arrays[name + "/matrix"] = matrix
     arrays[name + "/rhs"] = rhs
 np.savez(out, **arrays)

@@ -68,7 +68,6 @@ __all__ = [
     "CollocationSet",
     "collocation_points",
     "assemble",
-    "node_values",
     "free_term_rigid_body",
 ]
 
@@ -92,7 +91,10 @@ class CollocationSet:
     parameters, flat index a * n_v + b, twice a node where the patch closes
     on itself. A node's aliases are the Greville points whose grid entry is
     that node; the first of them in flat (patch, index) order is its owner.
-    ``node_values``, read-only, is ``node_values(model, grids)``.
+    ``node_values`` (n, n), read-only, gives in row n, against the field
+    coefficients of one displacement component, that component at node n:
+    the owner patch's basis row at the owner's Greville parameters, with
+    the entries of a node that the patch's grid holds twice summed.
     """
 
     positions: np.ndarray
@@ -145,14 +147,23 @@ def collocation_points(model):
             stacklevel=2,
         )
 
-    _, node_of = np.unique(label, return_inverse=True)
+    # owner[n], node n's smallest point index, is its owner
+    owner, node_of = np.unique(label, return_inverse=True)
     sums = [np.bincount(node_of, column) for column in positions.T]
     means = np.column_stack(sums) / np.bincount(node_of)[:, None]
     means.flags.writeable = False
     cuts = np.cumsum([pair.n_u * pair.n_v for pair in model.field_pairs])
     grids = tuple(ids.reshape(pair.n_u, pair.n_v) for ids, pair
                   in zip(np.split(node_of, cuts[:-1]), model.field_pairs))
-    values = node_values(model, grids)
+    values = np.zeros((len(owner), len(owner)))
+    start = 0
+    for grid, pair in zip(grids, model.field_pairs):
+        owned = np.flatnonzero((owner >= start) & (owner < start + grid.size))
+        if owned.size:
+            params = pair.greville_params()[owner[owned] - start]
+            # unbuffered: two basis functions of a node both count
+            np.add.at(values, (owned[:, None], grid.ravel()), pair.values(params))
+        start += grid.size
     values.flags.writeable = False
     return CollocationSet(means, grids, tol, values)
 
@@ -329,51 +340,24 @@ class _PatchContext:
         return params, dist
 
 
-class _Rows:
-    """Kernel integrals accumulated into the rows of the system."""
+def _integrate(targets, points, normals, weights, weighted, model):
+    """The kernel integrals of (k, 3) ``targets`` over one patch: per target
+    the (3, 3, f) kernel block against the patch fields and the (3,) rhs,
+    zero without a load.
 
-    def __init__(self, n_nodes, material, load, sign):
-        self.material = material
-        self.load = load
-        self.sign = sign
-        self.t_blocks = np.zeros((3 * n_nodes, 3 * n_nodes))
-        self.row_sums = np.zeros((n_nodes, 3, 3))
-        self.rhs = np.zeros((n_nodes, 3))
-
-    def integrate(self, targets, points, normals, weights, weighted):
-        """The kernel integrals of (k, 3) ``targets`` over one patch: per
-        target the (3, 3, f) kernel block against the patch fields and the
-        (3,) rhs, zero without a load.
-
-        ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``weighted``
-        (m, f), the patch fields' values times weights, are the patch's
-        quadrature data.
-        """
-        # targets first: each (k, m) difference row and kernel plane is
-        # contiguous, and the kernel block reshapes to (9k, m) as it is
-        diff = [points.T[c] - targets[:, c, None] for c in range(3)]
-        kernel = kelvin_T_many(diff, normals.T, self.material)
-        contrib = kernel.reshape(-1, len(weighted)) @ weighted
-        rhs = np.zeros((len(targets), 3))
-        if self.load is not None:
-            tractions = self.load.traction(normals, self.sign)
-            rhs = (kelvin_U_many(diff, self.material, tractions.T) @ weights).T
-        return contrib.reshape(3, 3, len(targets), -1).transpose(2, 0, 1, 3), rhs
-
-    def scatter(self, parts, ids, signs):
-        """Add ``parts`` of ``integrate``, a row per node, to every node's
-        rows and the columns of the patch fields ``ids`` under the image
-        with diagonal ``signs``: entry (i, j) of each kernel block times
-        signs[i] signs[j] in the row sums and, with signs[j] once more for
-        the field component at the mirrored point, times signs[i] in the
-        matrix; component i of the rhs times signs[i]."""
-        contrib, rhs = parts
-        self.row_sums += contrib.sum(axis=3) * (signs[:, None] * signs)
-        view = self.t_blocks.reshape(len(self.rhs), 3, -1, 3)
-        # unbuffered: ids repeats a node where the patch closes on itself
-        np.add.at(view, (slice(None), slice(None), ids),
-                  contrib.transpose(0, 1, 3, 2) * signs[:, None, None])
-        self.rhs += rhs * signs
+    ``points``, ``normals`` (m, 3), ``weights`` (m,) and ``weighted`` (m, f),
+    the patch fields' values times weights, are the patch's quadrature data.
+    """
+    # targets first: each (k, m) difference row and kernel plane is
+    # contiguous, and the kernel block reshapes to (9k, m) as it is
+    diff = [points.T[c] - targets[:, c, None] for c in range(3)]
+    kernel = kelvin_T_many(diff, normals.T, model.material)
+    contrib = kernel.reshape(-1, len(weighted)) @ weighted
+    rhs = np.zeros((len(targets), 3))
+    if model.load is not None:
+        tractions = model.load.traction(normals, model.config.excavation_sign)
+        rhs = (kelvin_U_many(diff, model.material, tractions.T) @ weights).T
+    return contrib.reshape(3, 3, len(targets), -1).transpose(2, 0, 1, 3), rhs
 
 
 def _plan(ctx, ids, greville, node, targets, cfg, tol):
@@ -455,13 +439,17 @@ def _engine(model, colloc):
     unmirrored patch in one call: each near row alone, then the whole-patch
     rows and the Greville rows of all images in far calls of at most
     BLOCK_PAIRS pairs, each into its own rows of one pair of per-row arrays.
-    One scatter per image then adds the row of each node's target in that
-    image, with the image's signs (module docstring)."""
+    Each image then adds the row of each node's target in that image, with
+    the image's signs s: entry (i, j) of each kernel block times s_i s_j in
+    the row sums and, with s_j once more for the field component at the
+    mirrored point, times s_i in the matrix; rhs component i times s_i."""
     cfg = model.config
     group = symmetry_group(model.symmetry_planes)
     positions = colloc.positions
-    rows = _Rows(len(positions), model.material, model.load,
-                 cfg.excavation_sign)
+    n = len(positions)
+    t_blocks = np.zeros((3 * n, 3 * n))
+    row_sums = np.zeros((n, 3, 3))
+    rhs = np.zeros((n, 3))
     targets = np.stack([positions @ mirror.T for mirror in group])
     # first[m, n]: the first image giving node n image m's target
     first = (targets[:, None] == targets).all(axis=3).argmax(axis=1)
@@ -473,7 +461,7 @@ def _engine(model, colloc):
     node = np.where(np.linalg.norm(row_targets - positions[node_of], axis=1)
                     < colloc.merge_tol, node_of, -1)
     slot = np.cumsum(own).reshape(own.shape) - 1
-    uses = slot[first, np.arange(len(positions))]
+    uses = slot[first, np.arange(n)]
 
     for k, (patch, pair) in enumerate(zip(model.patches, model.field_pairs)):
         ctx = _PatchContext(patch, pair, cfg)
@@ -483,8 +471,8 @@ def _engine(model, colloc):
             colloc.merge_tol)
         data = iter(ctx.evaluate(np.concatenate(
             [np.zeros((0, 4)), *(refined for *_, refined in near.values())])))
-        parts = [np.zeros((len(row_targets), 3, 3, len(ids))),
-                 np.zeros((len(row_targets), 3))]
+        blocks = np.zeros((len(row_targets), 3, 3, len(ids)))
+        loads = np.zeros((len(row_targets), 3))
         for chunk in _near_chunks(near, ctx):
             fans = iter(ctx.fans(*(np.concatenate([near[t][k] for t in chunk])
                                    for k in (0, 1))))
@@ -492,11 +480,9 @@ def _engine(model, colloc):
                 columns = [next(fans) for _ in near[t][0]]
                 columns += [ctx.base[i] for i in np.flatnonzero(near[t][2])]
                 columns += [next(data) for _ in near[t][3]]
-                integrals = rows.integrate(
+                blocks[t:t + 1], loads[t:t + 1] = _integrate(
                     row_targets[t:t + 1],
-                    *(np.concatenate(c) for c in zip(*columns)))
-                for store, part in zip(parts, integrals):
-                    store[t] = part[0]
+                    *(np.concatenate(c) for c in zip(*columns)), model)
         for columns, at in ((ctx.whole, whole), (ctx.greville, greville_rows)):
             at = np.flatnonzero(at)
             if not at.size:
@@ -504,33 +490,20 @@ def _engine(model, colloc):
             step = max(1, BLOCK_PAIRS // len(columns[2]))
             for start in range(0, at.size, step):
                 chunk = at[start:start + step]
-                integrals = rows.integrate(row_targets[chunk], *columns)
-                for store, part in zip(parts, integrals):
-                    store[chunk] = part
+                blocks[chunk], loads[chunk] = _integrate(
+                    row_targets[chunk], *columns, model)
         for use, mirror in zip(uses, group):
-            rows.scatter([p[use] for p in parts], ids, np.diag(mirror))
+            signs = np.diag(mirror)
+            contrib = blocks[use]
+            row_sums += contrib.sum(axis=3) * (signs[:, None] * signs)
+            # unbuffered: ids repeats a node where the patch closes on itself
+            np.add.at(t_blocks.reshape(n, 3, -1, 3),
+                      (slice(None), slice(None), ids),
+                      contrib.transpose(0, 1, 3, 2) * signs[:, None, None])
+            rhs += loads[use] * signs
         del ctx, data  # the next patch's data is built without this one's
 
-    return rows.t_blocks, rows.row_sums, rows.rhs.reshape(-1)
-
-
-def node_values(model, grids):
-    """The (n, n) matrix whose row n gives, against the field coefficients
-    of one displacement component, that component at node n: the owner
-    patch's basis row at the owner's Greville parameters."""
-    # owner[n] is the flat (patch, Greville index) position of node n's owner
-    _, owner = np.unique(np.concatenate([grid.ravel() for grid in grids]),
-                         return_index=True)
-    values = np.zeros((len(owner), len(owner)))
-    start = 0
-    for grid, pair in zip(grids, model.field_pairs):
-        owned = np.flatnonzero((owner >= start) & (owner < start + grid.size))
-        if owned.size:
-            params = pair.greville_params()[owner[owned] - start]
-            # unbuffered: two basis functions of a node both count
-            np.add.at(values, (owned[:, None], grid.ravel()), pair.values(params))
-        start += grid.size
-    return values
+    return t_blocks, row_sums, rhs.reshape(-1)
 
 
 def free_term_rigid_body(t_blocks, row_sums, node_values, exterior=False):

@@ -18,6 +18,7 @@ without a copy.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,14 @@ class Material:
     poisson_ratio: float
 
     def __post_init__(self):
-        if not self.youngs_modulus > 0.0:
-            raise ModelError("Young's modulus must be positive")
-        if not -1.0 < self.poisson_ratio < 0.5:
-            raise ModelError("Poisson ratio must lie in (-1, 0.5)")
+        for name, rule, valid in (
+                ("youngs_modulus", "a positive number", lambda v: v > 0.0),
+                ("poisson_ratio", "a number in (-1, 0.5)",
+                 lambda v: -1.0 < v < 0.5)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Real) or not valid(value):
+                raise ModelError(f"{name} must be {rule}, got {value!r}")
 
     @property
     def shear_modulus(self) -> float:

@@ -400,8 +400,11 @@ class TraceRequest:
     samples: int = 65
 
     def __post_init__(self):
-        if self.patch_index < 0:
-            raise ModelError("trace patch index must be non-negative")
+        index = self.patch_index
+        if isinstance(index, bool) or not isinstance(
+                index, (int, np.integer)) or index < 0:
+            raise ModelError(f"trace patch index must be a non-negative "
+                             f"integer, got {index!r}")
         if self.selector not in _EDGE_SELECTORS and \
                 self.selector not in _TRIM_SELECTORS:
             known = sorted(_EDGE_SELECTORS) + sorted(_TRIM_SELECTORS)

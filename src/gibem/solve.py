@@ -186,7 +186,8 @@ def evaluate_displacement_many(model, solution, patch_index, params):
     Each returned row is bit-identical to evaluating its point alone,
     however many rows are evaluated together.
     """
-    if not (isinstance(patch_index, (int, np.integer))
+    if isinstance(patch_index, bool) or not (
+            isinstance(patch_index, (int, np.integer))
             and 0 <= patch_index < model.n_patches):
         raise ModelError(f"patch index {patch_index!r} is not an integer in "
                          f"0..{model.n_patches - 1}")

@@ -18,8 +18,8 @@ from gibem.assembly import (
     collocation_points,
     free_term_rigid_body,
     _PatchContext,
-    _Rows,
     _engine,
+    _integrate,
 )
 from gibem.errors import (
     CollocationMismatchWarning,
@@ -700,13 +700,13 @@ class TestOctantAssembly:
         for n, target in distinct:
             rows_of.setdefault(target, []).append((n, target))
         contexts, calls = [], []
-        init, integrate = _PatchContext.__init__, _Rows.integrate
+        init, integrate = _PatchContext.__init__, _integrate
 
         def counting_init(self, *args):
             init(self, *args)
             contexts.append(self)
 
-        def recording_integrate(self, targets, *args):
+        def recording_integrate(targets, *args):
             ctx = contexts[-1]
             kind = next((whole for whole, columns
                          in ((True, ctx.whole), (False, ctx.greville))
@@ -716,14 +716,14 @@ class TestOctantAssembly:
                           [row for target in targets
                            for row in rows_of[tuple(target)]],
                           len(args[0])])
-            return integrate(self, targets, *args)
+            return integrate(targets, *args)
 
         def counting_kernel(diff, normals, material):
             calls[-1].append(np.broadcast(*diff, *normals).size)
             return kelvin_T_many(diff, normals, material)
 
         monkeypatch.setattr(_PatchContext, "__init__", counting_init)
-        monkeypatch.setattr(_Rows, "integrate", recording_integrate)
+        monkeypatch.setattr(gibem.assembly, "_integrate", recording_integrate)
         monkeypatch.setattr("gibem.assembly.kelvin_T_many", counting_kernel)
         _engine(model, colloc)
 
@@ -974,7 +974,7 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
     chunk size does not change a near row's integrals, bit for bit."""
     model, colloc, _ = octant_system
     cfg = model.config
-    init, integrate = _PatchContext.__init__, _Rows.integrate
+    init, integrate = _PatchContext.__init__, _integrate
     fans_call, near_chunks = _PatchContext.fans, gibem.assembly._near_chunks
 
     def run():
@@ -993,9 +993,9 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
             fan_lists.append((bounds, sources))
             return fans_call(self, bounds, sources)
 
-        def recording_integrate(self, targets, *args):
+        def recording_integrate(targets, *args):
             ctx = contexts[-1]
-            parts = integrate(self, targets, *args)
+            parts = integrate(targets, *args)
             if not any(columns is not None and columns[0] is args[0]
                        for columns in (ctx.whole, ctx.greville)):
                 key = len(contexts), targets[0].tobytes()
@@ -1005,7 +1005,7 @@ def test_near_chunks_keep_to_block_pairs(octant_system, monkeypatch):
 
         monkeypatch.setattr(_PatchContext, "__init__", recording_init)
         monkeypatch.setattr(_PatchContext, "fans", recording_fans)
-        monkeypatch.setattr(_Rows, "integrate", recording_integrate)
+        monkeypatch.setattr(gibem.assembly, "_integrate", recording_integrate)
         monkeypatch.setattr(gibem.assembly, "_near_chunks", recording_chunks)
         _engine(model, colloc)
         monkeypatch.undo()

@@ -39,6 +39,15 @@ class TestMaterial:
         with pytest.raises(ModelError):
             Material(1000.0, nu)
 
+    @pytest.mark.parametrize("e, nu", [
+        ("1", 0.3), (1000.0, "0.3"), (True, 0.3), (1000.0, False),
+        (None, 0.3), (1000.0, [0.3]),
+    ], ids=["E-str", "nu-str", "E-bool", "nu-bool", "E-none", "nu-list"])
+    def test_non_real_or_bool_raises(self, e, nu):
+        name = "youngs_modulus" if nu == 0.3 else "poisson_ratio"
+        with pytest.raises(ModelError, match=f"^{name} must be a"):
+            Material(e, nu)
+
 
 class TestDisplacementKernel:
     def test_unit_offset_value(self, mat):

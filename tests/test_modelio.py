@@ -475,6 +475,13 @@ class TestTraceRequest:
         with pytest.raises(ModelError, match="two samples"):
             TraceRequest(0, "u0", samples=1)
 
+    @pytest.mark.parametrize("index", [1.5, "0", True, -1],
+                             ids=["float", "str", "bool", "negative"])
+    def test_patch_index_must_be_a_non_negative_integer(self, index):
+        with pytest.raises(ModelError, match="non-negative integer"):
+            TraceRequest(index, "u0")
+        assert TraceRequest(np.int64(2), "u0").patch_index == 2
+
 
 class TestTrace:
     def test_constant_solution_gives_constant_column(self, solved_cube):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-import gibem.assembly
+import gibem.solve
 from gibem.assembly import assemble, collocation_points
 from gibem.errors import (
     ModelError,
@@ -371,14 +371,56 @@ class TestPatchTest:
         assert rel <= 1e-8
 
 
+def reference_node_values(model, colloc):
+    """Node values from one basis row per node: at the node's first
+    appearance in flat (patch, Greville index) order, its columns added one
+    by one, so a column the patch's grid holds twice is summed."""
+    values = np.zeros((len(colloc), len(colloc)))
+    seen = set()
+    for grid, pair in zip(colloc.grids, model.field_pairs):
+        ids = grid.ravel()
+        for index, node in enumerate(ids):
+            if node in seen:
+                continue
+            seen.add(node)
+            row = pair.values(pair.greville_params()[index:index + 1])[0]
+            for column, value in zip(ids, row):
+                values[node, column] += value
+    return values
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_cube_model(order=2),
+    lambda: build_trimmed_cube_model(2, 0.4),
+    lambda: seam_cube(2),
+    lambda: octant_model(2, 0.4),
+], ids=["cube", "trimmed", "seam", "octant"])
+def test_node_values_match_a_per_node_loop(build):
+    model = build()
+    colloc = collocation_points(model)
+    values = colloc.node_values
+    assert np.array_equal(values, reference_node_values(model, colloc))
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+
+
 def test_solve_builds_node_values_once(monkeypatch):
-    built = []
-    build = gibem.assembly.node_values
-    monkeypatch.setattr(gibem.assembly, "node_values",
-                        lambda *args: built.append(build(*args)) or built[-1])
+    """solve_model collocates once and maps the rigid modes through that
+    set's node values."""
+    made, pinned = [], []
+    collocate, pin = gibem.solve.collocation_points, gibem.solve.pin_rigid_motion
+    monkeypatch.setattr(gibem.solve, "collocation_points",
+                        lambda model: made.append(collocate(model)) or made[-1])
+    monkeypatch.setattr(gibem.solve, "pin_rigid_motion",
+                        lambda *args: pinned.append(args[2]) or pin(*args))
     sol = solve_model(build_cube_model(order=2))
-    assert len(built) == 1
-    assert sol.colloc.node_values is built[0]
+    assert len(made) == 1 and len(pinned) == 1
+    colloc = made[0]
+    assert sol.colloc is colloc
+    modes = rigid_modes(colloc.positions).reshape(len(colloc), -1)
+    assert np.array_equal(pinned[0], np.linalg.solve(
+        colloc.node_values, modes).reshape(3 * len(colloc), -1))
 
 
 @pytest.fixture(scope="module")
@@ -438,8 +480,8 @@ class TestEvaluate:
         with pytest.raises(ModelError, match=r"\(m, 2\)"):
             evaluate_displacement_many(model, sol, 1, params)
 
-    @pytest.mark.parametrize("index", [1.0, "1", None],
-                             ids=["float", "str", "none"])
+    @pytest.mark.parametrize("index", [1.0, "1", None, True],
+                             ids=["float", "str", "none", "bool"])
     def test_patch_index_must_be_an_integer(self, cube_solution, index):
         model, sol = cube_solution
         with pytest.raises(ModelError, match="integer"):
